@@ -18,6 +18,8 @@ from .autodiff import (
     backward,
     grad_check,
     matmul,
+    multihead_attention,
+    rope2d,
     softmax_rows,
 )
 from .datasets import (
@@ -43,13 +45,12 @@ from .model import (
     AttentionTrace,
     ModelConfig,
     ModelParams,
-    biased_attention,
-    forward,
+    bind_params,
     forward_batch,
+    forward_on_tape,
     induced_block,
     init_params,
     load_params,
-    rope2d,
     save_params,
 )
 from .pipeline import (
@@ -69,7 +70,6 @@ from .spatial import (
     QueryPool,
     assemble_sequence,
     build_tree,
-    knn,
     precompute_neighbors,
 )
 

@@ -1,11 +1,19 @@
-"""Tape-based reverse-mode differentiation over dense 2-D float64 matrices.
+"""Tape-based reverse-mode differentiation over batched float64 matrices.
 
-Every value flowing through a :class:`Tape` is a C-ordered ``float64`` array
-of shape ``(rows, cols)``.  Each primitive records which slots it read and
-which slot it wrote; :func:`backward` replays the records in exact reverse
-execution order and accumulates gradients into per-slot buffers that start at
-zero.  Backward rules live in a flat registry keyed by op name rather than in
-per-op closures, so the whole engine stays easy to inspect and to port.
+Every value flowing through a :class:`Tape` is a ``float64`` array of shape
+``(..., rows, cols)``: a matrix, optionally behind leading batch axes.
+Operands broadcast over those axes as in numpy, so a 2-D parameter meets a
+``(B, L, d)`` batch of sequences directly, and its gradient is summed back
+over the batch.  Each primitive records which slots it read and which slot it
+wrote; :func:`backward` replays the records in exact reverse execution order
+and accumulates gradients into per-slot buffers that start at zero.  Backward
+rules live in a flat registry keyed by op name rather than in per-op
+closures, so the whole engine stays easy to inspect and to port.
+
+A tape built with ``record=False`` runs the same primitives but keeps no
+values and no op records: each result lives only in the :class:`Var` that
+holds it and is freed as soon as nothing references it.  Inference runs the
+training forward on such a tape.
 
 A tape is single-threaded.  Distinct tapes reading the same (immutable)
 parameter arrays may run concurrently.
@@ -56,18 +64,16 @@ class ContractError(ValueError):
 
 
 def as_matrix(value) -> np.ndarray:
-    """Coerce ``value`` to a C-contiguous 2-D float64 array.
+    """Coerce ``value`` to a C-contiguous float64 array of rank 2 or more.
 
-    Scalars become ``(1, 1)`` and 1-D arrays become row vectors; anything of
-    higher rank is rejected.
+    Scalars become ``(1, 1)`` and 1-D arrays become row vectors; higher ranks
+    are ``(..., rows, cols)`` batches of matrices and pass unchanged.
     """
     arr = np.ascontiguousarray(value, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    elif arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D value, got shape {arr.shape}")
     return arr
 
 
@@ -79,23 +85,22 @@ class _Op:
     aux: dict
 
 
-@dataclass
 class Var:
-    """A handle to one value slot on a tape."""
+    """A value computed on a tape, and its slot there (-1 when not recorded)."""
 
-    tape: "Tape"
-    idx: int
+    __slots__ = ("tape", "idx", "value")
 
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape.values[self.idx]
+    def __init__(self, tape: "Tape", idx: int, value: np.ndarray):
+        self.tape = tape
+        self.idx = idx
+        self.value = value
 
     @property
     def grad(self) -> np.ndarray | None:
         return self.tape.grads[self.idx]
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
     def __matmul__(self, other):
@@ -119,24 +124,33 @@ class Var:
 
 
 class Tape:
-    """Ordered record of primitive operations and their value slots."""
+    """Ordered record of primitive operations and their value slots.
 
-    def __init__(self, check_finite: bool = False):
+    With ``record=False`` the tape stores nothing: values stay in their
+    :class:`Var` handles only, and :func:`backward` refuses the tape.
+    """
+
+    def __init__(self, check_finite: bool = False, record: bool = True):
         self.values: list[np.ndarray] = []
         self.grads: list[np.ndarray | None] = []
         self.ops: list[_Op] = []
         self.check_finite = check_finite
+        self.recording = record
 
     def slot(self, value) -> Var:
-        """Append a leaf slot (parameter or constant) holding ``value``."""
+        """A leaf (parameter or constant) holding ``value``, slotted if recording."""
         arr = as_matrix(value)
         if self.check_finite and not np.isfinite(arr).all():
             raise ContractError("non-finite value entering the tape")
+        if not self.recording:
+            return Var(self, -1, arr)
         self.values.append(arr)
         self.grads.append(None)
-        return Var(self, len(self.values) - 1)
+        return Var(self, len(self.values) - 1, arr)
 
     def record(self, name: str, inputs: tuple[Var, ...], out_value: np.ndarray, **aux) -> Var:
+        if not self.recording:
+            return Var(self, -1, out_value)
         out = self.slot(out_value)
         self.ops.append(_Op(name, tuple(v.idx for v in inputs), out.idx, aux))
         return out
@@ -150,16 +164,19 @@ def _coerce(tape: Tape, x) -> Var:
     return tape.slot(x)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Reduce ``grad`` back to ``shape`` by summing broadcast axes."""
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Reduce ``grad`` back to ``shape`` by summing broadcast axes.
+
+    Leading axes that ``shape`` lacks (a batch the operand was broadcast
+    over) are summed away, then every axis where ``shape`` has extent 1.
+    """
     if grad.shape == shape:
         return grad
-    out = grad
-    if shape[0] == 1 and grad.shape[0] > 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and grad.shape[1] > 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
+    lead = grad.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and grad.shape[lead + i] > 1
+    )
+    return grad.sum(axis=axes).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +185,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def matmul(a: Var, b) -> Var:
-    """Matrix product ``a @ b``, recorded on the tape of ``a``."""
+    """Matrix product ``a @ b`` over broadcast batch axes, on the tape of ``a``."""
     tape = a.tape
     b = _coerce(tape, b)
-    if a.value.shape[1] != b.value.shape[0]:
+    if a.value.shape[-1] != b.value.shape[-2]:
         raise ShapeError(
             f"matmul: inner dimensions disagree: {a.value.shape} @ {b.value.shape}"
         )
@@ -179,7 +196,7 @@ def matmul(a: Var, b) -> Var:
 
 
 def transpose(a: Var) -> Var:
-    return a.tape.record("transpose", (a,), np.ascontiguousarray(a.value.T))
+    return a.tape.record("transpose", (a,), np.ascontiguousarray(a.value.swapaxes(-1, -2)))
 
 
 def add(a: Var, b) -> Var:
@@ -217,10 +234,12 @@ def mul_const(a: Var, c) -> Var:
 
 
 def slice_rows(a: Var, start: int, stop: int) -> Var:
-    n = a.value.shape[0]
+    """Rows ``start:stop`` of every matrix in the batch."""
+    n = a.value.shape[-2]
     if not (0 <= start < stop <= n):
         raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {a.value.shape}")
-    return a.tape.record("slice_rows", (a,), a.value[start:stop].copy(), start=start, stop=stop)
+    return a.tape.record("slice_rows", (a,), a.value[..., start:stop, :].copy(),
+                         start=start, stop=stop)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -292,38 +311,52 @@ def _rope_apply(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 def rope2d(x: Var, coords, base: float, block: int | None = None) -> Var:
     """Rotate consecutive column pairs of ``x`` by angles set by planar coords.
 
-    ``coords`` is an ``(n, 2)`` constant array of per-row (u, v) positions.
-    The rotation preserves row norms, and dot products between two rotated
-    vectors depend only on coordinate differences.
+    ``coords`` is a constant ``(..., n, 2)`` array of per-row (u, v)
+    positions, one pair for each row of ``x``.  The rotation preserves row
+    norms, and dot products between two rotated vectors depend only on
+    coordinate differences.
     """
-    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
-    n, width = x.value.shape
-    if coords.shape[0] != n:
-        raise ShapeError(f"rope2d: {n} rows but {coords.shape[0]} coordinate pairs")
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.shape != x.value.shape[:-1] + (2,):
+        raise ShapeError(f"rope2d: rows {x.value.shape[:-1]} but coordinates {coords.shape}")
+    width = x.value.shape[-1]
     if block is None:
         block = width
     cos, sin = _rope_tables(coords, width, base, block)
     return x.tape.record("rope2d", (x,), _rope_apply(x.value, cos, sin), cos=cos, sin=sin)
 
 
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """``(..., n, d)`` to ``(..., n_heads, n, d / n_heads)``."""
+    return x.reshape(x.shape[:-1] + (n_heads, -1)).swapaxes(-3, -2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_heads`: concatenate the heads' columns."""
+    x = x.swapaxes(-3, -2)
+    return x.reshape(x.shape[:-2] + (-1,))
+
+
 def multihead_attention(q: Var, k: Var, v: Var, n_heads: int,
                         lam: Var | None = None, sq_dist=None):
     """Scaled dot-product attention over column-blocked heads.
 
-    ``q`` is ``(n_q, d)``, ``k`` and ``v`` are ``(L, d)`` with ``d`` split into
-    ``n_heads`` contiguous column blocks.  When ``lam`` (one nonnegative value
-    per head, or a single shared one) and ``sq_dist`` (an ``(n_q, L)`` array of
-    squared distances) are given, ``lam[h] * sq_dist`` is subtracted from head
+    ``q`` is ``(..., n_q, d)``, ``k`` and ``v`` are ``(..., L, d)`` with ``d``
+    split into ``n_heads`` contiguous column blocks; leading batch axes
+    broadcast, so one unbatched query set can attend to a batch of
+    sequences.  When ``lam`` (one nonnegative value per head, or a single
+    shared one) and ``sq_dist`` (a ``(..., n_q, L)`` array of squared
+    distances) are given, ``lam[h] * sq_dist`` is subtracted from head
     ``h``'s logits before the softmax.
 
-    Returns ``(out, alpha)`` where ``out`` is the ``(n_q, d)`` concatenation of
-    head outputs and ``alpha`` is a read-only ``(n_heads, n_q, L)`` array of
-    attention weights.
+    Returns ``(out, alpha)`` where ``out`` is the ``(..., n_q, d)``
+    concatenation of head outputs and ``alpha`` is a read-only
+    ``(..., n_heads, n_q, L)`` array of attention weights.
     """
     tape = q.tape
-    nq, d = q.value.shape
-    L, dk = k.value.shape
-    if dk != d or v.value.shape != (L, d):
+    nq, d = q.value.shape[-2:]
+    L = k.value.shape[-2]
+    if k.value.shape[-1] != d or v.value.shape != k.value.shape:
         raise ShapeError(
             f"multihead_attention: q {q.value.shape}, k {k.value.shape}, v {v.value.shape}"
         )
@@ -335,7 +368,10 @@ def multihead_attention(q: Var, k: Var, v: Var, n_heads: int,
         raise ContractError("lam and sq_dist must be supplied together")
     sq = None
     if sq_dist is not None:
-        sq = np.asarray(sq_dist, dtype=np.float64).reshape(nq, L)
+        sq = np.asarray(sq_dist, dtype=np.float64)
+        if sq.shape[-2:] != (nq, L):
+            raise ShapeError(f"multihead_attention: squared distances {sq.shape}, "
+                             f"expected (..., {nq}, {L})")
         if (sq < 0).any():
             raise ContractError("squared distances must be nonnegative")
         if lam.value.shape not in ((n_heads, 1), (1, 1)):
@@ -344,24 +380,23 @@ def multihead_attention(q: Var, k: Var, v: Var, n_heads: int,
             )
         if (lam.value < 0).any():
             raise ContractError("attention bias factors must be nonnegative")
+        sq = sq[..., None, :, :]  # broadcast over the head axis
 
-    qh = q.value.reshape(nq, n_heads, hd).transpose(1, 0, 2)
-    kh = k.value.reshape(L, n_heads, hd).transpose(1, 0, 2)
-    vh = v.value.reshape(L, n_heads, hd).transpose(1, 0, 2)
-    logits = (qh @ kh.transpose(0, 2, 1)) / math.sqrt(hd)
+    logits = (_heads(q.value, n_heads) @ _heads(k.value, n_heads).swapaxes(-2, -1)) \
+        / math.sqrt(hd)
     if sq is not None:
         logits = logits - lam.value.reshape(-1, 1, 1) * sq
     alpha = _softmax(logits)
-    out = (alpha @ vh).transpose(1, 0, 2).reshape(nq, d)
+    # the backward rule only reads alpha, so the caller may share it
+    alpha.setflags(write=False)
+    out = _merge_heads(alpha @ _heads(v.value, n_heads))
 
     inputs = (q, k, v) if lam is None else (q, k, v, lam)
     out_var = tape.record(
         "multihead_attention", inputs, out,
         n_heads=n_heads, alpha=alpha, sq=sq,
     )
-    alpha_view = alpha.copy()
-    alpha_view.setflags(write=False)
-    return out_var, alpha_view
+    return out_var, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +407,12 @@ def multihead_attention(q: Var, k: Var, v: Var, n_heads: int,
 def _bwd_matmul(tape, op):
     g = tape.grads[op.output]
     a, b = (tape.values[i] for i in op.inputs)
-    tape.grads[op.inputs[0]] += g @ b.T
-    tape.grads[op.inputs[1]] += a.T @ g
+    tape.grads[op.inputs[0]] += _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)
+    tape.grads[op.inputs[1]] += _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
 
 
 def _bwd_transpose(tape, op):
-    tape.grads[op.inputs[0]] += tape.grads[op.output].T
+    tape.grads[op.inputs[0]] += tape.grads[op.output].swapaxes(-1, -2)
 
 
 def _bwd_add(tape, op):
@@ -406,7 +441,8 @@ def _bwd_scale(tape, op):
 
 
 def _bwd_add_const(tape, op):
-    tape.grads[op.inputs[0]] += tape.grads[op.output]
+    tape.grads[op.inputs[0]] += _unbroadcast(tape.grads[op.output],
+                                             tape.values[op.inputs[0]].shape)
 
 
 def _bwd_mul_const(tape, op):
@@ -415,13 +451,13 @@ def _bwd_mul_const(tape, op):
 
 
 def _bwd_slice_rows(tape, op):
-    tape.grads[op.inputs[0]][op.aux["start"]:op.aux["stop"]] += tape.grads[op.output]
+    tape.grads[op.inputs[0]][..., op.aux["start"]:op.aux["stop"], :] += tape.grads[op.output]
 
 
 def _bwd_softmax_rows(tape, op):
     g = tape.grads[op.output]
     s = tape.values[op.output]
-    tape.grads[op.inputs[0]] += s * (g - (g * s).sum(axis=1, keepdims=True))
+    tape.grads[op.inputs[0]] += s * (g - (g * s).sum(axis=-1, keepdims=True))
 
 
 def _bwd_softplus(tape, op):
@@ -447,11 +483,11 @@ def _bwd_mean_all(tape, op):
 def _bwd_rope2d(tape, op):
     g = tape.grads[op.output]
     cos, sin = op.aux["cos"], op.aux["sin"]
-    ge = g[:, 0::2]
-    go = g[:, 1::2]
+    ge = g[..., 0::2]
+    go = g[..., 1::2]
     gx = np.empty_like(g)
-    gx[:, 0::2] = ge * cos + go * sin
-    gx[:, 1::2] = -ge * sin + go * cos
+    gx[..., 0::2] = ge * cos + go * sin
+    gx[..., 1::2] = -ge * sin + go * cos
     tape.grads[op.inputs[0]] += gx
 
 
@@ -463,30 +499,22 @@ def _bwd_multihead_attention(tape, op):
     q = tape.values[op.inputs[0]]
     k = tape.values[op.inputs[1]]
     v = tape.values[op.inputs[2]]
-    nq, d = q.shape
-    L = k.shape[0]
-    hd = d // n_heads
-    inv = 1.0 / math.sqrt(hd)
+    inv = 1.0 / math.sqrt(q.shape[-1] // n_heads)
 
-    gh = g.reshape(nq, n_heads, hd).transpose(1, 0, 2)
-    kh = k.reshape(L, n_heads, hd).transpose(1, 0, 2)
-    qh = q.reshape(nq, n_heads, hd).transpose(1, 0, 2)
-    vh = v.reshape(L, n_heads, hd).transpose(1, 0, 2)
-
-    dalpha = gh @ vh.transpose(0, 2, 1)
-    dv = (alpha.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(L, d)
-    tape.grads[op.inputs[2]] += dv
-    dlogits = alpha * (dalpha - (dalpha * alpha).sum(axis=2, keepdims=True))
-    dq = ((dlogits @ kh) * inv).transpose(1, 0, 2).reshape(nq, d)
-    dk = ((dlogits.transpose(0, 2, 1) @ qh) * inv).transpose(1, 0, 2).reshape(L, d)
-    tape.grads[op.inputs[0]] += dq
-    tape.grads[op.inputs[1]] += dk
+    gh = _heads(g, n_heads)
+    dalpha = gh @ _heads(v, n_heads).swapaxes(-2, -1)
+    dv = _merge_heads(alpha.swapaxes(-2, -1) @ gh)
+    tape.grads[op.inputs[2]] += _unbroadcast(dv, v.shape)
+    dlogits = alpha * (dalpha - (dalpha * alpha).sum(axis=-1, keepdims=True))
+    dq = _merge_heads((dlogits @ _heads(k, n_heads)) * inv)
+    dk = _merge_heads((dlogits.swapaxes(-2, -1) @ _heads(q, n_heads)) * inv)
+    tape.grads[op.inputs[0]] += _unbroadcast(dq, q.shape)
+    tape.grads[op.inputs[1]] += _unbroadcast(dk, k.shape)
     if sq is not None:
-        dlam = -(dlogits * sq).sum(axis=(1, 2)).reshape(-1, 1)
+        # per-head sums over every batch, query and key position
+        dlam = -(dlogits * sq).sum(axis=(-2, -1)).reshape(-1, n_heads).sum(axis=0)
         lam_idx = op.inputs[3]
-        if tape.values[lam_idx].shape == (1, 1):
-            dlam = dlam.sum().reshape(1, 1)
-        tape.grads[lam_idx] += dlam
+        tape.grads[lam_idx] += _unbroadcast(dlam.reshape(-1, 1), tape.values[lam_idx].shape)
 
 
 _BACKWARD = {
@@ -517,6 +545,8 @@ def backward(tape: Tape, loss: Var) -> None:
     """
     if loss.tape is not tape:
         raise ContractError("loss does not belong to this tape")
+    if not tape.recording:
+        raise ContractError("backward needs a tape that records its ops")
     if loss.value.shape != (1, 1):
         raise ContractError(f"loss must be scalar, got shape {loss.value.shape}")
     tape.grads = [np.zeros_like(val) for val in tape.values]
@@ -546,15 +576,14 @@ def grad_check(f, x, eps: float = 1e-5) -> float:
     analytic = tape.grads[xv.idx].copy()
 
     numeric = np.zeros_like(x0)
-    for i in range(x0.shape[0]):
-        for j in range(x0.shape[1]):
-            xp = x0.copy()
-            xp[i, j] += eps
-            fp = float(f(Tape().slot(xp)).value[0, 0])
-            xm = x0.copy()
-            xm[i, j] -= eps
-            fm = float(f(Tape().slot(xm)).value[0, 0])
-            numeric[i, j] = (fp - fm) / (2.0 * eps)
+    for pos in np.ndindex(x0.shape):
+        xp = x0.copy()
+        xp[pos] += eps
+        fp = float(f(Tape().slot(xp)).value[0, 0])
+        xm = x0.copy()
+        xm[pos] -= eps
+        fm = float(f(Tape().slot(xm)).value[0, 0])
+        numeric[pos] = (fp - fm) / (2.0 * eps)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float((np.abs(analytic - numeric) / denom).max())

@@ -211,8 +211,7 @@ def _cmd_reproduce(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     model_cfg = ModelConfig(**cfg["model"])
-    tc = TrainConfig(**cfg["train"])
-    tc.seed = _resolve_seed(None, tc.seed)
+    tc = TrainConfig(**{**cfg["train"], "seed": _resolve_seed(None, cfg["train"]["seed"])})
     data_cfg = cfg["data"]
 
     runs = {

@@ -9,11 +9,10 @@ effects, and per-feature location interactions:
 Location is one joint player, so the two coordinates are always swapped in and
 out together, never mixed across background rows.  The game has ``p + 1``
 players (player 0 is location) and is solved by exact coalition enumeration,
-which makes the identity above hold to float precision at desk scale; a
-kernel-weighted least-squares estimator (optionally subset-sampled) is
-available as an alternative.  The pairwise location/feature interaction is the
-Shapley interaction index, split half-and-half between the two mains so the
-four components still sum to the prediction.
+which makes the identity above hold to float precision at desk scale.  The
+pairwise location/feature interaction is the Shapley interaction index, split
+half-and-half between the two mains so the four components still sum to the
+prediction.
 
 For attention models whose input sequences come from neighbour lookups, the
 :func:`make_shap_predictor` wrapper keys every row by its original point id:
@@ -50,9 +49,7 @@ __all__ = [
     "RowBatch",
     "GeoShapleyResult",
     "shapley_exact",
-    "shapley_kernel_ls",
     "interaction_index",
-    "coalition_value",
     "coalition_values",
     "make_shap_predictor",
     "geoshapley_explain",
@@ -107,8 +104,7 @@ def _check_player_count(n_players: int) -> None:
         raise ContractError("need at least one player")
     if n_players > MAX_EXACT_PLAYERS:
         raise ContractError(
-            f"{n_players} players exceeds the exact-enumeration bound of "
-            f"{MAX_EXACT_PLAYERS}; use shapley_kernel_ls with subset sampling"
+            f"{n_players} players exceeds the exact-enumeration bound of {MAX_EXACT_PLAYERS}"
         )
 
 
@@ -135,58 +131,6 @@ def shapley_exact(values: np.ndarray, n_players: int) -> np.ndarray:
         for a in range(n_players):
             if not mask & (1 << a):
                 phi[a] += weights[size] * (values[mask | (1 << a)] - values[mask])
-    return phi
-
-
-def shapley_kernel_ls(values: np.ndarray, n_players: int,
-                      n_samples: int | None = None,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
-    """Kernel-weighted least-squares Shapley estimate.
-
-    With ``n_samples=None`` every proper coalition enters the regression and
-    the result matches exact enumeration; with ``n_samples`` set, that many
-    coalitions are drawn (sizes proportional to the kernel weights), trading
-    exactness for cost when enumeration is out of reach.
-    """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if values.size != 2 ** n_players:
-        raise ContractError(
-            f"expected {2 ** n_players} coalition values, got {values.size}"
-        )
-    full = 2 ** n_players - 1
-    if n_samples is None:
-        masks = [m for m in range(1, full)]
-    else:
-        rng = np.random.default_rng(0) if rng is None else rng
-        size_w = np.array(
-            [(n_players - 1) / (s * (n_players - s)) for s in range(1, n_players)]
-        )
-        size_w = size_w / size_w.sum()
-        masks = []
-        for _ in range(n_samples):
-            s = int(rng.choice(np.arange(1, n_players), p=size_w))
-            members = rng.choice(n_players, size=s, replace=False)
-            masks.append(int(sum(1 << int(a) for a in members)))
-
-    design = np.zeros((len(masks), n_players))
-    weights = np.zeros(len(masks))
-    targets = np.zeros(len(masks))
-    for i, mask in enumerate(masks):
-        s = bin(mask).count("1")
-        for a in range(n_players):
-            design[i, a] = 1.0 if mask & (1 << a) else 0.0
-        weights[i] = (n_players - 1) / (math.comb(n_players, s) * s * (n_players - s))
-        targets[i] = values[mask] - values[0]
-
-    # efficiency constraint folded in by eliminating the last player
-    gap = values[full] - values[0]
-    reduced = design[:, :-1] - design[:, -1:]
-    rhs = targets - design[:, -1] * gap
-    sw = np.sqrt(weights)
-    sol, *_ = np.linalg.lstsq(reduced * sw[:, None], rhs * sw, rcond=None)
-    phi = np.empty(n_players)
-    phi[:-1] = sol
-    phi[-1] = gap - sol.sum()
     return phi
 
 
@@ -246,17 +190,13 @@ def _coalition_rows(instance_row, mask: int, background: RowBatch):
     return ids, coords, x
 
 
-def coalition_value(predictor, instance_row, mask: int, background: RowBatch) -> float:
-    """Mean prediction over background substitutions for one coalition."""
-    if len(background) == 0:
-        raise ContractError("background must not be empty")
-    ids, coords, x = _coalition_rows(instance_row, mask, background)
-    return float(np.mean(predictor(ids, coords, x)))
-
-
 def coalition_values(predictor, instance_row, background: RowBatch,
                      n_players: int) -> np.ndarray:
-    """Values for every coalition bitmask, via one batched predictor call."""
+    """Values for every coalition bitmask, via one batched predictor call.
+
+    ``values[mask]`` is the mean prediction over the background rows with the
+    coalition's players taken from the instance and the others from each row.
+    """
     if len(background) == 0:
         raise ContractError("background must not be empty")
     n_bg = len(background)

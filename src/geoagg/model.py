@@ -21,6 +21,10 @@ distance penalty, so predictions are invariant to the target row's own target
 value and to translations of the whole sequence (up to the rotary encoding's
 relative-position property).
 
+The pass is written once, in :func:`forward_on_tape`, over a sequence or a
+batch of them: training records it on a tape, and inference runs it on a tape
+that records nothing.
+
 Parameters are plain named float64 matrices; the optimiser and the serialiser
 treat them uniformly.  Inference over distinct sequences may run concurrently
 because forward passes never mutate parameters.
@@ -29,15 +33,13 @@ because forward passes never mutate parameters.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ContractError, Tape, Var, _rope_apply, _rope_tables, _softmax
-from .spatial import PointRecord
+from .autodiff import ContractError, Tape, Var
 
 __all__ = [
     "ModelConfig",
@@ -47,10 +49,7 @@ __all__ = [
     "bind_params",
     "param_grads",
     "embed",
-    "rope2d",
-    "biased_attention",
     "induced_block",
-    "forward",
     "forward_batch",
     "forward_on_tape",
     "save_params",
@@ -186,68 +185,28 @@ def param_grads(tape: Tape, bound: BoundParams) -> dict[str, np.ndarray]:
     return {name: tape.grads[var.idx] for name, var in bound.vars.items()}
 
 
-def _coords_of(sequence: list[PointRecord]) -> np.ndarray:
-    coords = np.empty((len(sequence), 2))
-    for i, rec in enumerate(sequence):
-        coords[i, 0] = rec.u
-        coords[i, 1] = rec.v
-    return coords
-
-
-def _features_of(sequence: list[PointRecord], p: int) -> np.ndarray:
-    feats = np.zeros((len(sequence), p + 1))
-    for i, rec in enumerate(sequence):
-        if len(rec.x) != p:
-            raise ContractError(
-                f"record id {rec.id} carries {len(rec.x)} covariates, model expects {p}"
-            )
-        feats[i, :p] = rec.x
-        if i > 0:
-            if rec.y is None:
-                raise ContractError(f"context record id {rec.id} lacks a target value")
-            feats[i, p] = rec.y
-    return feats
-
-
-def embed(tape: Tape, bound: BoundParams, sequence: list[PointRecord]) -> Var:
-    """Token embeddings for a sequence, target first with its target masked.
+def embed(tape: Tape, bound: BoundParams, feats) -> Var:
+    """Token embeddings for ``(..., L, p + 1)`` raw sequence features.
 
     Row i is ``W_e @ [x_normalised; y_normalised] + b``; row 0's target channel
-    is the learned mask value instead of the point's actual target, so the
-    embedding is invariant to the target row's y.
+    is the learned mask value instead of whatever the features carry there, so
+    the embedding is invariant to the target row's y.
     """
     p = bound.norm["x_mean"].shape[1]
-    feats = _features_of(sequence, p)
-    feats[:, :p] = (feats[:, :p] - bound.norm["x_mean"]) / bound.norm["x_std"]
-    feats[1:, p] = (feats[1:, p] - bound.norm["y_mean"][0, 0]) / bound.norm["y_std"][0, 0]
-    feats[0, p] = 0.0
+    if feats.shape[-1] != p + 1:
+        raise ContractError(
+            f"sequence carries {feats.shape[-1] - 1} covariates, model expects {p}"
+        )
+    norm = bound.norm
+    feats = feats.copy()
+    feats[..., :p] = (feats[..., :p] - norm["x_mean"]) / norm["x_std"]
+    feats[..., 1:, p] = (feats[..., 1:, p] - norm["y_mean"][0, 0]) / norm["y_std"][0, 0]
+    feats[..., 0, p] = 0.0
 
-    mask_selector = np.zeros((len(sequence), p + 1))
+    mask_selector = np.zeros(feats.shape[-2:])
     mask_selector[0, p] = 1.0
     fvar = ad.add_const(ad.mul_const(bound["y_mask"], mask_selector), feats)
     return ad.add(ad.matmul(fvar, bound["embed_w"]), bound["embed_b"])
-
-
-def rope2d(x: Var, coords, base: float, block: int | None = None) -> Var:
-    """Planar rotary rotation of query/key vectors (see :func:`autodiff.rope2d`)."""
-    return ad.rope2d(x, coords, base, block)
-
-
-def biased_attention(q: Var, k: Var, v: Var, sq_dist, lambdas: Var | None,
-                     n_heads: int, w_out: Var | None = None,
-                     want_trace: bool = False):
-    """Multi-head attention with per-head squared-distance logit penalties.
-
-    ``lambdas`` holds the already-nonnegative per-head bias factors (shape
-    ``(n_heads, 1)``, or ``(1, 1)`` to share one across heads); pass ``None``
-    together with ``sq_dist=None`` for plain attention.  Head outputs are
-    concatenated and, when ``w_out`` is given, projected through it.
-    """
-    out, alpha = ad.multihead_attention(q, k, v, n_heads, lam=lambdas, sq_dist=sq_dist)
-    if w_out is not None:
-        out = ad.matmul(out, w_out)
-    trace = AttentionTrace(alpha=alpha) if want_trace else None
-    return out, trace
 
 
 def induced_block(tokens: Var, inducing: Var, wq_a: Var, wk_a: Var, wv_a: Var,
@@ -258,34 +217,42 @@ def induced_block(tokens: Var, inducing: Var, wq_a: Var, wk_a: Var, wv_a: Var,
     The inducing points attend to the tokens (m x L, plain attention since
     inducing points carry no coordinates) giving an updated summary; the
     tokens then attend back to the summary (L x m).  Both halves carry
-    residual connections.  Cost is O(L * m) per call.
+    residual connections.  Cost is O(L * m) per sequence.  ``tokens`` may
+    carry batch axes; the unbatched inducing points serve every sequence.
     """
-    qa = ad.matmul(inducing, wq_a)
-    ka = ad.matmul(tokens, wk_a)
-    va = ad.matmul(tokens, wv_a)
-    pooled, _ = ad.multihead_attention(qa, ka, va, n_heads)
+    # projections and attention weights are not kept in locals: on a tape
+    # that does not record, each is then freed as soon as it is consumed
+    pooled = ad.multihead_attention(ad.matmul(inducing, wq_a), ad.matmul(tokens, wk_a),
+                                    ad.matmul(tokens, wv_a), n_heads)[0]
     summary = ad.add(inducing, ad.matmul(pooled, wo_a))
-
-    qb = ad.matmul(tokens, wq_b)
-    kb = ad.matmul(summary, wk_b)
-    vb = ad.matmul(summary, wv_b)
-    spread, _ = ad.multihead_attention(qb, kb, vb, n_heads)
+    spread = ad.multihead_attention(ad.matmul(tokens, wq_b), ad.matmul(summary, wk_b),
+                                    ad.matmul(summary, wv_b), n_heads)[0]
     refreshed = ad.add(tokens, ad.matmul(spread, wo_b))
     return summary, refreshed
 
 
-def forward_on_tape(tape: Tape, bound: BoundParams, sequence: list[PointRecord],
-                    config: ModelConfig, want_trace: bool = False):
-    """Forward pass returning the scalar prediction as a tape Var."""
-    if not sequence:
-        raise ContractError("sequence must contain at least the target point")
-    if len(sequence) > config.l_max:
-        raise ContractError(
-            f"sequence length {len(sequence)} exceeds l_max={config.l_max}"
-        )
-    coords = _coords_of(sequence)
+def forward_on_tape(tape: Tape, bound: BoundParams, sequence, config: ModelConfig,
+                    want_trace: bool = False):
+    """Prediction for the target point (row 0) of each sequence, as a tape Var.
 
-    tokens = embed(tape, bound, sequence)
+    ``sequence`` is a ``(feats, coords)`` pair: ``feats`` holds raw
+    covariates plus the observed target in the last channel (the target
+    row's channel is ignored and masked), ``coords`` the planar positions.
+    Their shapes are ``(L, p + 1)`` and ``(L, 2)``, optionally behind batch
+    axes ``(..., L, p + 1)``; the prediction is ``(..., 1, 1)``.  On a tape
+    that does not record, this is the inference path.
+    """
+    feats, coords = (np.asarray(a, dtype=np.float64) for a in sequence)
+    if feats.ndim < 2 or coords.shape != feats.shape[:-1] + (2,):
+        raise ContractError(f"sequence features {feats.shape} and coordinates "
+                            f"{coords.shape} disagree")
+    length = feats.shape[-2]
+    if length == 0:
+        raise ContractError("sequence must contain at least the target point")
+    if length > config.l_max:
+        raise ContractError(f"sequence length {length} exceeds l_max={config.l_max}")
+
+    tokens = embed(tape, bound, feats)
     for layer in range(config.n_layers):
         pref = f"l{layer}."
         _, tokens = induced_block(
@@ -301,14 +268,12 @@ def forward_on_tape(tape: Tape, bound: BoundParams, sequence: list[PointRecord],
     q = ad.matmul(target, bound["agg.wq"])
     k = ad.matmul(tokens, bound["agg.wk"])
     v = ad.matmul(tokens, bound["agg.wv"])
-    q = ad.rope2d(q, coords[0:1], config.rope_base, config.head_dim)
+    q = ad.rope2d(q, coords[..., 0:1, :], config.rope_base, config.head_dim)
     k = ad.rope2d(k, coords, config.rope_base, config.head_dim)
-    sq_dist = ((coords - coords[0]) ** 2).sum(axis=1).reshape(1, -1)
+    sq_dist = ((coords - coords[..., 0:1, :]) ** 2).sum(axis=-1)[..., None, :]
     lam = ad.softplus(bound["agg.lam_raw"])
-    agg, trace = biased_attention(
-        q, k, v, sq_dist, lam, config.n_heads,
-        w_out=bound["agg.wo"], want_trace=want_trace,
-    )
+    heads, alpha = ad.multihead_attention(q, k, v, config.n_heads, lam=lam, sq_dist=sq_dist)
+    agg = ad.matmul(heads, bound["agg.wo"])
 
     hidden = ad.tanh(ad.add(ad.matmul(agg, bound["head.w1"]), bound["head.b1"]))
     y_norm = ad.add(
@@ -316,86 +281,16 @@ def forward_on_tape(tape: Tape, bound: BoundParams, sequence: list[PointRecord],
         bound["head.b2"],
     )
     y_hat = ad.add_const(ad.mul_const(y_norm, bound.norm["y_std"]), bound.norm["y_mean"])
-    return y_hat, trace
-
-
-def forward(sequence: list[PointRecord], params: ModelParams, config: ModelConfig,
-            want_trace: bool = False):
-    """Scalar prediction for the target point (row 0) of an assembled sequence.
-
-    Inference-only path: same arithmetic as :func:`forward_on_tape` without
-    recording anything (no gradients), which keeps ensemble and explanation
-    sweeps cheap.  The two paths are kept interchangeable by test.
-    """
-    if not sequence:
-        raise ContractError("sequence must contain at least the target point")
-    if len(sequence) > config.l_max:
-        raise ContractError(
-            f"sequence length {len(sequence)} exceeds l_max={config.l_max}"
-        )
-    arr = params.arrays
-    norm = params.norm
-    p = norm["x_mean"].shape[1]
-    d = config.d_model
-    n_heads = config.n_heads
-    hd = config.head_dim
-
-    coords = _coords_of(sequence)
-    feats = _features_of(sequence, p)
-    feats[:, :p] = (feats[:, :p] - norm["x_mean"]) / norm["x_std"]
-    feats[1:, p] = (feats[1:, p] - norm["y_mean"][0, 0]) / norm["y_std"][0, 0]
-    feats[0, p] = arr["y_mask"][0, 0]
-    tokens = feats @ arr["embed_w"] + arr["embed_b"]
-
-    def mha(q, k, v, lam=None, sq=None):
-        nq = q.shape[0]
-        length = k.shape[0]
-        qh = q.reshape(nq, n_heads, hd).transpose(1, 0, 2)
-        kh = k.reshape(length, n_heads, hd).transpose(1, 0, 2)
-        vh = v.reshape(length, n_heads, hd).transpose(1, 0, 2)
-        logits = (qh @ kh.transpose(0, 2, 1)) / math.sqrt(hd)
-        if lam is not None:
-            logits = logits - lam.reshape(-1, 1, 1) * sq
-        alpha = _softmax(logits)
-        return (alpha @ vh).transpose(1, 0, 2).reshape(nq, d), alpha
-
-    for layer in range(config.n_layers):
-        pref = f"l{layer}."
-        ind = arr[pref + "ind"]
-        pooled, _ = mha(ind @ arr[pref + "a.wq"], tokens @ arr[pref + "a.wk"],
-                        tokens @ arr[pref + "a.wv"])
-        summary = ind + pooled @ arr[pref + "a.wo"]
-        spread, _ = mha(tokens @ arr[pref + "b.wq"], summary @ arr[pref + "b.wk"],
-                        summary @ arr[pref + "b.wv"])
-        tokens = tokens + spread @ arr[pref + "b.wo"]
-
-    q = tokens[0:1] @ arr["agg.wq"]
-    k = tokens @ arr["agg.wk"]
-    v = tokens @ arr["agg.wv"]
-    cos_q, sin_q = _rope_tables(coords[0:1], d, config.rope_base, hd)
-    cos_k, sin_k = _rope_tables(coords, d, config.rope_base, hd)
-    q = _rope_apply(q, cos_q, sin_q)
-    k = _rope_apply(k, cos_k, sin_k)
-    sq_dist = ((coords - coords[0]) ** 2).sum(axis=1).reshape(1, -1)
-    lam = np.logaddexp(0.0, arr["agg.lam_raw"])
-    agg_heads, alpha = mha(q, k, v, lam=lam, sq=sq_dist)
-    agg = agg_heads @ arr["agg.wo"]
-
-    hidden = np.tanh(agg @ arr["head.w1"] + arr["head.b1"])
-    y_norm = agg @ arr["head.w_lin"] + hidden @ arr["head.w2"] + arr["head.b2"]
-    y_hat = float((y_norm * norm["y_std"] + norm["y_mean"])[0, 0])
-    trace = AttentionTrace(alpha=alpha.copy()) if want_trace else None
-    return y_hat, trace
+    return y_hat, AttentionTrace(alpha=alpha) if want_trace else None
 
 
 def forward_batch(feats, coords, params: ModelParams, config: ModelConfig) -> np.ndarray:
     """Vectorised inference over a stack of equal-length sequences.
 
-    ``feats`` is ``(B, L, p + 1)`` of raw covariates plus the observed target
-    in the last channel (the target row's channel is ignored and masked), and
-    ``coords`` is ``(B, L, 2)``.  Returns ``(B,)`` predictions identical to
-    calling :func:`forward` on each sequence; ensemble members and explainer
-    rows ride through here in one pass.
+    ``feats`` is ``(B, L, p + 1)`` and ``coords`` is ``(B, L, 2)``, as in
+    :func:`forward_on_tape`, which runs here on a tape that records nothing.
+    Returns ``(B,)`` predictions; ensemble members and explainer rows ride
+    through here in one pass.
     """
     feats = np.asarray(feats, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
@@ -403,61 +298,14 @@ def forward_batch(feats, coords, params: ModelParams, config: ModelConfig) -> np
         raise ContractError(
             f"forward_batch: feats {feats.shape} and coords {coords.shape} disagree"
         )
-    arr = params.arrays
-    norm = params.norm
-    p = norm["x_mean"].shape[1]
+    p = params.norm["x_mean"].shape[1]
     if feats.shape[2] != p + 1:
         raise ContractError(
             f"forward_batch: {feats.shape[2] - 1} covariate channels, model expects {p}"
         )
-    n_batch, length, _ = feats.shape
-    if length > config.l_max:
-        raise ContractError(f"sequence length {length} exceeds l_max={config.l_max}")
-    d = config.d_model
-    n_heads = config.n_heads
-    hd = config.head_dim
-
-    feats = feats.copy()
-    feats[..., :p] = (feats[..., :p] - norm["x_mean"]) / norm["x_std"]
-    feats[:, 1:, p] = (feats[:, 1:, p] - norm["y_mean"][0, 0]) / norm["y_std"][0, 0]
-    feats[:, 0, p] = arr["y_mask"][0, 0]
-    tokens = feats @ arr["embed_w"] + arr["embed_b"]
-
-    def heads(x):
-        return x.reshape(x.shape[:-1] + (n_heads, hd)).swapaxes(-3, -2)
-
-    def mha(q, k, v, lam=None, sq=None):
-        logits = (heads(q) @ heads(k).swapaxes(-2, -1)) / math.sqrt(hd)
-        if lam is not None:
-            logits = logits - lam.reshape(-1, 1, 1) * sq[:, None, :, :]
-        alpha = _softmax(logits)
-        out = alpha @ heads(v)
-        return out.swapaxes(-3, -2).reshape(out.shape[:-3] + (-1, d))
-
-    for layer in range(config.n_layers):
-        pref = f"l{layer}."
-        ind = arr[pref + "ind"]
-        pooled = mha(ind @ arr[pref + "a.wq"], tokens @ arr[pref + "a.wk"],
-                     tokens @ arr[pref + "a.wv"])
-        summary = ind + pooled @ arr[pref + "a.wo"]
-        spread = mha(tokens @ arr[pref + "b.wq"], summary @ arr[pref + "b.wk"],
-                     summary @ arr[pref + "b.wv"])
-        tokens = tokens + spread @ arr[pref + "b.wo"]
-
-    q = tokens[:, 0:1, :] @ arr["agg.wq"]
-    k = tokens @ arr["agg.wk"]
-    v = tokens @ arr["agg.wv"]
-    cos_q, sin_q = _rope_tables(coords[:, 0:1, :], d, config.rope_base, hd)
-    cos_k, sin_k = _rope_tables(coords, d, config.rope_base, hd)
-    q = _rope_apply(q, cos_q, sin_q)
-    k = _rope_apply(k, cos_k, sin_k)
-    sq_dist = ((coords - coords[:, 0:1, :]) ** 2).sum(axis=-1)[:, None, :]
-    lam = np.logaddexp(0.0, arr["agg.lam_raw"])
-    agg = mha(q, k, v, lam=lam, sq=sq_dist) @ arr["agg.wo"]
-
-    hidden = np.tanh(agg @ arr["head.w1"] + arr["head.b1"])
-    y_norm = agg @ arr["head.w_lin"] + hidden @ arr["head.w2"] + arr["head.b2"]
-    return (y_norm * norm["y_std"] + norm["y_mean"]).reshape(n_batch)
+    tape = Tape(record=False)
+    y_hat, _ = forward_on_tape(tape, bind_params(tape, params), (feats, coords), config)
+    return y_hat.value.reshape(feats.shape[0])
 
 
 # ---------------------------------------------------------------------------

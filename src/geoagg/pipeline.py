@@ -2,10 +2,11 @@
 
 Training precomputes each point's neighbourhood once, then rebuilds input
 sequences every epoch with fresh random removal of the surplus neighbours, and
-minimises mean squared error with Adam.  Inference assembles ``members``
-sequences per query (member k draws its context subsets with seed ``seed ^ k``)
-and reports the per-query mean and sample standard deviation, the latter being
-the epistemic uncertainty of the ensemble.
+minimises mean squared error with Adam, recording one tape per minibatch.
+Inference assembles ``members`` sequences per query (member k draws its
+context subsets from the stream seeded ``[seed, k]``) and reports the per-query
+mean and sample standard deviation, the latter being the epistemic
+uncertainty of the ensemble.
 
 Everything is a pure function of (data, config, seeds): fixed split, fixed
 parameter initialisation, fixed per-epoch shuffles.  The benchmark harness
@@ -123,7 +124,9 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
 
     Sequences are drawn from one precomputed neighbour cache; the random
     surplus removal is re-seeded per epoch, so every epoch sees fresh context
-    subsets without touching the tree again.
+    subsets without touching the tree again.  Each minibatch runs as one
+    batched forward on one tape, and its loss is the minibatch mean of
+    squared errors.
     """
     if dataset.n < config.l_max:
         raise ContractError(
@@ -154,24 +157,29 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
         sse = 0.0
         for start in range(0, len(order), tc.batch):
             chunk = order[start:start + tc.batch]
-            grads = {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
-            for idx in chunk:
-                rec = dataset.points[idx]
-                seq = assemble_sequence(rec.id, cache, context, config.l_max, rng)
-                tape = Tape()
-                bound = bind_params(tape, params)
-                pred, _ = forward_on_tape(tape, bound, seq, config)
-                resid = ad.sub(pred, np.array([[rec.y]]))
-                loss = ad.mul(resid, resid)
-                backward(tape, loss)
-                sse += float(loss.value[0, 0])
-                for name, g in param_grads(tape, bound).items():
-                    grads[name] += g
-            for g in grads.values():
-                g /= len(chunk)
-            adam_step(params.arrays, grads, state, tc.lr)
+            seqs = [assemble_sequence(ids[i], cache, context, config.l_max, rng)
+                    for i in chunk]
+            batch = tuple(np.stack(parts) for parts in zip(*seqs))
+            sse += _minibatch_step(params, config, batch, y[chunk], state, tc.lr) * len(chunk)
         history.append(sse / len(ids))
     return params, history
+
+
+def _minibatch_step(params: ModelParams, config: ModelConfig, batch, targets,
+                    state: AdamState, lr: float) -> float:
+    """One Adam step on a minibatch's mean squared error, which it returns.
+
+    The tape lives only inside this call, so it is freed before the next
+    minibatch records its own.
+    """
+    tape = Tape()
+    bound = bind_params(tape, params)
+    pred, _ = forward_on_tape(tape, bound, batch, config)
+    resid = ad.sub(pred, targets.reshape(-1, 1, 1))
+    loss = ad.mean_all(ad.mul(resid, resid))
+    backward(tape, loss)
+    adam_step(params.arrays, param_grads(tape, bound), state, lr)
+    return float(loss.value[0, 0])
 
 
 def _member_predictions(params: ModelParams, config: ModelConfig,
@@ -202,7 +210,7 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
     cache = None
     if cache_mode == "precomputed":
         cache = precompute_neighbors(queries, context, k)
-    rngs = [np.random.default_rng(seed ^ member) for member in range(members)]
+    rngs = [np.random.default_rng([seed, member]) for member in range(members)]
 
     preds = np.empty((members, len(queries)))
     feats = np.empty((members, l_max, p + 1))
@@ -258,9 +266,9 @@ def predict_ensemble(params: ModelParams, config: ModelConfig,
                      members: int, expansion: float, seed: int) -> EnsemblePrediction:
     """Randomised-context ensemble prediction with epistemic uncertainty.
 
-    Member k subsamples context with seed ``seed ^ k``.  With an expansion
-    factor of 1.0 every member sees identical sequences and the reported
-    standard deviation is exactly zero.
+    Member k subsamples context from the stream seeded ``[seed, k]``.  With
+    an expansion factor of 1.0 every member sees identical sequences and the
+    reported standard deviation is exactly zero.
     """
     preds = _member_predictions(params, config, queries, context,
                                 members, expansion, seed)

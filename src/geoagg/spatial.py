@@ -36,11 +36,9 @@ __all__ = [
     "NeighborCache",
     "SequenceLookupError",
     "build_tree",
-    "knn",
     "precompute_neighbors",
     "assemble_sequence",
     "subset_indices",
-    "subset_from_entry",
     "neighbor_budget",
 ]
 
@@ -69,6 +67,10 @@ def _check_records(records):
         seen.add(r.id)
         if not (math.isfinite(r.u) and math.isfinite(r.v)):
             raise ContractError(f"point id {r.id} has non-finite coordinates")
+        if not np.isfinite(r.x).all():
+            raise ContractError(f"point id {r.id} has non-finite covariates")
+        if r.y is not None and not math.isfinite(r.y):
+            raise ContractError(f"point id {r.id} has a non-finite target")
     return records
 
 
@@ -103,11 +105,6 @@ def build_tree(pool: ContextPool) -> KdTree:
     coords = np.array([[r.u, r.v] for r in pool.records])
     ids = np.array([r.id for r in pool.records])
     return KdTree(coords, ids)
-
-
-def knn(tree: KdTree, point, k: int) -> list[tuple[int, float]]:
-    """The k nearest pool points to ``point``: ``(id, squared distance)`` ascending."""
-    return tree.knn(point, k)
 
 
 @dataclass
@@ -161,18 +158,16 @@ def subset_indices(entry, target_id: int, l_max: int, rng: np.random.Generator):
     return positions
 
 
-def subset_from_entry(entry, target_id: int, l_max: int, rng: np.random.Generator):
-    """The (id, d2) neighbours for one sequence; see :func:`subset_indices`."""
-    return [entry[i] for i in subset_indices(entry, target_id, l_max, rng)]
-
-
 def assemble_sequence(target_id: int, cache: NeighborCache, context: ContextPool,
                       l_max: int, rng: np.random.Generator,
-                      target: PointRecord | None = None) -> list[PointRecord]:
+                      target: PointRecord | None = None):
     """Build one model input sequence: the target point, then its neighbours.
 
-    ``target`` overrides the context record for the target point (needed when
-    the target is not an observed point, or has been perturbed); neighbours
+    Returns ``(feats, coords)``: ``(l_max, p + 1)`` covariates with the
+    observed target in the last channel (0 in the target's own row, which
+    the model masks) and ``(l_max, 2)`` planar coordinates.  ``target``
+    overrides the context record for the target point (needed when the
+    target is not an observed point, or has been perturbed); neighbours
     always come from the context pool by id.
     """
     entry = cache[target_id]
@@ -188,5 +183,20 @@ def assemble_sequence(target_id: int, cache: NeighborCache, context: ContextPool
             raise SequenceLookupError(
                 f"id {target_id} is not in the context pool and no target record was given"
             ) from None
-    chosen = subset_from_entry(entry, target_id, l_max, rng)
-    return [target] + [context.by_id[cid] for cid, _ in chosen]
+    records = [target] + [context.by_id[entry[i][0]]
+                          for i in subset_indices(entry, target_id, l_max, rng)]
+    p = len(target.x)
+    feats = np.zeros((len(records), p + 1))
+    coords = np.empty((len(records), 2))
+    for i, rec in enumerate(records):
+        if len(rec.x) != p:
+            raise ContractError(
+                f"record id {rec.id} carries {len(rec.x)} covariates, target has {p}"
+            )
+        feats[i, :p] = rec.x
+        coords[i] = rec.u, rec.v
+        if i > 0:
+            if rec.y is None:
+                raise ContractError(f"context record id {rec.id} lacks a target value")
+            feats[i, p] = rec.y
+    return feats, coords

@@ -28,8 +28,7 @@ from geoagg.kdtree import KdTree
 from geoagg.model import (
     ModelConfig,
     bind_params,
-    biased_attention,
-    forward,
+    forward_batch,
     forward_on_tape,
     init_params,
 )
@@ -48,6 +47,13 @@ pytestmark = pytest.mark.acceptance
 SEEDS = (0, 1, 2)
 EPOCHS = 30
 N_POINTS = 2500
+
+
+def sequence_arrays(records):
+    """``(feats, coords)`` of a target-first record list, as assembled."""
+    feats = np.array([np.append(r.x, r.y) for r in records])
+    feats[0, -1] = 0.0
+    return feats, np.array([[r.u, r.v] for r in records])
 
 
 def report(capsys, criterion, ok, detail):
@@ -125,8 +131,9 @@ def test_criterion_1_full_model_gradients(capsys):
     for name, arr in params.arrays.items():
         if not arr.any():
             params.arrays[name] = rng.normal(0.0, 0.3, size=arr.shape)
-    seq = [PointRecord(i, float(rng.random()), float(rng.random()),
-                       rng.normal(size=2), float(rng.normal())) for i in range(8)]
+    seq = sequence_arrays([PointRecord(i, float(rng.random()), float(rng.random()),
+                                       rng.normal(size=2), float(rng.normal()))
+                           for i in range(8)])
     y = np.array([[0.654]])
 
     worst = 0.0
@@ -160,10 +167,11 @@ def test_criterion_2_bias_mode_reductions(capsys):
     params.arrays["agg.lam_raw"] = np.full((2, 1), 0.7313)
     legacy_params = params.copy()
     legacy_params.arrays["agg.lam_raw"] = np.full((1, 1), 0.7313)
-    seq = [PointRecord(i, float(rng.random()), float(rng.random()),
-                       rng.normal(size=2), float(rng.normal())) for i in range(12)]
-    a, _ = forward(seq, params, per_head_cfg)
-    b, _ = forward(seq, legacy_params, legacy_cfg)
+    feats, coords = sequence_arrays([PointRecord(i, float(rng.random()), float(rng.random()),
+                                                 rng.normal(size=2), float(rng.normal()))
+                                     for i in range(12)])
+    a = forward_batch(feats[None], coords[None], params, per_head_cfg)[0]
+    b = forward_batch(feats[None], coords[None], legacy_params, legacy_cfg)[0]
     mode_gap = abs(a - b)
 
     q = rng.normal(size=(3, 8))
@@ -171,8 +179,8 @@ def test_criterion_2_bias_mode_reductions(capsys):
     v = rng.normal(size=(6, 8))
     d2 = np.abs(rng.normal(size=(3, 6)))
     tape = Tape()
-    biased, _ = biased_attention(tape.slot(q), tape.slot(k), tape.slot(v),
-                                 d2, tape.slot(np.zeros((2, 1))), 2)
+    biased, _ = ad.multihead_attention(tape.slot(q), tape.slot(k), tape.slot(v), 2,
+                                       lam=tape.slot(np.zeros((2, 1))), sq_dist=d2)
     hd = 4
     qh = q.reshape(3, 2, hd)
     kh = k.reshape(6, 2, hd)

@@ -166,6 +166,13 @@ def _op_cases(seed):
     q8 = 0.6 * rng.normal(size=(3, 8))
     w8 = rng.normal(size=(3, 8))
     coords = rng.random((3, 2))
+    # a batch of two: (2, rows, cols) values meeting 2-D parameters
+    b34 = rng.normal(size=(2, 3, 4))
+    kb = 0.6 * rng.normal(size=(2, 5, 8))
+    vb = rng.normal(size=(2, 5, 8))
+    wb = rng.normal(size=(2, 3, 8))
+    d2b = np.abs(rng.normal(size=(2, 3, 5)))
+    coords_b = rng.random((2, 3, 2))
 
     def s(x, arr):
         return x.tape.slot(arr)
@@ -207,6 +214,30 @@ def _op_cases(seed):
          lambda x: ad.sum_all(ad.mul(ad.multihead_attention(s(x, q8), s(x, k8),
                                                             s(x, v8), 2, lam=x,
                                                             sq_dist=d2)[0], s(x, w8)))),
+        ("matmul_batched_left", b34,
+         lambda x: ad.sum_all(ad.mul(ad.matmul(x, s(x, a43)), ad.matmul(x, s(x, a43))))),
+        ("matmul_batched_param", a43,
+         lambda x: ad.sum_all(ad.mul(ad.matmul(s(x, b34), x), ad.matmul(s(x, b34), x)))),
+        ("add_batched_bias", row,
+         lambda x: ad.sum_all(ad.mul(ad.add(s(x, b34), x), ad.add(s(x, b34), x)))),
+        ("slice_rows_batched", b34,
+         lambda x: ad.sum_all(ad.mul(ad.slice_rows(x, 1, 3), ad.slice_rows(x, 0, 2)))),
+        ("rope2d_batched", wb,
+         lambda x: ad.sum_all(ad.mul(ad.rope2d(x, coords_b, 100.0, 4), s(x, wb)))),
+        ("mha_batched_kv_q", q8,
+         lambda x: ad.sum_all(ad.mul(ad.multihead_attention(x, s(x, kb), s(x, vb), 2)[0],
+                                     s(x, wb)))),
+        ("mha_batched_kv_k", kb,
+         lambda x: ad.sum_all(ad.mul(ad.multihead_attention(s(x, q8), x, s(x, vb), 2)[0],
+                                     s(x, wb)))),
+        ("mha_batched_kv_biased_q", q8,
+         lambda x: ad.sum_all(ad.mul(ad.multihead_attention(x, s(x, kb), s(x, vb), 2,
+                                                            lam=s(x, lam), sq_dist=d2b)[0],
+                                     s(x, wb)))),
+        ("mha_batched_kv_lam", lam,
+         lambda x: ad.sum_all(ad.mul(ad.multihead_attention(s(x, q8), s(x, kb), s(x, vb), 2,
+                                                            lam=x, sq_dist=d2b)[0],
+                                     s(x, wb)))),
     ]
 
 

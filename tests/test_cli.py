@@ -125,6 +125,21 @@ class TestTrainPredictExplainBench:
         assert code == 1
         assert "threads" in capsys.readouterr().err
 
+    def test_non_finite_covariate_is_a_data_error(self, trained, capsys):
+        data, model, cfg, tmp_path = trained
+        lines = data.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[3] = "nan"
+        lines[1] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        # predict pools both splits, so the bad row is caught wherever it lands
+        code = run("predict", "--model", model, "--data", bad, "--out", tmp_path / "p.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"id {cells[0]} has non-finite covariates" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_model_file_is_runtime_error(self, tmp_path, capsys):
         code = run("predict", "--model", tmp_path / "absent.json",
                    "--data", tmp_path / "absent.csv", "--out", tmp_path / "o.csv")

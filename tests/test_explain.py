@@ -9,14 +9,12 @@ from geoagg.datasets import generate_gwr, gwr_beta1, gwr_beta2
 from geoagg.explain import (
     GEO_PLAYER,
     RowBatch,
-    coalition_value,
     coalition_values,
     geoshapley_explain,
     interaction_index,
     local_coefficients,
     make_shap_predictor,
     shapley_exact,
-    shapley_kernel_ls,
     write_explanations_csv,
 )
 from geoagg.model import ModelConfig
@@ -76,26 +74,6 @@ class TestShapleyExact:
             shapley_exact(np.zeros(7), 3)
 
 
-class TestKernelLeastSquares:
-    def test_matches_exact_enumeration_up_to_four_players(self):
-        rng = np.random.default_rng(1)
-        for n_players in (2, 3, 4):
-            for _ in range(5):
-                values = rng.normal(size=2 ** n_players)
-                exact = shapley_exact(values, n_players)
-                ls = shapley_kernel_ls(values, n_players)
-                np.testing.assert_allclose(ls, exact, atol=1e-6)
-
-    def test_sampled_mode_approximates(self):
-        rng = np.random.default_rng(2)
-        values = rng.normal(size=2 ** 4)
-        exact = shapley_exact(values, 4)
-        approx = shapley_kernel_ls(values, 4, n_samples=4000,
-                                   rng=np.random.default_rng(0))
-        assert np.abs(approx - exact).max() < 0.2
-        assert approx.sum() == pytest.approx(values[-1] - values[0], abs=1e-9)
-
-
 class TestInteractionIndex:
     def test_pure_interaction_hand_case(self):
         """f = u * x1 with background (0, 0): everything lands on the pair."""
@@ -125,14 +103,14 @@ class TestCoalitionValue:
     def test_full_coalition_is_instance_prediction(self):
         inst = (0, np.array([0.3, 0.4]), np.array([1.0, -1.0]))
         bg = rows([5, 6], [[0.9, 0.9], [0.8, 0.1]], [[3.0, 3.0], [-2.0, 0.5]])
-        got = coalition_value(linear_predictor, inst, 0b111, bg)
+        got = coalition_values(linear_predictor, inst, bg, 3)[0b111]
         assert got == pytest.approx(-1.0, abs=1e-12)
 
     def test_empty_coalition_is_background_mean(self):
         inst = (0, np.array([0.3, 0.4]), np.array([1.0, -1.0]))
         bg = rows([5, 6], [[0.9, 0.9], [0.8, 0.1]], [[3.0, 3.0], [-2.0, 0.5]])
         want = np.mean([2 * 3 + 3 * 3, 2 * -2 + 3 * 0.5])
-        assert coalition_value(linear_predictor, inst, 0b000, bg) == pytest.approx(want)
+        assert coalition_values(linear_predictor, inst, bg, 3)[0b000] == pytest.approx(want)
 
     def test_constant_predictor_constant_values(self):
         inst = (0, np.zeros(2), np.ones(2))
@@ -159,8 +137,8 @@ class TestCoalitionValue:
     def test_empty_background_rejected(self):
         inst = (0, np.zeros(2), np.ones(1))
         with pytest.raises(ContractError, match="background"):
-            coalition_value(linear_predictor, inst, 0, rows([], np.zeros((0, 2)),
-                                                            np.zeros((0, 1))))
+            coalition_values(linear_predictor, inst, rows([], np.zeros((0, 2)),
+                                                          np.zeros((0, 1))), 2)
 
     def test_call_accounting_two_features_thirty_background(self):
         """p = 2 means 2^3 coalition evaluations, each over 30 background rows."""

@@ -1,5 +1,5 @@
 """Model-level tests: embedding, rotary encoding, biased attention, blocks,
-and the composed forward pass."""
+and the composed forward pass on recording and non-recording tapes."""
 
 import math
 
@@ -11,15 +11,13 @@ from geoagg.autodiff import ContractError, Tape, grad_check
 from geoagg.model import (
     ModelConfig,
     bind_params,
-    biased_attention,
     embed,
-    forward,
     forward_batch,
     forward_on_tape,
     induced_block,
     init_params,
     load_params,
-    rope2d,
+    param_grads,
     save_params,
 )
 from geoagg.spatial import PointRecord
@@ -50,6 +48,25 @@ def toy_sequence(n, p=2, seed=0, start_id=0):
     ]
 
 
+def seq_arrays(sequence):
+    """``(feats, coords)`` of a target-first record list.
+
+    Unlike assembled sequences, the target row keeps its own y in the last
+    channel, so the tests see whether the model masks it.
+    """
+    feats = np.array([np.append(r.x, r.y) for r in sequence])
+    coords = np.array([[r.u, r.v] for r in sequence])
+    return feats, coords
+
+
+def predict(sequence, params, config, want_trace=False):
+    """Scalar prediction for one sequence on a tape that records nothing."""
+    tape = Tape(record=False)
+    out, trace = forward_on_tape(tape, bind_params(tape, params), seq_arrays(sequence),
+                                 config, want_trace)
+    return float(out.value[0, 0]), trace
+
+
 def reference_mha(q, k, v, n_heads):
     """Plain multi-head attention written independently with einsum."""
     nq, d = q.shape
@@ -70,7 +87,7 @@ class TestEmbed:
         params.arrays["embed_w"][:] = 0.0
         params.arrays["embed_b"][:] = np.arange(8.0)
         tape = Tape()
-        out = embed(tape, bind_params(tape, params), toy_sequence(5))
+        out = embed(tape, bind_params(tape, params), seq_arrays(toy_sequence(5))[0])
         np.testing.assert_allclose(out.value, np.tile(np.arange(8.0), (5, 1)), atol=1e-15)
 
     def test_permuting_context_permutes_rows(self):
@@ -78,9 +95,9 @@ class TestEmbed:
         params = toy_params(config)
         seq = toy_sequence(6)
         tape = Tape()
-        base = embed(tape, bind_params(tape, params), seq).value
+        base = embed(tape, bind_params(tape, params), seq_arrays(seq)[0]).value
         perm = [seq[0], seq[3], seq[1], seq[5], seq[2], seq[4]]
-        shuffled = embed(tape, bind_params(tape, params), perm).value
+        shuffled = embed(tape, bind_params(tape, params), seq_arrays(perm)[0]).value
         np.testing.assert_array_equal(shuffled[1], base[3])
         np.testing.assert_array_equal(shuffled[4], base[2])
 
@@ -90,8 +107,8 @@ class TestEmbed:
         seq = toy_sequence(5)
         changed = [PointRecord(seq[0].id, seq[0].u, seq[0].v, seq[0].x, 999.0)] + seq[1:]
         tape = Tape()
-        a = embed(tape, bind_params(tape, params), seq).value
-        b = embed(tape, bind_params(tape, params), changed).value
+        a = embed(tape, bind_params(tape, params), seq_arrays(seq)[0]).value
+        b = embed(tape, bind_params(tape, params), seq_arrays(changed)[0]).value
         np.testing.assert_array_equal(a, b)
 
     def test_covariate_count_mismatch_rejected(self):
@@ -100,7 +117,7 @@ class TestEmbed:
         bad = [PointRecord(0, 0.1, 0.2, np.zeros(3), 1.0)]
         tape = Tape()
         with pytest.raises(ContractError, match="covariates"):
-            embed(tape, bind_params(tape, params), bad)
+            embed(tape, bind_params(tape, params), seq_arrays(bad)[0])
 
 
 class TestRope2d:
@@ -108,7 +125,7 @@ class TestRope2d:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 8))
         tape = Tape()
-        out = rope2d(tape.slot(x), np.zeros((3, 2)), 100.0)
+        out = ad.rope2d(tape.slot(x), np.zeros((3, 2)), 100.0)
         np.testing.assert_array_equal(out.value, x)
 
     def test_norm_preserved(self):
@@ -116,7 +133,7 @@ class TestRope2d:
         x = rng.normal(size=(5, 8))
         coords = rng.random((5, 2)) * 3
         tape = Tape()
-        out = rope2d(tape.slot(x), coords, 100.0)
+        out = ad.rope2d(tape.slot(x), coords, 100.0)
         np.testing.assert_allclose(
             np.linalg.norm(out.value, axis=1), np.linalg.norm(x, axis=1), atol=1e-12
         )
@@ -131,8 +148,8 @@ class TestRope2d:
 
         def logits(cs):
             tape = Tape()
-            qr = rope2d(tape.slot(q), cs[0:1], 100.0).value
-            kr = rope2d(tape.slot(k), cs[1:], 100.0).value
+            qr = ad.rope2d(tape.slot(q), cs[0:1], 100.0).value
+            kr = ad.rope2d(tape.slot(k), cs[1:], 100.0).value
             return qr @ kr.T
 
         np.testing.assert_allclose(logits(coords), logits(coords + shift), atol=1e-9)
@@ -140,16 +157,16 @@ class TestRope2d:
     def test_odd_pairing_rejected(self):
         tape = Tape()
         with pytest.raises(ContractError, match="divisible by 4"):
-            rope2d(tape.slot(np.zeros((2, 6))), np.zeros((2, 2)), 100.0)
+            ad.rope2d(tape.slot(np.zeros((2, 6))), np.zeros((2, 2)), 100.0)
 
     def test_per_head_blocks_match_per_head_application(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 16))
         coords = rng.random((4, 2))
         tape = Tape()
-        whole = rope2d(tape.slot(x), coords, 100.0, block=8).value
-        left = rope2d(tape.slot(x[:, :8].copy()), coords, 100.0).value
-        right = rope2d(tape.slot(x[:, 8:].copy()), coords, 100.0).value
+        whole = ad.rope2d(tape.slot(x), coords, 100.0, block=8).value
+        left = ad.rope2d(tape.slot(x[:, :8].copy()), coords, 100.0).value
+        right = ad.rope2d(tape.slot(x[:, 8:].copy()), coords, 100.0).value
         np.testing.assert_allclose(whole, np.hstack([left, right]), atol=1e-15)
 
 
@@ -158,73 +175,57 @@ class TestBiasedAttention:
         rng = np.random.default_rng(seed)
         return rng.normal(size=(nq, d)), rng.normal(size=(L, d)), rng.normal(size=(L, d))
 
+    def _attend(self, q, k, v, d2, lam):
+        """(out, alpha) of two-head attention with squared-distance penalties."""
+        tape = Tape()
+        return ad.multihead_attention(tape.slot(q), tape.slot(k), tape.slot(v), 2,
+                                      lam=tape.slot(lam), sq_dist=d2)
+
     def test_zero_bias_equals_standard_attention(self):
         q, k, v = self._qkv()
         d2 = np.abs(np.random.default_rng(1).normal(size=(3, 6)))
-        tape = Tape()
-        out, _ = biased_attention(tape.slot(q), tape.slot(k), tape.slot(v),
-                                  d2, tape.slot(np.zeros((2, 1))), 2)
+        out, _ = self._attend(q, k, v, d2, np.zeros((2, 1)))
         np.testing.assert_allclose(out.value, reference_mha(q, k, v, 2), atol=1e-12)
 
     def test_single_context_token_gets_full_weight(self):
         q, k, v = self._qkv(nq=1, L=1)
         for lam in (0.0, 1.0, 5.0):
-            tape = Tape()
-            _, trace = biased_attention(tape.slot(q), tape.slot(k), tape.slot(v),
-                                        np.array([[2.0]]),
-                                        tape.slot(np.full((2, 1), lam)), 2,
-                                        want_trace=True)
-            np.testing.assert_array_equal(trace.alpha, np.ones((2, 1, 1)))
+            _, alpha = self._attend(q, k, v, np.array([[2.0]]), np.full((2, 1), lam))
+            np.testing.assert_array_equal(alpha, np.ones((2, 1, 1)))
 
     def test_two_tokens_closed_form(self):
         """Equal logits, d2 = (0, 1), lam = 1 gives weights (0.7311, 0.2689)."""
         q = np.zeros((1, 8))
         _, k, v = self._qkv(L=2)
-        tape = Tape()
-        _, trace = biased_attention(tape.slot(q), tape.slot(k), tape.slot(v),
-                                    np.array([[0.0, 1.0]]),
-                                    tape.slot(np.ones((2, 1))), 2, want_trace=True)
-        np.testing.assert_allclose(trace.alpha[:, 0, :],
-                                   [[0.7311, 0.2689]] * 2, atol=1e-4)
+        _, alpha = self._attend(q, k, v, np.array([[0.0, 1.0]]), np.ones((2, 1)))
+        np.testing.assert_allclose(alpha[:, 0, :], [[0.7311, 0.2689]] * 2, atol=1e-4)
 
     def test_weight_on_far_point_decreases_with_lambda(self):
         q, k, v = self._qkv(nq=1, L=2, seed=4)
         far_weights = []
         for lam in (0.0, 0.5, 1.0, 2.0):
-            tape = Tape()
-            _, trace = biased_attention(tape.slot(q), tape.slot(k), tape.slot(v),
-                                        np.array([[0.0, 1.0]]),
-                                        tape.slot(np.full((2, 1), lam)), 2,
-                                        want_trace=True)
-            far_weights.append(trace.alpha[:, 0, 1].copy())
+            _, alpha = self._attend(q, k, v, np.array([[0.0, 1.0]]), np.full((2, 1), lam))
+            far_weights.append(alpha[:, 0, 1].copy())
         for prev, nxt in zip(far_weights, far_weights[1:]):
             assert (nxt < prev).all()
 
     def test_negative_distance_rejected(self):
         q, k, v = self._qkv()
-        tape = Tape()
         with pytest.raises(ContractError, match="nonnegative"):
-            biased_attention(tape.slot(q), tape.slot(k), tape.slot(v),
-                             np.full((3, 6), -0.5), tape.slot(np.ones((2, 1))), 2)
+            self._attend(q, k, v, np.full((3, 6), -0.5), np.ones((2, 1)))
 
     def test_rows_sum_to_one(self):
         q, k, v = self._qkv(seed=5)
         d2 = np.abs(np.random.default_rng(6).normal(size=(3, 6)))
-        tape = Tape()
-        _, trace = biased_attention(tape.slot(q), tape.slot(k), tape.slot(v),
-                                    d2, tape.slot(np.array([[0.3], [2.0]])), 2,
-                                    want_trace=True)
-        np.testing.assert_allclose(trace.alpha.sum(axis=-1), 1.0, atol=1e-9, rtol=0)
+        _, alpha = self._attend(q, k, v, d2, np.array([[0.3], [2.0]]))
+        np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-9, rtol=0)
 
     def test_perturbing_one_lambda_touches_only_that_head(self):
         q, k, v = self._qkv(seed=7)
         d2 = np.abs(np.random.default_rng(8).normal(size=(3, 6)))
 
         def alphas(lams):
-            tape = Tape()
-            _, trace = biased_attention(tape.slot(q), tape.slot(k), tape.slot(v),
-                                        d2, tape.slot(lams), 2, want_trace=True)
-            return trace.alpha
+            return self._attend(q, k, v, d2, lams)[1]
 
         base = alphas(np.array([[1.0], [1.0]]))
         bumped = alphas(np.array([[1.0], [3.5]]))
@@ -318,7 +319,7 @@ class TestForward:
     def test_target_alone_is_finite(self):
         config = toy_config()
         params = toy_params(config)
-        yhat, _ = forward(toy_sequence(1), params, config)
+        yhat, _ = predict(toy_sequence(1), params, config)
         assert np.isfinite(yhat)
 
     def test_duplicated_context_shifts_softmax_shares(self):
@@ -334,9 +335,9 @@ class TestForward:
         params = toy_params(config)
         seq = toy_sequence(7)
         doubled = seq + seq[1:]
-        a, _ = forward(seq, params, config)
-        b, _ = forward(doubled, params, config)
-        b2, _ = forward(doubled, params, config)
+        a, _ = predict(seq, params, config)
+        b, _ = predict(doubled, params, config)
+        b2, _ = predict(doubled, params, config)
         assert np.isfinite(a) and np.isfinite(b)
         assert b == b2
         assert a != b
@@ -346,14 +347,14 @@ class TestForward:
         params = toy_params(config)
         seq = toy_sequence(6)
         spoofed = [PointRecord(seq[0].id, seq[0].u, seq[0].v, seq[0].x, -1e6)] + seq[1:]
-        a, _ = forward(seq, params, config)
-        b, _ = forward(spoofed, params, config)
+        a, _ = predict(seq, params, config)
+        b, _ = predict(spoofed, params, config)
         assert a == b
 
     def test_trace_rows_sum_to_one(self):
         config = toy_config()
         params = toy_params(config)
-        _, trace = forward(toy_sequence(8), params, config, want_trace=True)
+        _, trace = predict(toy_sequence(8), params, config, want_trace=True)
         assert trace.alpha.shape == (2, 1, 8)
         np.testing.assert_allclose(trace.alpha.sum(axis=-1), 1.0, atol=1e-9, rtol=0)
 
@@ -366,14 +367,14 @@ class TestForward:
         params_legacy = params.copy()
         params_legacy.arrays["agg.lam_raw"] = np.full((1, 1), 0.437)
         seq = toy_sequence(9, seed=4)
-        a, _ = forward(seq, params, per_head)
-        b, _ = forward(seq, params_legacy, legacy)
+        a, _ = predict(seq, params, per_head)
+        b, _ = predict(seq, params_legacy, legacy)
         assert abs(a - b) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
         config = toy_config()
         params = toy_params(config, seed=5)
-        seq = toy_sequence(8, seed=6)
+        seq = seq_arrays(toy_sequence(8, seed=6))
         y = np.array([[0.321]])
         for name in ("agg.wq", "embed_w", "agg.lam_raw", "l0.ind", "head.w2"):
             saved = params.arrays[name]
@@ -393,10 +394,11 @@ class TestForward:
         config = toy_config(l_max=4)
         params = toy_params(config)
         with pytest.raises(ContractError, match="l_max"):
-            forward(toy_sequence(6), params, config)
+            predict(toy_sequence(6), params, config)
 
     def test_tape_path_matches_inference_path(self):
-        """The recording and plain-numpy forwards compute the same number."""
+        """Recording and non-recording tapes compute the same number and trace,
+        and forward_batch gives it too."""
         for trial, (length, legacy, m, layers) in enumerate(
             [(1, False, 2, 1), (5, False, 1, 1), (9, True, 3, 2), (16, False, 8, 2)]
         ):
@@ -404,41 +406,78 @@ class TestForward:
                                  n_layers=layers, legacy_single_abf=legacy)
             params = toy_params(config, seed=trial)
             seq = toy_sequence(length, seed=trial + 50)
-            fast, ft = forward(seq, params, config, want_trace=True)
+            fast, ft = predict(seq, params, config, want_trace=True)
             tape = Tape()
-            out, tt = forward_on_tape(tape, bind_params(tape, params), seq, config,
-                                      want_trace=True)
+            out, tt = forward_on_tape(tape, bind_params(tape, params), seq_arrays(seq),
+                                      config, want_trace=True)
             assert abs(fast - float(out.value[0, 0])) < 1e-12
             np.testing.assert_allclose(ft.alpha, tt.alpha, atol=1e-12, rtol=0)
+            feats, coords = seq_arrays(seq)
+            batch = forward_batch(feats[None], coords[None], params, config)
+            assert abs(batch[0] - float(out.value[0, 0])) < 1e-12
+
+    def test_batched_loss_gradient_is_mean_of_sequence_gradients(self):
+        """One tape over a minibatch gives the averaged per-sequence gradients."""
+        config = toy_config(n_layers=2)
+        params = toy_params(config, seed=11)
+        sequences = [seq_arrays(toy_sequence(8, seed=s)) for s in range(5)]
+        targets = np.random.default_rng(12).normal(size=5)
+
+        def grads(feats, coords, y):
+            tape = Tape()
+            bound = bind_params(tape, params)
+            out, _ = forward_on_tape(tape, bound, (feats, coords), config)
+            r = ad.sub(out, y.reshape(out.value.shape))
+            ad.backward(tape, ad.mean_all(ad.mul(r, r)))
+            return param_grads(tape, bound)
+
+        stacked = grads(np.stack([f for f, _ in sequences]),
+                        np.stack([c for _, c in sequences]), targets)
+        singles = [grads(f, c, targets[i:i + 1]) for i, (f, c) in enumerate(sequences)]
+        for name, g in stacked.items():
+            mean = sum(single[name] for single in singles) / len(singles)
+            np.testing.assert_allclose(g, mean, atol=1e-12, rtol=1e-10, err_msg=name)
 
 
 class TestForwardBatch:
-    def _arrays(self, sequences, p):
-        n = len(sequences)
-        length = len(sequences[0])
-        feats = np.zeros((n, length, p + 1))
-        coords = np.zeros((n, length, 2))
-        for b, seq in enumerate(sequences):
-            for i, rec in enumerate(seq):
-                feats[b, i, :p] = rec.x
-                feats[b, i, p] = rec.y if i > 0 else 0.0
-                coords[b, i] = (rec.u, rec.v)
-        return feats, coords
+    def _normalised_params(self, config):
+        params = toy_params(config, seed=9)
+        params.norm["x_mean"] = np.array([[0.3, -0.1]])
+        params.norm["x_std"] = np.array([[1.4, 0.6]])
+        params.norm["y_mean"] = np.array([[0.7]])
+        params.norm["y_std"] = np.array([[2.2]])
+        return params
 
     def test_matches_sequential_forward(self):
+        """B stacked sequences give what the recording tape gives each alone."""
         for legacy in (False, True):
             config = toy_config(d_model=16, n_heads=4, l_max=16,
                                 n_layers=2, legacy_single_abf=legacy)
-            params = toy_params(config, seed=9)
-            params.norm["x_mean"] = np.array([[0.3, -0.1]])
-            params.norm["x_std"] = np.array([[1.4, 0.6]])
-            params.norm["y_mean"] = np.array([[0.7]])
-            params.norm["y_std"] = np.array([[2.2]])
-            sequences = [toy_sequence(10, seed=s) for s in range(7)]
-            feats, coords = self._arrays(sequences, 2)
+            params = self._normalised_params(config)
+            sequences = [seq_arrays(toy_sequence(10, seed=s)) for s in range(7)]
+            feats = np.stack([f for f, _ in sequences])
+            coords = np.stack([c for _, c in sequences])
             batched = forward_batch(feats, coords, params, config)
-            single = np.array([forward(s, params, config)[0] for s in sequences])
+            single = []
+            for seq in sequences:
+                tape = Tape()
+                out, _ = forward_on_tape(tape, bind_params(tape, params), seq, config)
+                single.append(float(out.value[0, 0]))
             np.testing.assert_allclose(batched, single, atol=1e-12, rtol=0)
+
+    def test_no_record_tape_stores_nothing(self):
+        config = toy_config(d_model=16, n_heads=4, l_max=16, n_layers=2)
+        params = self._normalised_params(config)
+        sequences = [seq_arrays(toy_sequence(10, seed=s)) for s in range(3)]
+        batch = tuple(np.stack(parts) for parts in zip(*sequences))
+        tape = Tape(record=False)
+        out, trace = forward_on_tape(tape, bind_params(tape, params), batch, config,
+                                     want_trace=True)
+        assert out.value.shape == (3, 1, 1)
+        assert trace.alpha.shape == (3, 4, 1, 10)
+        assert tape.values == [] and tape.ops == [] and tape.grads == []
+        with pytest.raises(ContractError, match="records"):
+            ad.backward(tape, ad.sum_all(out))
 
     def test_shape_validation(self):
         config = toy_config()

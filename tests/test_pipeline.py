@@ -131,6 +131,13 @@ class TestPredictEnsemble:
         pred = predict_ensemble(params, config, q, ctx, 6, 1.5, 3)
         assert pred.std.max() > 0
 
+    def test_member_streams_differ_across_neighbouring_seeds(self):
+        """Member 1 at seed s and member 0 at seed s + 1 draw distinct contexts."""
+        params, config, ctx, q = self._fitted()
+        at_100 = _member_predictions(params, config, q, ctx, 2, 1.5, 100)
+        at_101 = _member_predictions(params, config, q, ctx, 2, 1.5, 101)
+        assert not np.array_equal(at_100[1], at_101[0])
+
     def test_statistics_invariant_to_member_relabeling(self):
         params, config, ctx, q = self._fitted()
         preds = _member_predictions(params, config, q, ctx, 5, 1.5, 3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geoagg.autodiff import ContractError
+from geoagg.datasets import generate_gwr
 from geoagg.kdtree import KdTree
 from geoagg.spatial import (
     ContextPool,
@@ -12,10 +13,10 @@ from geoagg.spatial import (
     SequenceLookupError,
     assemble_sequence,
     build_tree,
-    knn,
     neighbor_budget,
     precompute_neighbors,
 )
+from geoagg.pipeline import split_dataset
 
 
 def brute_force_knn(coords, ids, query, k):
@@ -104,7 +105,7 @@ class TestPools:
         recs = make_records(np.random.default_rng(6).random((15, 2)))
         pool = ContextPool(recs)
         assert pool.tree.size == 15
-        got = knn(pool.tree, (recs[4].u, recs[4].v), 1)
+        got = pool.tree.knn((recs[4].u, recs[4].v), 1)
         assert got[0] == (recs[4].id, 0.0)
 
     def test_empty_context_pool_rejected(self):
@@ -115,6 +116,21 @@ class TestPools:
         recs = make_records([(0.1, 0.1), (0.2, 0.2)])
         with pytest.raises(ContractError, match="duplicate"):
             QueryPool([recs[0], recs[0]])
+
+    def test_non_finite_values_rejected_with_their_id(self):
+        """The gwr set, a 0.7 split, the first train point's x1 set to NaN."""
+        train_ds, _ = split_dataset(generate_gwr(400, 1), 0.7, 0)
+        first = train_ds.points[0]
+        x = first.x.copy()
+        x[0] = np.nan
+        bad = [PointRecord(first.id, first.u, first.v, x, first.y)] + train_ds.points[1:]
+        with pytest.raises(ContractError, match=f"id {first.id} has non-finite covariates"):
+            ContextPool(bad)
+        for y in (np.nan, np.inf):
+            bad = [PointRecord(first.id, first.u, first.v, first.x, y)]
+            with pytest.raises(ContractError, match=f"id {first.id} has a non-finite target"):
+                QueryPool(bad)
+        QueryPool([PointRecord(first.id, first.u, first.v, first.x, None)])
 
     def test_build_tree_standalone(self):
         pool = ContextPool(make_records([(0.0, 0.0), (1.0, 1.0)]))
@@ -156,6 +172,15 @@ class TestPrecompute:
             cache[12345]
 
 
+def seq_ids(sequence, recs):
+    """Ids of an assembled sequence's rows, read back from their coordinates.
+
+    The fixtures draw coordinates at random, so every point's are distinct.
+    """
+    by_coords = {(r.u, r.v): r.id for r in recs}
+    return [by_coords[tuple(c)] for c in sequence[1]]
+
+
 class TestAssembleSequence:
     def _setup(self, n=30, seed=10):
         rng = np.random.default_rng(seed)
@@ -171,8 +196,8 @@ class TestAssembleSequence:
                               np.random.default_rng(1))
         b = assemble_sequence(recs[3].id, cache, context, l_max,
                               np.random.default_rng(999))
-        assert [r.id for r in a] == [r.id for r in b]
-        assert len(a) == l_max
+        assert seq_ids(a, recs) == seq_ids(b, recs)
+        assert len(seq_ids(a, recs)) == l_max
 
     def test_no_surplus_deterministic_for_disjoint_query(self):
         recs, context = self._setup()
@@ -183,19 +208,19 @@ class TestAssembleSequence:
                               np.random.default_rng(1), target=probe)
         b = assemble_sequence(777, cache, context, l_max,
                               np.random.default_rng(2), target=probe)
-        assert [r.id for r in a] == [r.id for r in b]
+        assert seq_ids(a, recs + [probe]) == seq_ids(b, recs + [probe])
 
     def test_surplus_varies_with_seed_and_repeats_with_same_seed(self):
         recs, context = self._setup()
         l_max = 8
         cache = precompute_neighbors(QueryPool(recs), context, l_max + 4)
         seqs = {
-            seed: [r.id for r in assemble_sequence(recs[0].id, cache, context, l_max,
-                                                   np.random.default_rng(seed))]
+            seed: seq_ids(assemble_sequence(recs[0].id, cache, context, l_max,
+                                            np.random.default_rng(seed)), recs)
             for seed in (1, 2)
         }
-        again = [r.id for r in assemble_sequence(recs[0].id, cache, context, l_max,
-                                                 np.random.default_rng(1))]
+        again = seq_ids(assemble_sequence(recs[0].id, cache, context, l_max,
+                                          np.random.default_rng(1)), recs)
         assert seqs[1] == again
         assert seqs[1] != seqs[2]
 
@@ -204,7 +229,7 @@ class TestAssembleSequence:
         cache = precompute_neighbors(QueryPool(recs), context, 12)
         for rec in recs[:10]:
             seq = assemble_sequence(rec.id, cache, context, 8, np.random.default_rng(0))
-            ids = [r.id for r in seq]
+            ids = seq_ids(seq, recs)
             assert ids[0] == rec.id
             assert ids.count(rec.id) == 1
 
@@ -213,8 +238,19 @@ class TestAssembleSequence:
         cache = precompute_neighbors(QueryPool(recs), context, 14)
         rec = recs[5]
         seq = assemble_sequence(rec.id, cache, context, 9, np.random.default_rng(3))
-        d2 = [(r.u - rec.u) ** 2 + (r.v - rec.v) ** 2 for r in seq[1:]]
+        d2 = [(u - rec.u) ** 2 + (v - rec.v) ** 2 for u, v in seq[1][1:]]
         assert d2 == sorted(d2)
+
+    def test_features_follow_the_rows(self):
+        """Covariates, then the observed target; the target's own is zeroed."""
+        recs, context = self._setup()
+        cache = precompute_neighbors(QueryPool(recs), context, 12)
+        feats, coords = assemble_sequence(recs[2].id, cache, context, 8,
+                                          np.random.default_rng(4))
+        by_id = {r.id: r for r in recs}
+        rows = [by_id[i] for i in seq_ids((feats, coords), recs)]
+        np.testing.assert_array_equal(feats[:, :2], [r.x for r in rows])
+        np.testing.assert_array_equal(feats[:, 2], [0.0] + [r.y for r in rows[1:]])
 
     def test_missing_cache_entry_raises_lookup_error(self):
         recs, context = self._setup()
