@@ -15,6 +15,11 @@ values and no op records: each result lives only in the :class:`Var` that
 holds it and is freed as soon as nothing references it.  Inference runs the
 training forward on such a tape.
 
+The attention and rotary primitives keep memory traffic low: the softmax
+normalises in place, along the longer of the query and key axes (see
+:func:`multihead_attention`), and the backward rule works in the same layout;
+rotary tables hold each distinct angle once and broadcast over the heads.
+
 A tape is single-threaded.  Distinct tapes reading the same (immutable)
 parameter arrays may run concurrently.
 """
@@ -242,17 +247,19 @@ def slice_rows(a: Var, start: int, stop: int) -> Var:
                          start=start, stop=stop)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis``, computed in place on ``x`` (a fresh buffer)."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 def softmax_rows(x: Var) -> Var:
     """Rowwise softmax with per-row max subtraction for stability."""
     if not np.isfinite(x.value).all():
         raise ContractError("softmax_rows requires finite inputs")
-    return x.tape.record("softmax_rows", (x,), _softmax(x.value))
+    return x.tape.record("softmax_rows", (x,), _softmax(x.value.copy()))
 
 
 def softplus(x: Var) -> Var:
@@ -278,14 +285,16 @@ def mean_all(x: Var) -> Var:
     return x.tape.record("mean_all", (x,), np.array([[x.value.mean()]]))
 
 
-def _rope_tables(coords: np.ndarray, width: int, base: float, block: int):
-    """Cos/sin tables for planar rotary rotation of ``(..., width)`` vectors.
+def _rope_tables(coords: np.ndarray, width: int, base: float, block: int) -> np.ndarray:
+    """Unit complex rotations ``cos + i sin`` for planar rotary encoding.
 
     ``block`` is the head width; within each block the first half of the
     rotation pairs turns by ``theta_f * u`` and the second half by
     ``theta_f * v``, with the frequency ladder ``theta_f = base**(-2f/(block/2))``
-    applied identically to both coordinates.  ``coords`` may carry leading
-    batch axes before its final ``(n, 2)`` shape.
+    applied identically to both coordinates.  Every block turns by the same
+    angles, so the table holds only the ``block / 2`` distinct ones, shaped
+    ``(..., n, 1, block / 2)`` to broadcast over the ``width / block`` blocks.
+    ``coords`` may carry leading batch axes before its final ``(n, 2)`` shape.
     """
     if block % 4 != 0:
         raise ContractError(f"rope2d needs a head width divisible by 4, got {block}")
@@ -293,19 +302,24 @@ def _rope_tables(coords: np.ndarray, width: int, base: float, block: int):
         raise ShapeError(f"rope2d: width {width} is not a multiple of block {block}")
     per_coord = block // 4
     freqs = base ** (-2.0 * np.arange(per_coord) / (block / 2.0))
-    ang_u = coords[..., 0:1] * freqs
-    ang_v = coords[..., 1:2] * freqs
-    ang = np.tile(np.concatenate([ang_u, ang_v], axis=-1), width // block)
-    return np.cos(ang), np.sin(ang)
+    # (u * freqs, v * freqs) per row
+    ang = (coords[..., None] * freqs).reshape(coords.shape[:-1] + (1, 2 * per_coord))
+    rot = np.empty(ang.shape, dtype=np.complex128)
+    np.cos(ang, out=rot.real)
+    np.sin(ang, out=rot.imag)
+    return rot
 
 
-def _rope_apply(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    xe = x[..., 0::2]
-    xo = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = xe * cos - xo * sin
-    out[..., 1::2] = xe * sin + xo * cos
-    return out
+def _rotate(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Turn each column pair of ``x`` by the angles of a :func:`_rope_tables` table.
+
+    The pair ``(x[2j], x[2j + 1])`` is the complex number ``x[2j] + i x[2j + 1]``
+    and turns by multiplication with ``rot``; ``x`` is ``(..., n, width)``.
+    The conjugate table gives the inverse rotation.
+    """
+    z = np.ascontiguousarray(x).view(np.complex128)
+    z = z.reshape(z.shape[:-1] + (-1, rot.shape[-1]))
+    return (z * rot).view(np.float64).reshape(x.shape)
 
 
 def rope2d(x: Var, coords, base: float, block: int | None = None) -> Var:
@@ -322,8 +336,8 @@ def rope2d(x: Var, coords, base: float, block: int | None = None) -> Var:
     width = x.value.shape[-1]
     if block is None:
         block = width
-    cos, sin = _rope_tables(coords, width, base, block)
-    return x.tape.record("rope2d", (x,), _rope_apply(x.value, cos, sin), cos=cos, sin=sin)
+    rot = _rope_tables(coords, width, base, block)
+    return x.tape.record("rope2d", (x,), _rotate(x.value, rot), rot=rot)
 
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -331,10 +345,28 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(x.shape[:-1] + (n_heads, -1)).swapaxes(-3, -2)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_heads`: concatenate the heads' columns."""
-    x = x.swapaxes(-3, -2)
-    return x.reshape(x.shape[:-2] + (-1,))
+def _merged_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-head products ``a @ b`` with the heads' columns concatenated.
+
+    The inverse of :func:`_heads` on the product, written by ``matmul``
+    straight into the merged ``(..., n, n_heads * cols)`` layout, so no
+    per-head result is materialised and copied.
+    """
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    *lead, n_heads, n, cols = shape
+    out = np.empty((*lead, n, n_heads * cols))
+    np.matmul(a, b, out=out.reshape(*lead, n, n_heads, cols).swapaxes(-3, -2))
+    return out
+
+
+def _keys_first(n_q: int, n_keys: int) -> bool:
+    """Whether attention logits are laid out ``(keys, queries)``.
+
+    The softmax normalises over keys.  It runs fastest along the contiguous
+    axis when that axis is the longer one, so with fewer keys than queries
+    the logits are kept transposed and normalised over axis -2.
+    """
+    return n_keys < n_q
 
 
 def multihead_attention(q: Var, k: Var, v: Var, n_heads: int,
@@ -351,7 +383,9 @@ def multihead_attention(q: Var, k: Var, v: Var, n_heads: int,
 
     Returns ``(out, alpha)`` where ``out`` is the ``(..., n_q, d)``
     concatenation of head outputs and ``alpha`` is a read-only
-    ``(..., n_heads, n_q, L)`` array of attention weights.
+    ``(..., n_heads, n_q, L)`` array of attention weights.  With fewer keys
+    than queries the weights are computed as ``(..., L, n_q)`` and ``alpha``
+    is a transposed view of them (see :func:`_keys_first`).
     """
     tape = q.tape
     nq, d = q.value.shape[-2:]
@@ -382,14 +416,25 @@ def multihead_attention(q: Var, k: Var, v: Var, n_heads: int,
             raise ContractError("attention bias factors must be nonnegative")
         sq = sq[..., None, :, :]  # broadcast over the head axis
 
-    logits = (_heads(q.value, n_heads) @ _heads(k.value, n_heads).swapaxes(-2, -1)) \
-        / math.sqrt(hd)
+    # 1/sqrt(hd) goes on the smaller operand rather than on the logits
+    qh = _heads(q.value, n_heads)
+    kh = _heads(k.value, n_heads)
+    if q.value.size <= k.value.size:
+        qh = qh * (1.0 / math.sqrt(hd))
+    else:
+        kh = kh * (1.0 / math.sqrt(hd))
+    keys_first = _keys_first(nq, L)
+    if keys_first:
+        logits = kh @ qh.swapaxes(-2, -1)
+    else:
+        logits = qh @ kh.swapaxes(-2, -1)
     if sq is not None:
-        logits = logits - lam.value.reshape(-1, 1, 1) * sq
-    alpha = _softmax(logits)
+        logits -= lam.value.reshape(-1, 1, 1) * (sq.swapaxes(-2, -1) if keys_first else sq)
+    weights = _softmax(logits, axis=-2 if keys_first else -1)
+    alpha = weights.swapaxes(-2, -1) if keys_first else weights
     # the backward rule only reads alpha, so the caller may share it
     alpha.setflags(write=False)
-    out = _merge_heads(alpha @ _heads(v.value, n_heads))
+    out = _merged_matmul(alpha, _heads(v.value, n_heads))
 
     inputs = (q, k, v) if lam is None else (q, k, v, lam)
     out_var = tape.record(
@@ -481,14 +526,8 @@ def _bwd_mean_all(tape, op):
 
 
 def _bwd_rope2d(tape, op):
-    g = tape.grads[op.output]
-    cos, sin = op.aux["cos"], op.aux["sin"]
-    ge = g[..., 0::2]
-    go = g[..., 1::2]
-    gx = np.empty_like(g)
-    gx[..., 0::2] = ge * cos + go * sin
-    gx[..., 1::2] = -ge * sin + go * cos
-    tape.grads[op.inputs[0]] += gx
+    # the rotation is orthogonal: its adjoint turns by the opposite angles
+    tape.grads[op.inputs[0]] += _rotate(tape.grads[op.output], op.aux["rot"].conj())
 
 
 def _bwd_multihead_attention(tape, op):
@@ -502,12 +541,24 @@ def _bwd_multihead_attention(tape, op):
     inv = 1.0 / math.sqrt(q.shape[-1] // n_heads)
 
     gh = _heads(g, n_heads)
-    dalpha = gh @ _heads(v, n_heads).swapaxes(-2, -1)
-    dv = _merge_heads(alpha.swapaxes(-2, -1) @ gh)
+    vh = _heads(v, n_heads)
+    dv = _merged_matmul(alpha.swapaxes(-2, -1), gh)
     tape.grads[op.inputs[2]] += _unbroadcast(dv, v.shape)
-    dlogits = alpha * (dalpha - (dalpha * alpha).sum(axis=-1, keepdims=True))
-    dq = _merge_heads((dlogits @ _heads(k, n_heads)) * inv)
-    dk = _merge_heads((dlogits.swapaxes(-2, -1) @ _heads(q, n_heads)) * inv)
+    # the softmax adjoint reduces over keys, in the layout the forward used
+    if _keys_first(q.shape[-2], k.shape[-2]):
+        weights = alpha.swapaxes(-2, -1)
+        dlogits = vh @ gh.swapaxes(-2, -1)
+        dlogits -= (dlogits * weights).sum(axis=-2, keepdims=True)
+        dlogits *= weights
+        dlogits = dlogits.swapaxes(-2, -1)
+    else:
+        dlogits = gh @ vh.swapaxes(-2, -1)
+        dlogits -= (dlogits * alpha).sum(axis=-1, keepdims=True)
+        dlogits *= alpha
+    dq = _merged_matmul(dlogits, _heads(k, n_heads))
+    dq *= inv
+    dk = _merged_matmul(dlogits.swapaxes(-2, -1), _heads(q, n_heads))
+    dk *= inv
     tape.grads[op.inputs[0]] += _unbroadcast(dq, q.shape)
     tape.grads[op.inputs[1]] += _unbroadcast(dk, k.shape)
     if sq is not None:

@@ -42,8 +42,6 @@ from .spatial import (
     subset_indices,
 )
 
-_BATCH_ROWS = 512
-
 __all__ = [
     "GEO_PLAYER",
     "RowBatch",
@@ -219,10 +217,17 @@ class ShapPredictor:
     """Batched row predictor for the attention model, keyed by point id.
 
     Context sequences are always rebuilt from the true neighbours of each
-    row's id (cached once per id); the row's possibly perturbed coordinates
-    and covariates feed only the model's own input channels.  By default one
-    deterministic member is used so Shapley identities are exact; set
-    ``members > 1`` for ensemble-mean explanations.
+    row's id; the row's possibly perturbed coordinates and covariates feed
+    only the model's own input channels.  By default one deterministic
+    member is used so Shapley identities are exact; set ``members > 1`` for
+    ensemble-mean explanations.
+
+    The predictor fills caches as it is used: the neighbour list of an id
+    outside ``points`` (a background row from the context pool) is searched
+    on its first use, and each (member, id) pair's gathered context rows are
+    kept after their first use.  Both depend only on the pair, so outputs do
+    not depend on the order or grouping of the rows; but calls mutate the
+    predictor, and concurrent calls on one predictor are not safe.
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig,
@@ -234,7 +239,7 @@ class ShapPredictor:
         self.members = members
         self.expansion = expansion
         self.seed = seed
-        self._cand_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._contexts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         records = points.points if hasattr(points, "points") else points.records
         pool = QueryPool(records)
         self._cache = precompute_neighbors(
@@ -263,6 +268,26 @@ class ShapPredictor:
             self._cache.entries[pid] = self.context.tree.knn((rec.u, rec.v), self._cache.k)
         return self._cache[pid]
 
+    def _context_rows(self, member: int, pid: int):
+        """``(feats, coords)`` of the context rows one member places after ``pid``."""
+        key = (member, pid)
+        rows = self._contexts.get(key)
+        if rows is None:
+            entry = self._entry(pid)
+            idx = subset_indices(entry, pid, self.config.l_max,
+                                 self._member_rng(member, pid))
+            recs = [self.context.by_id[entry[i][0]] for i in idx]
+            p = self.params.p
+            feats = np.empty((len(recs), p + 1))
+            coords = np.empty((len(recs), 2))
+            for i, rec in enumerate(recs):
+                feats[i, :p] = rec.x
+                feats[i, p] = rec.y
+                coords[i] = rec.u, rec.v
+            rows = (feats, coords)
+            self._contexts[key] = rows
+        return rows
+
     def __call__(self, ids, coords, x) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64).ravel()
         coords = np.asarray(coords, dtype=np.float64).reshape(len(ids), 2)
@@ -273,40 +298,14 @@ class ShapPredictor:
         out = np.zeros(n)
         feats = np.empty((n, l_max, p + 1))
         seq_coords = np.empty((n, l_max, 2))
+        feats[:, 0, :p] = x
+        feats[:, 0, p] = 0.0
+        seq_coords[:, 0] = coords
         for member in range(self.members):
-            for i in range(n):
-                pid = int(ids[i])
-                entry = self._entry(pid)
-                idx = subset_indices(entry, pid, l_max,
-                                     self._member_rng(member, pid))
-                cand_feats, cand_coords = self._candidates(pid, entry)
-                feats[i, 0, :p] = x[i]
-                feats[i, 0, p] = 0.0
-                feats[i, 1:] = cand_feats[idx]
-                seq_coords[i, 0] = coords[i]
-                seq_coords[i, 1:] = cand_coords[idx]
-            for start in range(0, n, _BATCH_ROWS):
-                stop = min(start + _BATCH_ROWS, n)
-                out[start:stop] += forward_batch(feats[start:stop],
-                                                 seq_coords[start:stop],
-                                                 self.params, self.config)
+            for i, pid in enumerate(ids.tolist()):
+                feats[i, 1:], seq_coords[i, 1:] = self._context_rows(member, pid)
+            out += forward_batch(feats, seq_coords, self.params, self.config)
         return out / self.members
-
-    def _candidates(self, pid: int, entry):
-        cached = self._cand_arrays.get(pid)
-        if cached is None:
-            p = self.params.p
-            cand_feats = np.empty((len(entry), p + 1))
-            cand_coords = np.empty((len(entry), 2))
-            for i, (cid, _) in enumerate(entry):
-                rec = self.context.by_id[cid]
-                cand_feats[i, :p] = rec.x
-                cand_feats[i, p] = rec.y
-                cand_coords[i, 0] = rec.u
-                cand_coords[i, 1] = rec.v
-            cached = (cand_feats, cand_coords)
-            self._cand_arrays[pid] = cached
-        return cached
 
 
 def make_shap_predictor(params: ModelParams, config: ModelConfig,

@@ -93,6 +93,75 @@ class TestSoftmaxRows:
         with pytest.raises(ContractError):
             ad.softmax_rows(t.slot(np.array([[np.inf, 0.0]])))
 
+    def test_leaves_its_input_unchanged(self):
+        x = np.random.default_rng(8).normal(size=(2, 4, 6)) * 3
+        t = Tape()
+        xv = t.slot(x.copy())
+        ad.softmax_rows(xv)
+        np.testing.assert_array_equal(xv.value, x)
+
+
+def _naive_attention(q, k, v, n_heads, lam=None, sq_dist=None):
+    """Per-head einsum attention with query-major logits, as (out, alpha)."""
+    hd = q.shape[-1] // n_heads
+    batch = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+    out = np.empty(batch + q.shape[-2:])
+    alpha = np.empty(batch + (n_heads, q.shape[-2], k.shape[-2]))
+    for h in range(n_heads):
+        cols = slice(h * hd, (h + 1) * hd)
+        logits = np.einsum("...ie,...je->...ij", q[..., cols], k[..., cols]) / np.sqrt(hd)
+        if lam is not None:
+            logits = logits - lam[h if len(lam) > 1 else 0, 0] * sq_dist
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        alpha[..., h, :, :] = e / e.sum(axis=-1, keepdims=True)
+        out[..., cols] = np.einsum("...ij,...je->...ie", alpha[..., h, :, :], v[..., cols])
+    return out, alpha
+
+
+class TestMultiheadAttention:
+    @pytest.mark.parametrize("n_q,n_keys", [(3, 7), (5, 5), (9, 4)])
+    @pytest.mark.parametrize("biased", [False, True])
+    def test_matches_naive_per_head_reference(self, n_q, n_keys, biased):
+        rng = np.random.default_rng(n_q * 10 + n_keys)
+        q = rng.normal(size=(n_q, 8))
+        k = rng.normal(size=(2, n_keys, 8))
+        v = rng.normal(size=(2, n_keys, 8))
+        lam = np.abs(rng.normal(size=(2, 1))) if biased else None
+        sq = np.abs(rng.normal(size=(2, n_q, n_keys))) if biased else None
+        t = Tape(record=False)
+        bias = {"lam": t.slot(lam), "sq_dist": sq} if biased else {}
+        out, alpha = ad.multihead_attention(t.slot(q), t.slot(k), t.slot(v), 2, **bias)
+        want_out, want_alpha = _naive_attention(q, k, v, 2, lam, sq)
+        assert alpha.shape == (2, 2, n_q, n_keys)
+        assert not alpha.flags.writeable
+        np.testing.assert_allclose(alpha, want_alpha, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(out.value, want_out, atol=1e-12, rtol=0)
+
+
+def _tiled_rope(x, coords, base, block):
+    """Rotary encoding with full-width cos/sin tables tiled over the blocks."""
+    per_coord = block // 4
+    freqs = base ** (-2.0 * np.arange(per_coord) / (block / 2.0))
+    ang = np.tile(np.concatenate([coords[..., 0:1] * freqs, coords[..., 1:2] * freqs],
+                                 axis=-1), x.shape[-1] // block)
+    cos, sin = np.cos(ang), np.sin(ang)
+    out = np.empty_like(x)
+    out[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
+    out[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
+    return out
+
+
+class TestRope2dTables:
+    @pytest.mark.parametrize("block", [4, 8, 32])
+    def test_multi_block_matches_tiled_tables(self, block):
+        rng = np.random.default_rng(block)
+        x = rng.normal(size=(3, 5, 32))
+        coords = rng.normal(size=(3, 5, 2)) * 4.0
+        t = Tape(record=False)
+        got = ad.rope2d(t.slot(x), coords, 100.0, block).value
+        np.testing.assert_allclose(got, _tiled_rope(x, coords, 100.0, block),
+                                   atol=1e-12, rtol=0)
+
 
 class TestBackward:
     def test_sum_of_squares(self):
@@ -173,9 +242,39 @@ def _op_cases(seed):
     wb = rng.normal(size=(2, 3, 8))
     d2b = np.abs(rng.normal(size=(2, 3, 5)))
     coords_b = rng.random((2, 3, 2))
+    # more queries than keys, where the logits are laid out keys-first
+    q6 = 0.6 * rng.normal(size=(6, 8))
+    k3 = 0.6 * rng.normal(size=(3, 8))
+    v3 = rng.normal(size=(3, 8))
+    w6 = rng.normal(size=(6, 8))
+    d63 = np.abs(rng.normal(size=(6, 3)))
+    k3b = 0.6 * rng.normal(size=(2, 3, 8))
+    v3b = rng.normal(size=(2, 3, 8))
+    w6b = rng.normal(size=(2, 6, 8))
+    d63b = np.abs(rng.normal(size=(2, 6, 3)))
 
     def s(x, arr):
         return x.tape.slot(arr)
+
+    def long_q(wrt, k, v, w, d2):
+        """Attention of q6 over three keys, differentiated in operand ``wrt``."""
+        operands = {"q": q6, "k": k, "v": v, "lam": lam}
+
+        def f(x):
+            arg = {name: x if name == wrt else s(x, arr) for name, arr in operands.items()}
+            bias = {} if d2 is None else {"lam": arg["lam"], "sq_dist": d2}
+            out = ad.multihead_attention(arg["q"], arg["k"], arg["v"], 2, **bias)[0]
+            return ad.sum_all(ad.mul(out, s(x, w)))
+
+        return operands[wrt], f
+
+    long_q_cases = [
+        (f"mha_long_q{tag}_{wrt}",) + long_q(wrt, k, v, w, d2)
+        for tag, k, v, w, d2 in [("", k3, v3, w6, None), ("_biased", k3, v3, w6, d63),
+                                 ("_batched_kv", k3b, v3b, w6b, None),
+                                 ("_batched_kv_biased", k3b, v3b, w6b, d63b)]
+        for wrt in ("q", "k", "v") + (("lam",) if d2 is not None else ())
+    ]
 
     return [
         ("matmul_left", a34, lambda x: ad.sum_all(ad.mul(ad.matmul(x, s(x, a43)),
@@ -238,7 +337,7 @@ def _op_cases(seed):
          lambda x: ad.sum_all(ad.mul(ad.multihead_attention(s(x, q8), s(x, kb), s(x, vb), 2,
                                                             lam=x, sq_dist=d2b)[0],
                                      s(x, wb)))),
-    ]
+    ] + long_q_cases
 
 
 class TestPrimitiveGradients:

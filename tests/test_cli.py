@@ -140,6 +140,18 @@ class TestTrainPredictExplainBench:
         assert f"id {cells[0]} has non-finite covariates" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_model_file_that_does_not_fit_its_config_is_runtime_error(self, trained, capsys):
+        data, model, cfg, tmp_path = trained
+        doc = json.loads(model.read_text())
+        doc["model_config"]["n_layers"] = 2  # the file holds one layer's arrays
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        code = run("predict", "--model", bad, "--data", data, "--out", tmp_path / "p.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "parameter file lacks array 'l1.a.wk'" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_model_file_is_runtime_error(self, tmp_path, capsys):
         code = run("predict", "--model", tmp_path / "absent.json",
                    "--data", tmp_path / "absent.csv", "--out", tmp_path / "o.csv")

@@ -17,7 +17,7 @@ from geoagg.explain import (
     shapley_exact,
     write_explanations_csv,
 )
-from geoagg.model import ModelConfig
+from geoagg.model import ModelConfig, forward_batch
 from geoagg.pipeline import TrainConfig, predict_ensemble, split_dataset, train
 from geoagg.spatial import ContextPool, QueryPool, SequenceLookupError
 
@@ -295,6 +295,35 @@ class TestShapPredictorWrapper:
         predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points))
         with pytest.raises(SequenceLookupError, match="99999"):
             predictor(np.array([99999]), np.zeros((1, 2)), np.zeros((1, 2)))
+
+    def test_memoised_context_rows_are_byte_identical_in_any_order(self):
+        params, config, ctx, te = self._fitted()
+        members = 3
+        predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points),
+                                        members=members, expansion=1.5, seed=4)
+        batch = RowBatch.from_records(list(te.points[:6]) + list(ctx.records[:4]))
+        x = batch.x + 0.25  # perturbed covariates reach only the target rows
+        n, p = batch.x.shape
+
+        # every sequence gathered afresh from its member's neighbour ids
+        want = np.zeros(n)
+        for member in range(members):
+            feats = np.zeros((n, config.l_max, p + 1))
+            coords = np.empty((n, config.l_max, 2))
+            feats[:, 0, :p] = x
+            coords[:, 0] = batch.coords
+            for i, pid in enumerate(batch.ids):
+                recs = [ctx.by_id[c] for c in predictor.neighbor_ids(int(pid), member)]
+                feats[i, 1:] = [[*r.x, r.y] for r in recs]
+                coords[i, 1:] = [[r.u, r.v] for r in recs]
+            want += forward_batch(feats, coords, params, config)
+        want /= members
+
+        order = np.random.default_rng(0).permutation(n)
+        shuffled = predictor(batch.ids[order], batch.coords[order], x[order])
+        got = predictor(batch.ids, batch.coords, x)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(shuffled, want[order], atol=1e-12, rtol=0)
 
 
 class TestExplanationsCsv:

@@ -1,12 +1,14 @@
 """Model-level tests: embedding, rotary encoding, biased attention, blocks,
 and the composed forward pass on recording and non-recording tapes."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from geoagg import autodiff as ad
+from geoagg import model as model_module
 from geoagg.autodiff import ContractError, Tape, grad_check
 from geoagg.model import (
     ModelConfig,
@@ -286,8 +288,10 @@ class TestInducedBlock:
     def test_linear_time_scaling_in_sequence_length(self):
         """Wall time against L fits a line well (the block is O(L m) per call).
 
-        Timed at a width where the length-proportional work dominates call
-        overhead; minimum over repetitions filters scheduler noise.
+        Timed at a width where the length-proportional work is a large share
+        of each call; minimum over repetitions filters scheduler noise.  Within a
+        repetition the lengths take turns call by call, so that a change in
+        machine speed reaches every length alike.
         """
         import time
 
@@ -298,16 +302,15 @@ class TestInducedBlock:
             self._block(config, params, rng.normal(size=(128, 64)))
 
         lengths = [16, 32, 64, 128]
-        times = []
-        for length in lengths:
-            tokens = rng.normal(size=(length, 64))
-            reps = []
-            for _ in range(11):
-                t0 = time.perf_counter()
-                for _ in range(20):
-                    self._block(config, params, tokens)
-                reps.append(time.perf_counter() - t0)
-            times.append(min(reps))
+        tokens = [rng.normal(size=(length, 64)) for length in lengths]
+        reps = np.zeros((11, len(lengths)))
+        for rep in reps:
+            for _ in range(20):
+                for i, seq in enumerate(tokens):
+                    t0 = time.perf_counter()
+                    self._block(config, params, seq)
+                    rep[i] += time.perf_counter() - t0
+        times = reps.min(axis=0)
         slope, intercept = np.polyfit(lengths, times, 1)
         fitted = slope * np.asarray(lengths) + intercept
         ss_res = ((np.asarray(times) - fitted) ** 2).sum()
@@ -465,6 +468,21 @@ class TestForwardBatch:
                 single.append(float(out.value[0, 0]))
             np.testing.assert_allclose(batched, single, atol=1e-12, rtol=0)
 
+    def test_row_blocks_match_one_pass(self):
+        """A batch longer than a row block gives what one pass over it gives."""
+        config = toy_config(d_model=16, n_heads=4, l_max=16, n_layers=2)
+        params = self._normalised_params(config)
+        n = 2 * model_module._ROW_BLOCK + 3
+        sequences = [seq_arrays(toy_sequence(10, seed=s)) for s in range(n)]
+        feats = np.stack([f for f, _ in sequences])
+        coords = np.stack([c for _, c in sequences])
+        tape = Tape(record=False)
+        whole, _ = forward_on_tape(tape, bind_params(tape, params), (feats, coords), config)
+        batched = forward_batch(feats, coords, params, config)
+        assert batched.shape == (n,)
+        np.testing.assert_allclose(batched, whole.value.reshape(n), atol=1e-12, rtol=0)
+        assert forward_batch(feats[:0], coords[:0], params, config).shape == (0,)
+
     def test_no_record_tape_stores_nothing(self):
         config = toy_config(d_model=16, n_heads=4, l_max=16, n_layers=2)
         params = self._normalised_params(config)
@@ -528,4 +546,31 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "other", "arrays": {}}')
         with pytest.raises(ContractError, match="format"):
+            load_params(path)
+
+    def _edited(self, tmp_path, edit):
+        config = toy_config()
+        path = tmp_path / "model.json"
+        save_params(path, toy_params(config, seed=8), config)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_missing_array_rejected(self, tmp_path):
+        path = self._edited(tmp_path, lambda doc: doc["arrays"].pop("agg.wv"))
+        with pytest.raises(ContractError, match="lacks array 'agg.wv'"):
+            load_params(path)
+
+    def test_wrongly_shaped_array_rejected(self, tmp_path):
+        def drop_a_row(doc):
+            doc["arrays"]["l0.a.wk"] = doc["arrays"]["l0.a.wk"][1:]
+
+        path = self._edited(tmp_path, drop_a_row)
+        with pytest.raises(ContractError, match=r"'l0.a.wk' has shape \(7, 8\).*\(8, 8\)"):
+            load_params(path)
+
+    def test_unknown_model_config_key_rejected(self, tmp_path):
+        path = self._edited(tmp_path, lambda doc: doc["model_config"].update(d_ff=64))
+        with pytest.raises(ContractError, match="unknown model_config key 'd_ff'"):
             load_params(path)
