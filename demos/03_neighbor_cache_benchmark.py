@@ -28,10 +28,8 @@ queries = QueryPool(test_ds.points)
 lengths = [16, 32, 64]
 members = 8
 
-rows = {}
-for mode in ("on_the_fly", "precomputed"):
-    rows[mode] = benchmark_inference(params, config, queries, context, lengths,
-                                     members=members, cache_mode=mode)
+records = benchmark_inference(params, config, queries, context, lengths, members=members)
+rows = {mode: [r for r in records if r.mode == mode] for mode in ("on_the_fly", "precomputed")}
 
 print(f"{'L':>4} {'on_the_fly':>12} {'precomputed':>12} {'ratio':>7} {'queries':>16}")
 for fly, pre in zip(rows["on_the_fly"], rows["precomputed"]):

@@ -17,7 +17,7 @@ import copy
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -96,8 +96,13 @@ def _resolve_seed(flag_value, config_value):
 
 def _load_model(path):
     params, config, train_dict = load_params(path)
-    tc = TrainConfig(**train_dict) if train_dict else TrainConfig()
-    return params, config, tc
+    train_dict = train_dict or {}
+    if not isinstance(train_dict, dict):
+        raise ContractError("model file's train_config must be an object")
+    unknown = sorted(set(train_dict) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise ContractError(f"model file has unknown train_config key {unknown[0]!r}")
+    return params, config, TrainConfig(**train_dict)
 
 
 def _split_pools(data_path, tc: TrainConfig):
@@ -192,15 +197,10 @@ def _cmd_bench(args) -> int:
     params, model_cfg, tc = _load_model(args.model)
     train_ds, test_ds = _split_pools(args.data, tc)
     lengths = [int(tok) for tok in args.lengths.split(",")]
-    context = ContextPool(train_ds.points)
-    queries = QueryPool(test_ds.points)
-    records = []
-    for mode in ("on_the_fly", "precomputed"):
-        records.extend(benchmark_inference(
-            params, model_cfg, queries, context, lengths,
-            members=args.members, cache_mode=mode,
-            expansion=tc.expansion_factor,
-        ))
+    records = benchmark_inference(
+        params, model_cfg, QueryPool(test_ds.points), ContextPool(train_ds.points),
+        lengths, members=args.members, expansion=tc.expansion_factor,
+    )
     write_bench_csv(args.out, records)
     print(f"wrote {len(records)} timing rows to {args.out}")
     return 0
@@ -245,15 +245,11 @@ def _cmd_reproduce(args) -> int:
             write_explanations_csv(outdir / "explanations_gwr.csv", result, beta)
             print(f"[gwr] explained {len(result.ids)} rows")
         else:
-            context = ContextPool(train_ds.points)
-            queries = QueryPool(test_ds.points)
-            records = []
-            for mode in ("on_the_fly", "precomputed"):
-                records.extend(benchmark_inference(
-                    params, model_cfg, queries, context, cfg["bench"]["lengths"],
-                    members=cfg["bench"]["members"], cache_mode=mode,
-                    expansion=tc.expansion_factor,
-                ))
+            records = benchmark_inference(
+                params, model_cfg, QueryPool(test_ds.points), ContextPool(train_ds.points),
+                cfg["bench"]["lengths"], members=cfg["bench"]["members"],
+                expansion=tc.expansion_factor,
+            )
             write_bench_csv(outdir / "bench_sl.csv", records)
             print("[sl] benchmark written")
     print(f"reproduction artifacts in {outdir}")

@@ -36,6 +36,7 @@ from .model import ModelConfig, ModelParams, forward_batch
 from .spatial import (
     ContextPool,
     SequenceLookupError,
+    gather,
     neighbor_budget,
     precompute_neighbors,
     QueryPool,
@@ -262,10 +263,11 @@ class ShapPredictor:
         if pid not in self._cache:
             # rows substituted from the background carry context-pool ids;
             # their true neighbourhoods are filled in on first use
-            rec = self.context.by_id.get(pid)
-            if rec is None:
+            row = self.context.row_of.get(pid)
+            if row is None:
                 raise SequenceLookupError(f"unknown point id {pid}")
-            self._cache.entries[pid] = self.context.tree.knn((rec.u, rec.v), self._cache.k)
+            self._cache.entries[pid] = self.context.tree.knn(
+                self.context.coords[row].tolist(), self._cache.k)
         return self._cache[pid]
 
     def _context_rows(self, member: int, pid: int):
@@ -274,17 +276,9 @@ class ShapPredictor:
         rows = self._contexts.get(key)
         if rows is None:
             entry = self._entry(pid)
-            idx = subset_indices(entry, pid, self.config.l_max,
-                                 self._member_rng(member, pid))
-            recs = [self.context.by_id[entry[i][0]] for i in idx]
-            p = self.params.p
-            feats = np.empty((len(recs), p + 1))
-            coords = np.empty((len(recs), 2))
-            for i, rec in enumerate(recs):
-                feats[i, :p] = rec.x
-                feats[i, p] = rec.y
-                coords[i] = rec.u, rec.v
-            rows = (feats, coords)
+            rows = gather(self.context, entry,
+                          subset_indices(entry, pid, self.config.l_max,
+                                         self._member_rng(member, pid)))
             self._contexts[key] = rows
         return rows
 
@@ -293,13 +287,12 @@ class ShapPredictor:
         coords = np.asarray(coords, dtype=np.float64).reshape(len(ids), 2)
         x = np.asarray(x, dtype=np.float64).reshape(len(ids), -1)
         n = len(ids)
-        p = self.params.p
         l_max = self.config.l_max
         out = np.zeros(n)
-        feats = np.empty((n, l_max, p + 1))
+        feats = np.empty((n, l_max, self.context.feats.shape[1]))
         seq_coords = np.empty((n, l_max, 2))
-        feats[:, 0, :p] = x
-        feats[:, 0, p] = 0.0
+        feats[:, 0, :-1] = x
+        feats[:, 0, -1] = 0.0
         seq_coords[:, 0] = coords
         for member in range(self.members):
             for i, pid in enumerate(ids.tolist()):

@@ -40,6 +40,7 @@ from .spatial import (
     ContextPool,
     QueryPool,
     assemble_sequence,
+    gather,
     neighbor_budget,
     precompute_neighbors,
     subset_indices,
@@ -132,6 +133,8 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
         raise ContractError(
             f"dataset has {dataset.n} points, need at least l_max={config.l_max}"
         )
+    # the pool checks every row before the statistics below read them
+    context = ContextPool(dataset.points)
     rng_init = np.random.default_rng([_SEED_INIT, tc.seed])
     params = init_params(config, dataset.p, rng_init)
 
@@ -142,15 +145,13 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
     params.norm["y_mean"] = np.array([[y.mean()]])
     params.norm["y_std"] = np.maximum(np.array([[y.std()]]), 1e-12)
 
-    context = ContextPool(dataset.points)
-    queries = QueryPool(dataset.points)
     cache = precompute_neighbors(
-        queries, context, neighbor_budget(config.l_max, tc.expansion_factor)
+        context, context, neighbor_budget(config.l_max, tc.expansion_factor)
     )
 
     state = AdamState()
     history: list[float] = []
-    ids = [r.id for r in dataset.points]
+    ids = context.ids.tolist()
     for epoch in range(tc.epochs):
         rng = np.random.default_rng([_SEED_EPOCH, tc.seed, epoch])
         order = rng.permutation(len(ids))
@@ -192,8 +193,8 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
     ``precomputed`` mode queries the tree once per query point up front;
     ``on_the_fly`` re-queries it for every member and query.  Both modes feed
     identical candidate lists through identical rng streams, so their
-    predictions match exactly.  Per query, all members run as one batched
-    forward pass over the shared candidate arrays.
+    predictions match exactly.  Per query, the candidates' rows are gathered
+    once, and all members run as one batched forward pass over them.
     """
     if members < 1:
         raise ContractError("need at least one ensemble member")
@@ -205,7 +206,12 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
         # benchmarking sweeps the sequence length past the training-time bound
         config = replace(config, l_max=l_max)
     k = neighbor_budget(l_max, expansion)
-    p = params.p
+    width = context.feats.shape[1]
+    if len(queries) and queries.x.shape[1] != width - 1:
+        raise ContractError(
+            f"query points carry {queries.x.shape[1]} covariates, "
+            f"context points carry {width - 1}"
+        )
 
     cache = None
     if cache_mode == "precomputed":
@@ -213,52 +219,33 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
     rngs = [np.random.default_rng([seed, member]) for member in range(members)]
 
     preds = np.empty((members, len(queries)))
-    feats = np.empty((members, l_max, p + 1))
+    feats = np.empty((members, l_max, width))
     coords = np.empty((members, l_max, 2))
-    for qi, rec in enumerate(queries.records):
-        cand_feats = None
-        feats[:, 0, :p] = rec.x
-        feats[:, 0, p] = 0.0
-        coords[:, 0, 0] = rec.u
-        coords[:, 0, 1] = rec.v
+    for qi, (qid, uv) in enumerate(zip(queries.ids.tolist(), queries.coords.tolist())):
+        candidates = None
+        feats[:, 0, :-1] = queries.x[qi]
+        feats[:, 0, -1] = 0.0
+        coords[:, 0] = uv
         for member in range(members):
             if cache is not None:
-                entry = cache[rec.id]
+                entry = cache[qid]
             else:
                 # the naive pipeline being modelled repeats this search for
                 # every member; the repeated results are identical
-                entry = context.tree.knn((rec.u, rec.v), k)
+                entry = context.tree.knn(uv, k)
             if len(entry) < l_max:
                 raise ContractError(
-                    f"only {len(entry)} context points available for id {rec.id}, "
+                    f"only {len(entry)} context points available for id {qid}, "
                     f"need at least {l_max}"
                 )
-            if cand_feats is None:
-                cand_feats, cand_coords = _candidate_arrays(context, entry, p)
-            idx = subset_indices(entry, rec.id, l_max, rngs[member])
-            feats[member, 1:] = cand_feats[idx]
-            coords[member, 1:] = cand_coords[idx]
+            if candidates is None:
+                # ids map to rows once per query; members index the result
+                candidates = gather(context, entry, range(len(entry)))
+            idx = subset_indices(entry, qid, l_max, rngs[member])
+            feats[member, 1:] = candidates[0][idx]
+            coords[member, 1:] = candidates[1][idx]
         preds[:, qi] = forward_batch(feats, coords, params, config)
     return preds
-
-
-def _candidate_arrays(context: ContextPool, entry, p: int):
-    """Raw feature/coordinate arrays for a cached entry's records, built once."""
-    cand_feats = np.empty((len(entry), p + 1))
-    cand_coords = np.empty((len(entry), 2))
-    for i, (cid, _) in enumerate(entry):
-        rec = context.by_id[cid]
-        if len(rec.x) != p:
-            raise ContractError(
-                f"record id {cid} carries {len(rec.x)} covariates, model expects {p}"
-            )
-        if rec.y is None:
-            raise ContractError(f"context record id {cid} lacks a target value")
-        cand_feats[i, :p] = rec.x
-        cand_feats[i, p] = rec.y
-        cand_coords[i, 0] = rec.u
-        cand_coords[i, 1] = rec.v
-    return cand_feats, cand_coords
 
 
 def predict_ensemble(params: ModelParams, config: ModelConfig,
@@ -280,8 +267,7 @@ def predict_ensemble(params: ModelParams, config: ModelConfig,
         std[np.ptp(preds, axis=0) == 0.0] = 0.0
     else:
         std = np.zeros(preds.shape[1])
-    ids = np.array([r.id for r in queries.records], dtype=np.int64)
-    return EnsemblePrediction(ids=ids, mean=mean, std=std, members=members)
+    return EnsemblePrediction(ids=queries.ids.copy(), mean=mean, std=std, members=members)
 
 
 def evaluate(y_pred, y_true) -> Metrics:
@@ -313,27 +299,28 @@ class BenchRecord:
 def benchmark_inference(params: ModelParams, config: ModelConfig,
                         queries: QueryPool, context: ContextPool,
                         lengths: list[int], members: int,
-                        cache_mode: str, expansion: float = 1.25,
-                        seed: int = 0) -> list[BenchRecord]:
-    """Wall-clock ensemble inference time for each sequence length.
+                        expansion: float = 1.25, seed: int = 0) -> list[BenchRecord]:
+    """Wall-clock ensemble inference time for each sequence length and cache mode.
 
-    The timed region covers neighbour lookup (cached or live) plus all member
-    forward passes; the tree's query counter is captured alongside so the two
-    modes' lookup behaviour is verifiable (``n_queries`` versus
-    ``members * n_queries``).
+    Each length is timed ``on_the_fly`` and then ``precomputed``, back to
+    back, so a drift in machine speed during the sweep moves both modes of a
+    length alike rather than their ratio.  The timed region covers neighbour
+    lookup (cached or live) plus all member forward passes; the tree's query
+    counter is captured alongside so the two modes' lookup behaviour is
+    verifiable (``n_queries`` versus ``members * n_queries``).
     """
     if list(lengths) != sorted(lengths):
         raise ContractError("lengths must be ascending")
     records = []
     for length in lengths:
-        context.tree.reset_query_count()
-        t0 = time.perf_counter()
-        _member_predictions(params, config, queries, context, members,
-                            expansion, seed, l_max=length, cache_mode=cache_mode)
-        elapsed = time.perf_counter() - t0
-        records.append(BenchRecord(length=length, mode=cache_mode,
-                                   seconds=elapsed,
-                                   tree_queries=context.tree.query_count))
+        for mode in ("on_the_fly", "precomputed"):
+            context.tree.reset_query_count()
+            t0 = time.perf_counter()
+            _member_predictions(params, config, queries, context, members,
+                                expansion, seed, l_max=length, cache_mode=mode)
+            elapsed = time.perf_counter() - t0
+            records.append(BenchRecord(length=length, mode=mode, seconds=elapsed,
+                                       tree_queries=context.tree.query_count))
     return records
 
 

@@ -2,9 +2,15 @@
 
 The data-loading side of the regressor keeps two pools of points: a context
 pool of observed points (which owns a k-d tree over their coordinates) and a
-query pool of points to be predicted.  Neighbourhoods are looked up once per
-query point and cached; every input sequence afterwards is assembled from the
-cache alone, so repeated epochs and ensemble members never touch the tree.
+query pool of points to be predicted.  Both are columnar: they check their
+rows once, at construction, and hold them as arrays (ids, coordinates,
+covariates and, for context, observed targets) with an id -> row index, so a
+bad row fails there with one line rather than wherever it is first read.
+Neighbourhoods are looked up once per query point and cached; every input
+sequence afterwards is assembled from the cache alone, so repeated epochs and
+ensemble members never touch the tree.  Training, prediction and explanation
+read context rows through one helper, :func:`gather`, at the cache positions
+that :func:`subset_indices` picks.
 
 An input sequence is the target point followed by ``l_max - 1`` of its cached
 neighbours.  The cache deliberately over-fetches by an expansion factor, and
@@ -38,6 +44,7 @@ __all__ = [
     "build_tree",
     "precompute_neighbors",
     "assemble_sequence",
+    "gather",
     "subset_indices",
     "neighbor_budget",
 ]
@@ -58,53 +65,68 @@ class PointRecord:
     y: float | None = None
 
 
-def _check_records(records):
-    records = tuple(records)
-    seen = set()
-    for r in records:
-        if r.id in seen:
-            raise ContractError(f"duplicate point id {r.id}")
-        seen.add(r.id)
-        if not (math.isfinite(r.u) and math.isfinite(r.v)):
-            raise ContractError(f"point id {r.id} has non-finite coordinates")
-        if not np.isfinite(r.x).all():
-            raise ContractError(f"point id {r.id} has non-finite covariates")
-        if r.y is not None and not math.isfinite(r.y):
-            raise ContractError(f"point id {r.id} has a non-finite target")
-    return records
-
-
-class ContextPool:
-    """Immutable pool of observed points plus a k-d tree over their coords."""
-
-    def __init__(self, records):
-        records = _check_records(records)
-        if not records:
-            raise ContractError("context pool must not be empty")
-        self.records = records
-        self.by_id = {r.id: r for r in records}
-        self.tree = build_tree(self)
-
-    def __len__(self):
-        return len(self.records)
-
-
 class QueryPool:
-    """Immutable pool of points to be predicted."""
+    """Immutable pool of points to be predicted, checked once and held as columns.
+
+    Every invariant a row must meet is checked here and nowhere else: unique
+    ids, finite coordinates, covariates and targets, and one covariate
+    count.  The rows are then held as ``ids`` ``(n,)``, ``coords``
+    ``(n, 2)`` and ``x`` ``(n, p)``, with ``row_of`` the id -> row index.
+    """
+
+    need_targets = False
 
     def __init__(self, records):
-        self.records = _check_records(records)
-        self.by_id = {r.id: r for r in self.records}
+        self.records = tuple(records)
+        self.row_of = {}
+        p = len(self.records[0].x) if self.records else 0
+        for row, r in enumerate(self.records):
+            if self.row_of.setdefault(r.id, row) != row:
+                raise ContractError(f"duplicate point id {r.id}")
+            if not (math.isfinite(r.u) and math.isfinite(r.v)):
+                raise ContractError(f"point id {r.id} has non-finite coordinates")
+            if len(r.x) != p:
+                raise ContractError(
+                    f"point id {r.id} carries {len(r.x)} covariates, "
+                    f"point id {self.records[0].id} carries {p}"
+                )
+            if not np.isfinite(r.x).all():
+                raise ContractError(f"point id {r.id} has non-finite covariates")
+            if r.y is None:
+                if self.need_targets:
+                    raise ContractError(f"context point id {r.id} lacks a target value")
+            elif not math.isfinite(r.y):
+                raise ContractError(f"point id {r.id} has a non-finite target")
+        self.ids = np.array([r.id for r in self.records], dtype=np.int64)
+        self.coords = np.array([(r.u, r.v) for r in self.records]).reshape(-1, 2)
+        self.x = np.array([r.x for r in self.records], dtype=np.float64)
+        self.x = self.x.reshape(len(self.ids), p)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.ids)
+
+
+class ContextPool(QueryPool):
+    """Immutable pool of observed points plus a k-d tree over their coords.
+
+    The rows are checked as a query pool's are, and each must also carry a
+    target.  ``feats`` ``(n, p + 1)`` holds the covariates, then the
+    observed target.
+    """
+
+    need_targets = True
+
+    def __init__(self, records):
+        super().__init__(records)
+        if not self.records:
+            raise ContractError("context pool must not be empty")
+        self.feats = np.column_stack([self.x, [r.y for r in self.records]])
+        self.tree = build_tree(self)
 
 
 def build_tree(pool: ContextPool) -> KdTree:
     """Balanced (median split, alternating axes) tree over a pool's points."""
-    coords = np.array([[r.u, r.v] for r in pool.records])
-    ids = np.array([r.id for r in pool.records])
-    return KdTree(coords, ids)
+    return KdTree(pool.coords, pool.ids)
 
 
 @dataclass
@@ -136,7 +158,8 @@ def neighbor_budget(l_max: int, expansion: float) -> int:
 
 def precompute_neighbors(queries: QueryPool, context: ContextPool, k: int) -> NeighborCache:
     """Query the context tree once per query point and cache the results."""
-    entries = {r.id: context.tree.knn((r.u, r.v), k) for r in queries.records}
+    entries = {pid: context.tree.knn(uv, k)
+               for pid, uv in zip(queries.ids.tolist(), queries.coords.tolist())}
     return NeighborCache(entries=entries, k=k)
 
 
@@ -158,17 +181,24 @@ def subset_indices(entry, target_id: int, l_max: int, rng: np.random.Generator):
     return positions
 
 
+def gather(context: ContextPool, entry, positions):
+    """``(feats, coords)`` of the context rows at ``positions`` of a cached entry.
+
+    The one path by which training, prediction and explanation read context
+    rows: ``(len(positions), p + 1)`` covariates and observed targets, and
+    ``(len(positions), 2)`` coordinates.
+    """
+    rows = [context.row_of[entry[i][0]] for i in positions]
+    return context.feats[rows], context.coords[rows]
+
+
 def assemble_sequence(target_id: int, cache: NeighborCache, context: ContextPool,
-                      l_max: int, rng: np.random.Generator,
-                      target: PointRecord | None = None):
-    """Build one model input sequence: the target point, then its neighbours.
+                      l_max: int, rng: np.random.Generator):
+    """Build one model input sequence: a context point, then its neighbours.
 
     Returns ``(feats, coords)``: ``(l_max, p + 1)`` covariates with the
     observed target in the last channel (0 in the target's own row, which
-    the model masks) and ``(l_max, 2)`` planar coordinates.  ``target``
-    overrides the context record for the target point (needed when the
-    target is not an observed point, or has been perturbed); neighbours
-    always come from the context pool by id.
+    the model masks) and ``(l_max, 2)`` planar coordinates.
     """
     entry = cache[target_id]
     if len(entry) < l_max:
@@ -176,27 +206,10 @@ def assemble_sequence(target_id: int, cache: NeighborCache, context: ContextPool
             f"cache entry for id {target_id} holds {len(entry)} neighbors, "
             f"need at least l_max={l_max}"
         )
-    if target is None:
-        try:
-            target = context.by_id[target_id]
-        except KeyError:
-            raise SequenceLookupError(
-                f"id {target_id} is not in the context pool and no target record was given"
-            ) from None
-    records = [target] + [context.by_id[entry[i][0]]
-                          for i in subset_indices(entry, target_id, l_max, rng)]
-    p = len(target.x)
-    feats = np.zeros((len(records), p + 1))
-    coords = np.empty((len(records), 2))
-    for i, rec in enumerate(records):
-        if len(rec.x) != p:
-            raise ContractError(
-                f"record id {rec.id} carries {len(rec.x)} covariates, target has {p}"
-            )
-        feats[i, :p] = rec.x
-        coords[i] = rec.u, rec.v
-        if i > 0:
-            if rec.y is None:
-                raise ContractError(f"context record id {rec.id} lacks a target value")
-            feats[i, p] = rec.y
-    return feats, coords
+    row = context.row_of.get(target_id)
+    if row is None:
+        raise SequenceLookupError(f"id {target_id} is not in the context pool")
+    feats, coords = gather(context, entry, subset_indices(entry, target_id, l_max, rng))
+    feats = np.vstack([context.feats[row], feats])
+    feats[0, -1] = 0.0
+    return feats, np.vstack([context.coords[row], coords])

@@ -113,13 +113,12 @@ def bench_records(trained_models):
     run = trained_models[("sl", 0)]
     queries = QueryPool(run["test"].points)
     context = ContextPool(run["train"].points)
-    records = {}
-    for mode in ("on_the_fly", "precomputed"):
-        records[mode] = benchmark_inference(
-            run["params"], ModelConfig(), queries, context,
-            [16, 32, 64, 128], members=8, cache_mode=mode, expansion=1.25, seed=0,
-        )
-    return records
+    rows = benchmark_inference(
+        run["params"], ModelConfig(), queries, context,
+        [16, 32, 64, 128], members=8, expansion=1.25, seed=0,
+    )
+    return {mode: [r for r in rows if r.mode == mode]
+            for mode in ("on_the_fly", "precomputed")}
 
 
 def test_criterion_1_full_model_gradients(capsys):

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from geoagg.cli import DEFAULT_CONFIG, load_config, main
+from geoagg.datasets import load_csv
+from geoagg.pipeline import split_dataset
 
 
 SMALL_CONFIG = {
@@ -150,6 +152,41 @@ class TestTrainPredictExplainBench:
         assert code == 1
         err = capsys.readouterr().err
         assert "parameter file lacks array 'l1.a.wk'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_missing_context_target_is_a_data_error(self, trained, capsys):
+        """A blank ``y`` on a train-split row stops every command at the pool."""
+        data, model, cfg, tmp_path = trained
+        train_ds, _ = split_dataset(load_csv(data), 0.7, SMALL_CONFIG["train"]["seed"])
+        pid = train_ds.points[0].id
+        lines = data.read_text().splitlines()
+        row = next(i for i, ln in enumerate(lines) if ln.split(",")[0] == str(pid))
+        lines[row] = lines[row].rsplit(",", 1)[0] + ","
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        commands = [
+            ("train", "--data", bad, "--config", cfg, "--model-out", tmp_path / "m2.json"),
+            ("predict", "--model", model, "--data", bad, "--out", tmp_path / "p.csv"),
+            ("explain", "--model", model, "--data", bad, "--background", 5,
+             "--out", tmp_path / "e.csv"),
+        ]
+        for argv in commands:
+            assert run(*argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert f"context point id {pid} lacks a target value" in err, argv[0]
+            assert len(err.strip().splitlines()) == 1, argv[0]
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_unknown_train_config_key_is_runtime_error(self, trained, capsys):
+        data, model, cfg, tmp_path = trained
+        doc = json.loads(model.read_text())
+        doc["train_config"]["warmup"] = 3
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        code = run("predict", "--model", bad, "--data", data, "--out", tmp_path / "p.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown train_config key 'warmup'" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_missing_model_file_is_runtime_error(self, tmp_path, capsys):

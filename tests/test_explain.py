@@ -306,6 +306,7 @@ class TestShapPredictorWrapper:
         n, p = batch.x.shape
 
         # every sequence gathered afresh from its member's neighbour ids
+        by_id = {r.id: r for r in ctx.records}
         want = np.zeros(n)
         for member in range(members):
             feats = np.zeros((n, config.l_max, p + 1))
@@ -313,7 +314,7 @@ class TestShapPredictorWrapper:
             feats[:, 0, :p] = x
             coords[:, 0] = batch.coords
             for i, pid in enumerate(batch.ids):
-                recs = [ctx.by_id[c] for c in predictor.neighbor_ids(int(pid), member)]
+                recs = [by_id[c] for c in predictor.neighbor_ids(int(pid), member)]
                 feats[i, 1:] = [[*r.x, r.y] for r in recs]
                 coords[i, 1:] = [[r.u, r.v] for r in recs]
             want += forward_batch(feats, coords, params, config)

@@ -138,6 +138,18 @@ class TestPredictEnsemble:
         at_101 = _member_predictions(params, config, q, ctx, 2, 1.5, 101)
         assert not np.array_equal(at_100[1], at_101[0])
 
+    def test_covariate_counts_must_agree(self):
+        """Queries wider than the context, or a model narrower than both."""
+        params, config, ctx, q = self._fitted()
+        wide = QueryPool([PointRecord(r.id, r.u, r.v, np.append(r.x, 0.0), None)
+                          for r in q.records])
+        with pytest.raises(ContractError, match="query points carry 3 covariates"):
+            predict_ensemble(params, config, wide, ctx, 2, 1.25, 0)
+        wide_ctx = ContextPool([PointRecord(r.id, r.u, r.v, np.append(r.x, 0.0), r.y)
+                                for r in ctx.records])
+        with pytest.raises(ContractError, match="3 covariate channels, model expects 2"):
+            predict_ensemble(params, config, wide, wide_ctx, 2, 1.25, 0)
+
     def test_statistics_invariant_to_member_relabeling(self):
         params, config, ctx, q = self._fitted()
         preds = _member_predictions(params, config, q, ctx, 5, 1.5, 3)
@@ -193,14 +205,12 @@ class TestBenchmark:
     def test_query_counters_per_mode(self):
         params, config, ctx, q = self._setup()
         for members in (1, 3):
-            rows_fly = benchmark_inference(params, config, q, ctx, [4, 8], members,
-                                           "on_the_fly")
-            rows_pre = benchmark_inference(params, config, q, ctx, [4, 8], members,
-                                           "precomputed")
-            for rec in rows_fly:
-                assert rec.tree_queries == members * len(q)
-            for rec in rows_pre:
-                assert rec.tree_queries == len(q)
+            rows = benchmark_inference(params, config, q, ctx, [4, 8], members)
+            assert [(r.length, r.mode) for r in rows] == [
+                (4, "on_the_fly"), (4, "precomputed"), (8, "on_the_fly"), (8, "precomputed")]
+            for rec in rows:
+                want = members * len(q) if rec.mode == "on_the_fly" else len(q)
+                assert rec.tree_queries == want
 
     def test_modes_agree_on_predictions(self):
         params, config, ctx, q = self._setup()
@@ -213,7 +223,7 @@ class TestBenchmark:
     def test_lengths_must_ascend(self):
         params, config, ctx, q = self._setup()
         with pytest.raises(ContractError, match="ascending"):
-            benchmark_inference(params, config, q, ctx, [8, 4], 1, "precomputed")
+            benchmark_inference(params, config, q, ctx, [8, 4], 1)
 
     def test_unknown_mode_rejected(self):
         params, config, ctx, q = self._setup()

@@ -13,8 +13,10 @@ from geoagg.spatial import (
     SequenceLookupError,
     assemble_sequence,
     build_tree,
+    gather,
     neighbor_budget,
     precompute_neighbors,
+    subset_indices,
 )
 from geoagg.pipeline import split_dataset
 
@@ -132,6 +134,33 @@ class TestPools:
                 QueryPool(bad)
         QueryPool([PointRecord(first.id, first.u, first.v, first.x, None)])
 
+    def test_ragged_covariate_counts_rejected(self):
+        recs = make_records([(0.1, 0.1), (0.2, 0.2), (0.3, 0.3)])
+        ragged = recs[:2] + [PointRecord(recs[2].id, recs[2].u, recs[2].v,
+                                         np.zeros(3), recs[2].y)]
+        with pytest.raises(ContractError,
+                           match=f"id {recs[2].id} carries 3 covariates"):
+            ContextPool(ragged)
+        with pytest.raises(ContractError, match="carries 3 covariates"):
+            QueryPool(ragged)
+
+    def test_context_point_without_target_rejected(self):
+        recs = make_records([(0.1, 0.1), (0.2, 0.2)])
+        blank = [recs[0], PointRecord(recs[1].id, recs[1].u, recs[1].v, recs[1].x, None)]
+        with pytest.raises(ContractError,
+                           match=f"context point id {recs[1].id} lacks a target value"):
+            ContextPool(blank)
+        assert len(QueryPool(blank)) == 2
+
+    def test_columns_follow_the_records(self):
+        recs = make_records(np.random.default_rng(11).random((7, 2)), start_id=40)
+        pool = ContextPool(recs[::-1])
+        for row, r in enumerate(recs[::-1]):
+            assert pool.row_of[r.id] == row
+            assert pool.ids[row] == r.id
+            np.testing.assert_array_equal(pool.coords[row], [r.u, r.v])
+            np.testing.assert_array_equal(pool.feats[row], [*r.x, r.y])
+
     def test_build_tree_standalone(self):
         pool = ContextPool(make_records([(0.0, 0.0), (1.0, 1.0)]))
         tree = build_tree(pool)
@@ -204,10 +233,11 @@ class TestAssembleSequence:
         l_max = 8
         probe = PointRecord(777, 0.5, 0.5, np.zeros(2), None)
         cache = precompute_neighbors(QueryPool([probe]), context, l_max)
-        a = assemble_sequence(777, cache, context, l_max,
-                              np.random.default_rng(1), target=probe)
-        b = assemble_sequence(777, cache, context, l_max,
-                              np.random.default_rng(2), target=probe)
+        entry = cache[777]
+        a = gather(context, entry, subset_indices(entry, 777, l_max,
+                                                  np.random.default_rng(1)))
+        b = gather(context, entry, subset_indices(entry, 777, l_max,
+                                                  np.random.default_rng(2)))
         assert seq_ids(a, recs + [probe]) == seq_ids(b, recs + [probe])
 
     def test_surplus_varies_with_seed_and_repeats_with_same_seed(self):
@@ -257,6 +287,13 @@ class TestAssembleSequence:
         cache = precompute_neighbors(QueryPool(recs[:5]), context, 8)
         with pytest.raises(SequenceLookupError, match=str(recs[20].id)):
             assemble_sequence(recs[20].id, cache, context, 8, np.random.default_rng(0))
+
+    def test_target_outside_the_context_pool_raises_lookup_error(self):
+        recs, context = self._setup()
+        probe = PointRecord(777, 0.5, 0.5, np.zeros(2), None)
+        cache = precompute_neighbors(QueryPool([probe]), context, 8)
+        with pytest.raises(SequenceLookupError, match="777"):
+            assemble_sequence(777, cache, context, 8, np.random.default_rng(0))
 
     def test_entry_shorter_than_l_max_rejected(self):
         recs, context = self._setup(n=6)
