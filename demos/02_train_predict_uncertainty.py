@@ -29,8 +29,8 @@ config = ModelConfig(d_model=32, n_heads=4, n_inducing=8, l_max=32, n_layers=2)
 params, history = train(train_ds, config, TrainConfig(epochs=15, seed=0))
 print(f"training MSE: {history[0]:.3f} -> {history[-1]:.3f} over {len(history)} epochs")
 
-context = ContextPool(train_ds.points)
-queries = QueryPool(test_ds.points)
+context = ContextPool(train_ds)
+queries = QueryPool(test_ds)
 truth = test_ds.targets()
 
 for members in (1, 4, 8):

@@ -23,8 +23,8 @@ train_ds, test_ds = split_dataset(ds, split=0.7, seed=0)
 config = ModelConfig(l_max=64)
 params, _ = train(train_ds, config, TrainConfig(epochs=5, seed=0))
 
-context = ContextPool(train_ds.points)
-queries = QueryPool(test_ds.points)
+context = ContextPool(train_ds)
+queries = QueryPool(test_ds)
 lengths = [16, 32, 64]
 members = 8
 

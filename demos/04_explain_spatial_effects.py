@@ -32,14 +32,12 @@ config = ModelConfig(l_max=32)
 params, _ = train(train_ds, config, TrainConfig(epochs=15, seed=0))
 
 rng = np.random.default_rng(0)
-background = RowBatch.from_records(
-    [train_ds.points[i] for i in sorted(rng.choice(train_ds.n, 30, replace=False))]
-)
-inst_records = [test_ds.points[i] for i in sorted(rng.choice(test_ds.n, 40, replace=False))]
-instances = RowBatch.from_records(inst_records)
+background = RowBatch.from_dataset(
+    train_ds.take(np.sort(rng.choice(train_ds.n, 30, replace=False))))
+inst_ds = test_ds.take(np.sort(rng.choice(test_ds.n, 40, replace=False)))
+instances = RowBatch.from_dataset(inst_ds)
 
-predictor = make_shap_predictor(params, config, ContextPool(train_ds.points),
-                                QueryPool(inst_records))
+predictor = make_shap_predictor(params, config, ContextPool(train_ds), QueryPool(inst_ds))
 result = geoshapley_explain(predictor, instances, background)
 
 # the four components reconstruct the prediction exactly

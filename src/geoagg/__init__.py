@@ -25,6 +25,7 @@ from .autodiff import (
 from .datasets import (
     CsvFormatError,
     GeoDataset,
+    PointRecord,
     generate_gwr,
     generate_sl,
     gwr_beta1,
@@ -66,7 +67,6 @@ from .pipeline import (
 from .spatial import (
     ContextPool,
     NeighborCache,
-    PointRecord,
     QueryPool,
     assemble_sequence,
     build_tree,

@@ -38,11 +38,9 @@ __all__ = [
     "Var",
     "backward",
     "matmul",
-    "transpose",
     "add",
     "sub",
     "mul",
-    "scale",
     "add_const",
     "mul_const",
     "slice_rows",
@@ -104,29 +102,6 @@ class Var:
     def grad(self) -> np.ndarray | None:
         return self.tape.grads[self.idx]
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return NotImplemented
-
 
 class Tape:
     """Ordered record of primitive operations and their value slots.
@@ -135,18 +110,15 @@ class Tape:
     :class:`Var` handles only, and :func:`backward` refuses the tape.
     """
 
-    def __init__(self, check_finite: bool = False, record: bool = True):
+    def __init__(self, record: bool = True):
         self.values: list[np.ndarray] = []
         self.grads: list[np.ndarray | None] = []
         self.ops: list[_Op] = []
-        self.check_finite = check_finite
         self.recording = record
 
     def slot(self, value) -> Var:
         """A leaf (parameter or constant) holding ``value``, slotted if recording."""
         arr = as_matrix(value)
-        if self.check_finite and not np.isfinite(arr).all():
-            raise ContractError("non-finite value entering the tape")
         if not self.recording:
             return Var(self, -1, arr)
         self.values.append(arr)
@@ -200,10 +172,6 @@ def matmul(a: Var, b) -> Var:
     return tape.record("matmul", (a, b), a.value @ b.value)
 
 
-def transpose(a: Var) -> Var:
-    return a.tape.record("transpose", (a,), np.ascontiguousarray(a.value.swapaxes(-1, -2)))
-
-
 def add(a: Var, b) -> Var:
     tape = a.tape
     b = _coerce(tape, b)
@@ -221,10 +189,6 @@ def mul(a: Var, b) -> Var:
     tape = a.tape
     b = _coerce(tape, b)
     return tape.record("mul", (a, b), a.value * b.value)
-
-
-def scale(a: Var, c: float) -> Var:
-    return a.tape.record("scale", (a,), a.value * c, c=c)
 
 
 def add_const(a: Var, c) -> Var:
@@ -456,10 +420,6 @@ def _bwd_matmul(tape, op):
     tape.grads[op.inputs[1]] += _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
 
 
-def _bwd_transpose(tape, op):
-    tape.grads[op.inputs[0]] += tape.grads[op.output].swapaxes(-1, -2)
-
-
 def _bwd_add(tape, op):
     g = tape.grads[op.output]
     for idx in op.inputs:
@@ -479,10 +439,6 @@ def _bwd_mul(tape, op):
     a, b = tape.values[a_idx], tape.values[b_idx]
     tape.grads[a_idx] += _unbroadcast(g * b, a.shape)
     tape.grads[b_idx] += _unbroadcast(g * a, b.shape)
-
-
-def _bwd_scale(tape, op):
-    tape.grads[op.inputs[0]] += tape.grads[op.output] * op.aux["c"]
 
 
 def _bwd_add_const(tape, op):
@@ -570,11 +526,9 @@ def _bwd_multihead_attention(tape, op):
 
 _BACKWARD = {
     "matmul": _bwd_matmul,
-    "transpose": _bwd_transpose,
     "add": _bwd_add,
     "sub": _bwd_sub,
     "mul": _bwd_mul,
-    "scale": _bwd_scale,
     "add_const": _bwd_add_const,
     "mul_const": _bwd_mul_const,
     "slice_rows": _bwd_slice_rows,

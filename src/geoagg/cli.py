@@ -17,7 +17,7 @@ import copy
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,8 @@ from .explain import (
     make_shap_predictor,
     write_explanations_csv,
 )
-from .model import ModelConfig, load_params, save_params
+from .model import (ModelConfig, check_config_section, check_config_value, load_params,
+                    save_params)
 from .pipeline import (
     TrainConfig,
     benchmark_inference,
@@ -62,12 +63,10 @@ def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
         here = f"{path}{key}"
         if key not in defaults:
             raise ContractError(f"unknown config key '{here}'")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ContractError(f"config key '{here}' must be an object")
-            merged[key] = _merge_strict(defaults[key], value, here + ".")
-        else:
-            merged[key] = value
+        check_config_value(f"config key '{here}'", defaults[key], value)
+        if isinstance(value, dict):
+            value = _merge_strict(defaults[key], value, here + ".")
+        merged[key] = value
     return merged
 
 
@@ -97,18 +96,8 @@ def _resolve_seed(flag_value, config_value):
 def _load_model(path):
     params, config, train_dict = load_params(path)
     train_dict = train_dict or {}
-    if not isinstance(train_dict, dict):
-        raise ContractError("model file's train_config must be an object")
-    unknown = sorted(set(train_dict) - {f.name for f in fields(TrainConfig)})
-    if unknown:
-        raise ContractError(f"model file has unknown train_config key {unknown[0]!r}")
+    check_config_section("model file", "train_config", train_dict, asdict(TrainConfig()))
     return params, config, TrainConfig(**train_dict)
-
-
-def _split_pools(data_path, tc: TrainConfig):
-    ds = load_csv(data_path)
-    train_ds, test_ds = split_dataset(ds, tc.split, tc.seed)
-    return train_ds, test_ds
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +121,7 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     model_cfg = ModelConfig(**cfg["model"])
     tc = TrainConfig(**cfg["train"])
-    ds = load_csv(args.data)
-    train_ds, _ = split_dataset(ds, tc.split, tc.seed)
+    train_ds, _ = split_dataset(load_csv(args.data), tc.split, tc.seed)
     params, history = train(train_ds, model_cfg, tc)
     save_params(args.model_out, params, model_cfg, asdict(tc))
     loss_path = Path(args.model_out).with_suffix(".loss.csv")
@@ -146,11 +134,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     params, model_cfg, tc = _load_model(args.model)
-    train_ds, test_ds = _split_pools(args.data, tc)
+    train_ds, test_ds = split_dataset(load_csv(args.data), tc.split, tc.seed)
     seed = _resolve_seed(args.seed, DEFAULT_CONFIG["predict"]["seed"])
     pred = predict_ensemble(
         params, model_cfg,
-        QueryPool(test_ds.points), ContextPool(train_ds.points),
+        QueryPool(test_ds), ContextPool(train_ds),
         members=args.members, expansion=args.expansion, seed=seed,
     )
     write_predictions_csv(args.out, pred)
@@ -160,7 +148,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_explain(args) -> int:
     params, model_cfg, tc = _load_model(args.model)
-    train_ds, test_ds = _split_pools(args.data, tc)
+    train_ds, test_ds = split_dataset(load_csv(args.data), tc.split, tc.seed)
     seed = _resolve_seed(args.seed, DEFAULT_CONFIG["explain"]["seed"])
     result, beta = _run_explain(params, model_cfg, train_ds, test_ds,
                                 n_background=args.background, seed=seed,
@@ -174,17 +162,16 @@ def _run_explain(params, model_cfg, train_ds, test_ds, n_background, seed,
                  n_instances=None):
     rng = np.random.default_rng([4, seed])
     bg_idx = rng.choice(train_ds.n, size=min(n_background, train_ds.n), replace=False)
-    background = RowBatch.from_records([train_ds.points[i] for i in sorted(bg_idx)])
+    background = RowBatch.from_dataset(train_ds.take(np.sort(bg_idx)))
 
-    inst_records = test_ds.points
-    if n_instances is not None and n_instances < len(inst_records):
-        pick = rng.choice(len(inst_records), size=n_instances, replace=False)
-        inst_records = [inst_records[i] for i in sorted(pick)]
-    instances = RowBatch.from_records(inst_records)
+    inst_ds = test_ds
+    if n_instances is not None and n_instances < test_ds.n:
+        pick = rng.choice(test_ds.n, size=n_instances, replace=False)
+        inst_ds = test_ds.take(np.sort(pick))
+    instances = RowBatch.from_dataset(inst_ds)
 
     predictor = make_shap_predictor(
-        params, model_cfg, ContextPool(train_ds.points), QueryPool(inst_records),
-        seed=seed,
+        params, model_cfg, ContextPool(train_ds), QueryPool(inst_ds), seed=seed,
     )
     result = geoshapley_explain(predictor, instances, background)
     beta = local_coefficients(result, instances, background)
@@ -195,11 +182,10 @@ def _cmd_bench(args) -> int:
     if args.threads != 1:
         raise ContractError("only --threads 1 (serial benchmarking) is supported")
     params, model_cfg, tc = _load_model(args.model)
-    train_ds, test_ds = _split_pools(args.data, tc)
-    lengths = [int(tok) for tok in args.lengths.split(",")]
+    train_ds, test_ds = split_dataset(load_csv(args.data), tc.split, tc.seed)
     records = benchmark_inference(
-        params, model_cfg, QueryPool(test_ds.points), ContextPool(train_ds.points),
-        lengths, members=args.members, expansion=tc.expansion_factor,
+        params, model_cfg, QueryPool(test_ds), ContextPool(train_ds),
+        args.lengths, members=args.members, expansion=tc.expansion_factor,
     )
     write_bench_csv(args.out, records)
     print(f"wrote {len(records)} timing rows to {args.out}")
@@ -228,7 +214,7 @@ def _cmd_reproduce(args) -> int:
         write_loss_csv(outdir / f"loss_{tag}.csv", history)
 
         pred = predict_ensemble(
-            params, model_cfg, QueryPool(test_ds.points), ContextPool(train_ds.points),
+            params, model_cfg, QueryPool(test_ds), ContextPool(train_ds),
             members=cfg["predict"]["members"], expansion=cfg["predict"]["expansion"],
             seed=_resolve_seed(None, cfg["predict"]["seed"]),
         )
@@ -246,7 +232,7 @@ def _cmd_reproduce(args) -> int:
             print(f"[gwr] explained {len(result.ids)} rows")
         else:
             records = benchmark_inference(
-                params, model_cfg, QueryPool(test_ds.points), ContextPool(train_ds.points),
+                params, model_cfg, QueryPool(test_ds), ContextPool(train_ds),
                 cfg["bench"]["lengths"], members=cfg["bench"]["members"],
                 expansion=tc.expansion_factor,
             )
@@ -261,8 +247,27 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, then exits with code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _int_list(text: str) -> list[int]:
+    if not all(tok.strip().isdigit() for tok in text.split(",")):
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return [int(tok) for tok in text.split(",")]
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="geoagg",
         description="Geospatial tabular regression: generate, train, predict, "
                     "explain, benchmark.",
@@ -296,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="location-aware Shapley explanations of the test split")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--background", type=int, default=30)
+    p.add_argument("--background", type=_positive_int, default=30)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_explain)
@@ -304,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="inference timing in both cache modes")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--lengths", default="16,32,64,128",
+    p.add_argument("--lengths", type=_int_list, default="16,32,64,128",
                    help="comma-separated ascending sequence lengths")
     p.add_argument("--members", type=int, default=8)
     p.add_argument("--threads", type=int, default=1,

@@ -1,4 +1,8 @@
-"""Synthetic geospatial regression datasets and CSV round-tripping.
+"""Columnar geospatial datasets: synthetic generators and CSV round-tripping.
+
+A :class:`GeoDataset` holds its rows once, as read-only columns that the
+generators and :func:`load_csv` fill directly; :class:`PointRecord` rows are
+a derived view, and :meth:`GeoDataset.from_records` the one way back.
 
 Two generators are provided.  ``generate_gwr`` lays points on a regular grid
 and combines two covariates with smoothly varying coefficient surfaces (a
@@ -18,7 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +32,9 @@ from scipy.sparse.linalg import spsolve
 
 from .autodiff import ContractError
 from .kdtree import KdTree
-from .spatial import PointRecord
 
 __all__ = [
+    "PointRecord",
     "GeoDataset",
     "CsvFormatError",
     "generate_gwr",
@@ -50,32 +55,86 @@ class CsvFormatError(ValueError):
     """A dataset CSV violates the ``id,u,v,x1..xp,y`` schema."""
 
 
-@dataclass
-class GeoDataset:
-    """Id-keyed rows of (2-D coordinates, p covariates, target)."""
+@dataclass(frozen=True)
+class PointRecord:
+    """One row of geospatial tabular data: id, planar coords, covariates, target."""
 
-    points: list[PointRecord]
-    meta: dict = field(default_factory=dict)
+    id: int
+    u: float
+    v: float
+    x: np.ndarray
+    y: float | None = None
+
+
+class GeoDataset:
+    """Id-keyed rows held once, as read-only columns.
+
+    ``ids()`` ``(n,)`` int64, ``coords()`` ``(n, 2)``, ``covariates()``
+    ``(n, p)`` and ``targets()`` ``(n,)`` float64 return the stored columns.
+    ``observed`` marks the known targets (by default those not given as
+    None); the others read NaN.
+    """
+
+    def __init__(self, ids, coords, x, y, observed=None, meta=None):
+        observed = [t is not None for t in y] if observed is None else observed
+        self.observed = np.array(observed, dtype=bool)
+        self._ids = np.array(ids, dtype=np.int64)
+        self._coords = np.array(coords, dtype=np.float64).reshape(len(self._ids), 2)
+        self._x = np.array(x, dtype=np.float64)
+        self._y = np.where(self.observed, np.array(y, dtype=np.float64), np.nan)
+        for col in (self.observed, self._ids, self._coords, self._x, self._y):
+            col.flags.writeable = False
+        self.meta = {} if meta is None else meta
+
+    @classmethod
+    def from_records(cls, records, meta=None) -> "GeoDataset":
+        """Columns of a list of :class:`PointRecord` rows; ``y=None`` is unobserved."""
+        p = len(records[0].x) if records else 0
+        bad = [r for r in records if len(r.x) != p]
+        if bad:
+            raise ContractError(f"point id {bad[0].id} carries {len(bad[0].x)} covariates, "
+                                f"point id {records[0].id} carries {p}")
+        return cls([r.id for r in records], [(r.u, r.v) for r in records],
+                   np.array([r.x for r in records]).reshape(len(records), p),
+                   [r.y for r in records], meta=meta)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self._ids)
 
     @property
     def p(self) -> int:
-        return len(self.points[0].x)
+        return self._x.shape[1]
 
     def ids(self) -> np.ndarray:
-        return np.array([r.id for r in self.points], dtype=np.int64)
+        return self._ids
 
     def coords(self) -> np.ndarray:
-        return np.array([[r.u, r.v] for r in self.points])
+        return self._coords
 
     def covariates(self) -> np.ndarray:
-        return np.array([r.x for r in self.points])
+        return self._x
 
     def targets(self) -> np.ndarray:
-        return np.array([r.y for r in self.points])
+        return self._y
+
+    @cached_property
+    def points(self) -> list[PointRecord]:
+        """The rows as records, built on first use; each ``x`` is a read-only view."""
+        rows = zip(self._ids.tolist(), *self._coords.T.tolist(), self._x,
+                   self._y.tolist(), self.observed.tolist())
+        return [PointRecord(pid, u, v, x, y if seen else None)
+                for pid, u, v, x, y, seen in rows]
+
+    @property
+    def records(self) -> list[PointRecord]:
+        """The same view as :attr:`points`, under the name the pools give it."""
+        return self.points
+
+    def take(self, rows) -> "GeoDataset":
+        """The rows at positions ``rows``, in that order, as a new dataset."""
+        return GeoDataset(self._ids[rows], self._coords[rows], self._x[rows],
+                          self._y[rows], self.observed[rows], dict(self.meta))
 
 
 def gwr_beta1(u, v):
@@ -107,16 +166,12 @@ def generate_gwr(n: int, seed: int) -> GeoDataset:
     v = vv.ravel()
     y = gwr_beta1(u, v) * x[:, 0] + gwr_beta2(u, v) * x[:, 1] + eps
 
-    points = [
-        PointRecord(i, float(u[i]), float(v[i]), x[i].copy(), float(y[i]))
-        for i in range(n)
-    ]
     meta = {
         "generator": "gwr-r",
         "seed": int(seed),
         "params": {"n": int(n), "noise_sd": GWR_NOISE_SD},
     }
-    return GeoDataset(points, meta)
+    return GeoDataset(np.arange(n), np.column_stack([u, v]), x, y, meta=meta)
 
 
 def _sl_weights(coords: np.ndarray) -> sp.csr_matrix:
@@ -153,17 +208,13 @@ def generate_sl(n: int, seed: int, rho: float = 0.6) -> GeoDataset:
     if not resid <= 1e-10:
         raise ContractError(f"spatial-lag solve residual {resid:.3e} exceeds 1e-10")
 
-    points = [
-        PointRecord(i, float(coords[i, 0]), float(coords[i, 1]), x[i].copy(), float(y[i]))
-        for i in range(n)
-    ]
     meta = {
         "generator": "sl-r",
         "seed": int(seed),
         "params": {"n": int(n), "rho": float(rho), "noise_sd": SL_NOISE_SD,
                    "beta": list(SL_BETA), "k_neighbors": SL_N_NEIGHBORS},
     }
-    return GeoDataset(points, meta)
+    return GeoDataset(np.arange(n), coords, x, y, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +232,12 @@ def save_csv(ds: GeoDataset, path) -> None:
     p = ds.p
     header = ["id", "u", "v"] + [f"x{j + 1}" for j in range(p)] + ["y"]
     lines = [",".join(header)]
-    for r in ds.points:
-        cells = [str(r.id), _fmt(r.u), _fmt(r.v)]
-        cells.extend(_fmt(val) for val in r.x)
-        cells.append("" if r.y is None else _fmt(r.y))
+    for pid, (u, v), x, y, seen in zip(ds.ids().tolist(), ds.coords().tolist(),
+                                       ds.covariates().tolist(), ds.targets().tolist(),
+                                       ds.observed.tolist()):
+        cells = [str(pid), _fmt(u), _fmt(v)]
+        cells.extend(_fmt(val) for val in x)
+        cells.append(_fmt(y) if seen else "")
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if ds.meta:
@@ -213,7 +266,7 @@ def load_csv(path) -> GeoDataset:
         raise CsvFormatError(f"{path}: malformed header {header}")
     p = len(x_names)
 
-    points = []
+    ids, coords, xs, ys = [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(header):
@@ -231,18 +284,13 @@ def load_csv(path) -> GeoDataset:
                     f"could not parse {cells[col_idx]!r}"
                 ) from None
 
-        pid = parse(0, int)
-        u = parse(1, float)
-        v = parse(2, float)
-        x = np.array([parse(3 + j, float) for j in range(p)])
-        y = None
-        if has_y:
-            cell = cells[3 + p].strip()
-            y = None if cell == "" else parse(3 + p, float)
-        points.append(PointRecord(pid, u, v, x, y))
+        ids.append(parse(0, int))
+        coords.append((parse(1, float), parse(2, float)))
+        xs.append([parse(3 + j, float) for j in range(p)])
+        ys.append(parse(3 + p, float) if has_y and cells[3 + p].strip() else None)
 
     meta = {}
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():
         meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    return GeoDataset(points, meta)
+    return GeoDataset(ids, coords, np.array(xs).reshape(len(ids), p), ys, meta=meta)

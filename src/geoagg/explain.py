@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ContractError
+from .datasets import GeoDataset
 from .model import ModelConfig, ModelParams, forward_batch
 from .spatial import (
     ContextPool,
@@ -69,12 +70,12 @@ class RowBatch:
     x: np.ndarray       # (n, p)
 
     @classmethod
+    def from_dataset(cls, ds: GeoDataset) -> "RowBatch":
+        return cls(ids=ds.ids(), coords=ds.coords(), x=ds.covariates())
+
+    @classmethod
     def from_records(cls, records) -> "RowBatch":
-        return cls(
-            ids=np.array([r.id for r in records], dtype=np.int64),
-            coords=np.array([[r.u, r.v] for r in records]),
-            x=np.array([r.x for r in records]),
-        )
+        return cls.from_dataset(GeoDataset.from_records(records))
 
     def __len__(self):
         return len(self.ids)
@@ -166,52 +167,28 @@ def interaction_index(values: np.ndarray, n_players: int, a: int, b: int) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _coalition_rows(instance_row, mask: int, background: RowBatch):
-    """Background-substituted rows for one coalition.
-
-    Players in the coalition take the instance's values; absent players take
-    each background row's values.  The location player carries both the (u, v)
-    pair and the point id, so ids always match the row whose location is used.
-    """
-    inst_id, inst_coord, inst_x = instance_row
-    n_bg = len(background)
-    p = background.x.shape[1]
-    if mask & (1 << GEO_PLAYER):
-        ids = np.full(n_bg, inst_id, dtype=np.int64)
-        coords = np.tile(inst_coord, (n_bg, 1))
-    else:
-        ids = background.ids.copy()
-        coords = background.coords.copy()
-    x = background.x.copy()
-    for j in range(p):
-        if mask & (1 << (j + 1)):
-            x[:, j] = inst_x[j]
-    return ids, coords, x
-
-
 def coalition_values(predictor, instance_row, background: RowBatch,
                      n_players: int) -> np.ndarray:
     """Values for every coalition bitmask, via one batched predictor call.
 
     ``values[mask]`` is the mean prediction over the background rows with the
     coalition's players taken from the instance and the others from each row.
+    The location player carries both the (u, v) pair and the point id, so ids
+    always match the row whose location is used.
     """
     if len(background) == 0:
         raise ContractError("background must not be empty")
-    n_bg = len(background)
-    all_ids, all_coords, all_x = [], [], []
-    for mask in range(2 ** n_players):
-        ids, coords, x = _coalition_rows(instance_row, mask, background)
-        all_ids.append(ids)
-        all_coords.append(coords)
-        all_x.append(x)
+    inst_id, inst_coord, inst_x = instance_row
+    p = background.x.shape[1]
+    # present[mask, a]: player a is in the coalition ``mask``
+    present = (np.arange(2 ** n_players)[:, None] >> np.arange(p + 1)) & 1 == 1
+    geo = present[:, GEO_PLAYER, None]
     preds = predictor(
-        np.concatenate(all_ids),
-        np.concatenate(all_coords),
-        np.concatenate(all_x),
+        np.where(geo, inst_id, background.ids).ravel(),
+        np.where(geo[..., None], inst_coord, background.coords).reshape(-1, 2),
+        np.where(present[:, None, 1:], inst_x, background.x).reshape(-1, p),
     )
-    preds = np.asarray(preds, dtype=np.float64).reshape(2 ** n_players, n_bg)
-    return preds.mean(axis=1)
+    return np.asarray(preds, dtype=np.float64).reshape(2 ** n_players, -1).mean(axis=1)
 
 
 class ShapPredictor:
@@ -224,7 +201,7 @@ class ShapPredictor:
     ensemble-mean explanations.
 
     The predictor fills caches as it is used: the neighbour list of an id
-    outside ``points`` (a background row from the context pool) is searched
+    outside ``queries`` (a background row from the context pool) is searched
     on its first use, and each (member, id) pair's gathered context rows are
     kept after their first use.  Both depend only on the pair, so outputs do
     not depend on the order or grouping of the rows; but calls mutate the
@@ -232,19 +209,16 @@ class ShapPredictor:
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig,
-                 context: ContextPool, points, members: int = 1,
+                 context: ContextPool, queries: QueryPool, members: int = 1,
                  expansion: float = 1.0, seed: int = 0):
         self.params = params
         self.config = config
         self.context = context
         self.members = members
-        self.expansion = expansion
         self.seed = seed
         self._contexts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        records = points.points if hasattr(points, "points") else points.records
-        pool = QueryPool(records)
         self._cache = precompute_neighbors(
-            pool, context, neighbor_budget(config.l_max, expansion)
+            queries, context, neighbor_budget(config.l_max, expansion)
         )
 
     def _member_rng(self, member: int, pid: int) -> np.random.Generator:
@@ -302,15 +276,15 @@ class ShapPredictor:
 
 
 def make_shap_predictor(params: ModelParams, config: ModelConfig,
-                        context: ContextPool, points,
+                        context: ContextPool, queries: QueryPool,
                         members: int = 1, expansion: float = 1.0,
                         seed: int = 0) -> ShapPredictor:
     """Predictor over (id, coords, covariates) rows for post-hoc explainers.
 
-    ``points`` supplies the true records (dataset or pool) whose ids may later
-    appear in perturbed rows; their neighbourhoods are precomputed here.
+    ``queries`` holds the true rows whose ids may later appear in perturbed
+    rows; their neighbourhoods are precomputed here.
     """
-    return ShapPredictor(params, config, context, points,
+    return ShapPredictor(params, config, context, queries,
                          members=members, expansion=expansion, seed=seed)
 
 

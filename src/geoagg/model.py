@@ -33,7 +33,7 @@ because forward passes never mutate parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,8 @@ __all__ = [
     "forward_on_tape",
     "save_params",
     "load_params",
+    "check_config_value",
+    "check_config_section",
 ]
 
 PARAMS_FORMAT = "geoagg-params-v1"
@@ -99,6 +101,38 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
+
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               list: "a list of integers", dict: "an object"}
+
+
+def check_config_value(where: str, default, value) -> None:
+    """Raise a one-line ContractError unless ``value`` fits its default's type.
+
+    An int field takes an int, a float field an int or a float, an object
+    field an object, and a bool is never a number.  The one list field,
+    ``bench.lengths``, takes ints.
+    """
+    kind = type(default)
+    if kind is float:
+        fits = type(value) in (int, float)
+    elif kind is list:
+        fits = type(value) is list and all(type(item) is int for item in value)
+    else:
+        fits = type(value) is kind
+    if not fits:
+        raise ContractError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def check_config_section(owner: str, section: str, doc: dict, defaults: dict) -> None:
+    """Reject a non-object ``doc``, keys that ``defaults`` lacks, and mistyped values."""
+    check_config_value(f"{owner}'s {section}", defaults, doc)
+    unknown = sorted(set(doc) - set(defaults))
+    if unknown:
+        raise ContractError(f"{owner} has unknown {section} key {unknown[0]!r}")
+    for key, value in doc.items():
+        check_config_value(f"{owner}'s {section} key {key!r}", defaults[key], value)
 
 
 @dataclass
@@ -366,11 +400,7 @@ def load_params(path):
             f"unsupported parameter file format {found!r}, expected {PARAMS_FORMAT!r}"
         )
     config_doc = doc.get("model_config")
-    if not isinstance(config_doc, dict):
-        raise ContractError("parameter file lacks a model_config object")
-    unknown = sorted(set(config_doc) - {f.name for f in fields(ModelConfig)})
-    if unknown:
-        raise ContractError(f"parameter file has unknown model_config key {unknown[0]!r}")
+    check_config_section("parameter file", "model_config", config_doc, asdict(ModelConfig()))
     config = ModelConfig(**config_doc)
     try:
         arrays = {k: np.array(v, dtype=np.float64) for k, v in doc["arrays"].items()}

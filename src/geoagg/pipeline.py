@@ -109,15 +109,13 @@ class UndefinedMetricError(ValueError):
 
 
 def split_dataset(ds: GeoDataset, split: float, seed: int):
-    """Deterministic shuffled train/test split of a dataset's points."""
+    """Deterministic shuffled train/test split of a dataset's rows."""
     if not 0.0 < split < 1.0:
         raise ContractError(f"split must lie in (0, 1), got {split}")
     rng = np.random.default_rng([_SEED_SPLIT, seed])
     order = rng.permutation(ds.n)
     n_train = int(round(split * ds.n))
-    train_pts = [ds.points[i] for i in order[:n_train]]
-    test_pts = [ds.points[i] for i in order[n_train:]]
-    return GeoDataset(train_pts, dict(ds.meta)), GeoDataset(test_pts, dict(ds.meta))
+    return ds.take(order[:n_train]), ds.take(order[n_train:])
 
 
 def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
@@ -134,7 +132,7 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
             f"dataset has {dataset.n} points, need at least l_max={config.l_max}"
         )
     # the pool checks every row before the statistics below read them
-    context = ContextPool(dataset.points)
+    context = ContextPool(dataset)
     rng_init = np.random.default_rng([_SEED_INIT, tc.seed])
     params = init_params(config, dataset.p, rng_init)
 

@@ -2,10 +2,10 @@
 
 The data-loading side of the regressor keeps two pools of points: a context
 pool of observed points (which owns a k-d tree over their coordinates) and a
-query pool of points to be predicted.  Both are columnar: they check their
-rows once, at construction, and hold them as arrays (ids, coordinates,
-covariates and, for context, observed targets) with an id -> row index, so a
-bad row fails there with one line rather than wherever it is first read.
+query pool of points to be predicted.  Both read the columns of a
+:class:`~geoagg.datasets.GeoDataset`: they check every row once, at
+construction, and add an id -> row index, so a bad row fails there with one
+line rather than wherever it is first read.
 Neighbourhoods are looked up once per query point and cached; every input
 sequence afterwards is assembled from the cache alone, so repeated epochs and
 ensemble members never touch the tree.  Training, prediction and explanation
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import ContractError
+from .datasets import GeoDataset, PointRecord
 from .kdtree import KdTree
 
 __all__ = [
@@ -54,53 +55,39 @@ class SequenceLookupError(KeyError):
     """A requested id has no cache entry or pool record."""
 
 
-@dataclass(frozen=True)
-class PointRecord:
-    """One row of geospatial tabular data: id, planar coords, covariates, target."""
-
-    id: int
-    u: float
-    v: float
-    x: np.ndarray
-    y: float | None = None
-
-
 class QueryPool:
-    """Immutable pool of points to be predicted, checked once and held as columns.
+    """Immutable pool of points to be predicted, checked once and read as columns.
 
-    Every invariant a row must meet is checked here and nowhere else: unique
-    ids, finite coordinates, covariates and targets, and one covariate
-    count.  The rows are then held as ``ids`` ``(n,)``, ``coords``
-    ``(n, 2)`` and ``x`` ``(n, p)``, with ``row_of`` the id -> row index.
+    ``rows`` is a :class:`GeoDataset` or a list of :class:`PointRecord` rows.
+    Every row is checked here, vectorised, and nowhere else: unique ids, then
+    finite coordinates, covariates and targets.  The pool reads the dataset's
+    ``ids`` ``(n,)``, ``coords`` ``(n, 2)`` and ``x`` ``(n, p)``, with
+    ``row_of`` the id -> row index.
     """
 
     need_targets = False
 
-    def __init__(self, records):
-        self.records = tuple(records)
-        self.row_of = {}
-        p = len(self.records[0].x) if self.records else 0
-        for row, r in enumerate(self.records):
-            if self.row_of.setdefault(r.id, row) != row:
-                raise ContractError(f"duplicate point id {r.id}")
-            if not (math.isfinite(r.u) and math.isfinite(r.v)):
-                raise ContractError(f"point id {r.id} has non-finite coordinates")
-            if len(r.x) != p:
-                raise ContractError(
-                    f"point id {r.id} carries {len(r.x)} covariates, "
-                    f"point id {self.records[0].id} carries {p}"
-                )
-            if not np.isfinite(r.x).all():
-                raise ContractError(f"point id {r.id} has non-finite covariates")
-            if r.y is None:
-                if self.need_targets:
-                    raise ContractError(f"context point id {r.id} lacks a target value")
-            elif not math.isfinite(r.y):
-                raise ContractError(f"point id {r.id} has a non-finite target")
-        self.ids = np.array([r.id for r in self.records], dtype=np.int64)
-        self.coords = np.array([(r.u, r.v) for r in self.records]).reshape(-1, 2)
-        self.x = np.array([r.x for r in self.records], dtype=np.float64)
-        self.x = self.x.reshape(len(self.ids), p)
+    def __init__(self, rows):
+        data = rows if isinstance(rows, GeoDataset) else GeoDataset.from_records(rows)
+        self.data, self.ids, self.x = data, data.ids(), data.covariates()
+        self.coords, observed = data.coords(), data.observed
+        repeated = np.ones(len(self.ids), dtype=bool)
+        repeated[np.unique(self.ids, return_index=True)[1]] = False
+        for bad, message in (
+            (repeated, "duplicate point id {}"),
+            (~np.isfinite(self.coords).all(axis=1), "point id {} has non-finite coordinates"),
+            (~np.isfinite(self.x).all(axis=1), "point id {} has non-finite covariates"),
+            (~observed & self.need_targets, "context point id {} lacks a target value"),
+            (observed & ~np.isfinite(data.targets()), "point id {} has a non-finite target"),
+        ):
+            if bad.any():  # name the first failing row
+                raise ContractError(message.format(self.ids[bad.argmax()]))
+        self.row_of = dict(zip(self.ids.tolist(), range(len(self.ids))))
+
+    @property
+    def records(self) -> list[PointRecord]:
+        """The pool's rows as records: its dataset's derived view."""
+        return self.data.records
 
     def __len__(self):
         return len(self.ids)
@@ -116,11 +103,12 @@ class ContextPool(QueryPool):
 
     need_targets = True
 
-    def __init__(self, records):
-        super().__init__(records)
-        if not self.records:
+    def __init__(self, rows):
+        super().__init__(rows)
+        if not len(self.ids):
             raise ContractError("context pool must not be empty")
-        self.feats = np.column_stack([self.x, [r.y for r in self.records]])
+        self.feats = np.column_stack([self.x, self.data.targets()])
+        self.feats.flags.writeable = False
         self.tree = build_tree(self)
 
 

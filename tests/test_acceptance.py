@@ -389,7 +389,7 @@ def test_criterion_10_learning_sanity(capsys, trained_models, ensemble_metrics):
                                   float(2 * x[0] + 3 * x[1])))
     from geoagg.datasets import GeoDataset
 
-    toy = GeoDataset(points, {"generator": "toy"})
+    toy = GeoDataset.from_records(points, {"generator": "toy"})
     config = ModelConfig(d_model=16, n_heads=2, n_inducing=4, l_max=16, n_layers=1)
     params, _ = train(toy, config, TrainConfig(epochs=50, seed=0, lr=3e-3))
     queries = QueryPool(toy.points)

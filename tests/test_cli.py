@@ -189,6 +189,42 @@ class TestTrainPredictExplainBench:
         assert "unknown train_config key 'warmup'" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--background", "0"), ("--background", "-1"),
+        ("--lengths", "4,x"), ("--lengths", ""),
+    ])
+    def test_bad_argument_is_one_line_usage_error(self, trained, capsys, flag, value):
+        data, model, cfg, tmp_path = trained
+        command = "explain" if flag == "--background" else "bench"
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--model", model, "--data", data, flag, value,
+                "--out", tmp_path / "o.csv")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("train_config", "epochs", "3",
+         "model file's train_config key 'epochs' must be an integer, got '3'"),
+        ("model_config", "l_max", "16",
+         "parameter file's model_config key 'l_max' must be an integer, got '16'"),
+        ("train_config", "lr", True,
+         "model file's train_config key 'lr' must be a number, got True"),
+    ], ids=["epochs-string", "l_max-string", "lr-bool"])
+    def test_mistyped_model_file_value_is_runtime_error(self, trained, capsys,
+                                                        section, key, value, message):
+        data, model, cfg, tmp_path = trained
+        doc = json.loads(model.read_text())
+        doc[section][key] = value
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        code = run("predict", "--model", bad, "--data", data, "--out", tmp_path / "p.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_model_file_is_runtime_error(self, tmp_path, capsys):
         code = run("predict", "--model", tmp_path / "absent.json",
                    "--data", tmp_path / "absent.csv", "--out", tmp_path / "o.csv")
@@ -236,6 +272,18 @@ class TestRunConfig:
                    "--model-out", tmp_path / "m.json")
         assert code == 1
         assert "train.epoch" in capsys.readouterr().err
+
+
+    def test_mistyped_value_rejected(self, tmp_path, capsys):
+        bad = write_config(tmp_path, {"train": {"epochs": "3"}})
+        data = tmp_path / "d.csv"
+        run("gen", "--dataset", "gwr-r", "--n", 144, "--seed", 1, "--out", data)
+        code = run("train", "--data", data, "--config", bad,
+                   "--model-out", tmp_path / "m.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config key 'train.epochs' must be an integer, got '3'" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestReproduce:

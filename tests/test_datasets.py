@@ -1,7 +1,12 @@
 """Generator and CSV I/O tests, with independent statistical oracles."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geoagg.autodiff import ContractError
 from geoagg.datasets import (
@@ -171,8 +176,44 @@ class TestCsvRoundTrip:
         pts = [PointRecord(0, 1 / 3, 2 / 3, np.array([np.pi, np.e]), 1e-17),
                PointRecord(1, 0.1, 0.2, np.array([-1.5, 7.25]), -3.125)]
         path = tmp_path / "tiny.csv"
-        save_csv(GeoDataset(pts), path)
+        save_csv(GeoDataset.from_records(pts), path)
         back = load_csv(path)
         assert back.points[0].u == 1 / 3
         assert back.points[0].y == 1e-17
         np.testing.assert_array_equal(back.points[0].x, [np.pi, np.e])
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def columnar_datasets(draw):
+    """Columns with 1-4 covariates, some blank targets and ids anywhere in int64."""
+    n = draw(st.integers(0, 12))
+    p = draw(st.integers(1, 4))
+    return GeoDataset(
+        draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n, max_size=n)),
+        draw(arrays(np.float64, (n, 2), elements=FINITE)),
+        draw(arrays(np.float64, (n, p), elements=FINITE)),
+        draw(arrays(np.float64, n, elements=FINITE)),
+        draw(arrays(np.bool_, n)),
+        {"generator": "property"},
+    )
+
+
+class TestCsvRoundTripProperty:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(ds=columnar_datasets())
+    def test_columns_survive_and_bytes_repeat(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            save_csv(ds, first)
+            back = load_csv(first)
+            np.testing.assert_array_equal(back.ids(), ds.ids())
+            np.testing.assert_array_equal(back.coords(), ds.coords())
+            np.testing.assert_array_equal(back.covariates(), ds.covariates())
+            np.testing.assert_array_equal(back.observed, ds.observed)
+            assert np.array_equal(back.targets(), ds.targets(), equal_nan=True)
+            assert back.meta == ds.meta
+            save_csv(back, second)
+            assert second.read_bytes() == first.read_bytes()

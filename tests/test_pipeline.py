@@ -34,7 +34,7 @@ def tiny_dataset(n=60, seed=0, fn=None):
         pts.append(PointRecord(i, float(u), float(v), x, float(y)))
     from geoagg.datasets import GeoDataset
 
-    return GeoDataset(pts, {"generator": "test"})
+    return GeoDataset.from_records(pts, {"generator": "test"})
 
 
 def tiny_config(**overrides):

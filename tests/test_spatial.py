@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geoagg.autodiff import ContractError
-from geoagg.datasets import generate_gwr
+from geoagg.datasets import GeoDataset, generate_gwr
 from geoagg.kdtree import KdTree
 from geoagg.spatial import (
     ContextPool,
@@ -101,6 +103,50 @@ class TestKdTree:
         tree.reset_query_count()
         assert tree.query_count == 0
 
+
+@st.composite
+def one_bad_row(draw):
+    """A valid dataset with one fault planted at a random row.
+
+    Returns ``(dataset, fault, id)``: the fault is a NaN or infinity in a
+    coordinate, a covariate or the target, a blank target, or a repeated id,
+    and ``id`` is the faulty row's id.
+    """
+    n = draw(st.integers(2, 10))
+    p = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=n, max_size=n, unique=True))
+    values = st.floats(-1e6, 1e6)
+    coords = draw(arrays(np.float64, (n, 2), elements=values))
+    x = draw(arrays(np.float64, (n, p), elements=values))
+    y = draw(arrays(np.float64, n, elements=values))
+    observed = np.ones(n, dtype=bool)
+    row = draw(st.integers(0, n - 1))
+    fault = draw(st.sampled_from(["coordinate", "covariate", "target", "blank", "repeat"]))
+    bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if fault == "coordinate":
+        coords[row, draw(st.integers(0, 1))] = bad
+    elif fault == "covariate":
+        x[row, draw(st.integers(0, p - 1))] = bad
+    elif fault == "target":
+        y[row] = bad
+    elif fault == "blank":
+        observed[row] = False
+    else:
+        ids[row] = ids[draw(st.sampled_from([i for i in range(n) if i != row]))]
+    return GeoDataset(ids, coords, x, y, observed), fault, ids[row]
+
+
+class TestPoolRejection:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(case=one_bad_row(), as_records=st.booleans())
+    def test_one_bad_row_is_named_by_its_id(self, case, as_records):
+        ds, fault, pid = case
+        rows = ds.points if as_records else ds
+        for pool in [ContextPool] if fault == "blank" else [QueryPool, ContextPool]:
+            with pytest.raises(ContractError, match=rf"id {pid}(\s|$)"):
+                pool(rows)
+        if fault == "blank":
+            assert len(QueryPool(rows)) == ds.n
 
 class TestPools:
     def test_context_pool_owns_tree_over_its_points(self):
