@@ -126,11 +126,6 @@ class GeoDataset:
         return [PointRecord(pid, u, v, x, y if seen else None)
                 for pid, u, v, x, y, seen in rows]
 
-    @property
-    def records(self) -> list[PointRecord]:
-        """The same view as :attr:`points`, under the name the pools give it."""
-        return self.points
-
     def take(self, rows) -> "GeoDataset":
         """The rows at positions ``rows``, in that order, as a new dataset."""
         return GeoDataset(self._ids[rows], self._coords[rows], self._x[rows],
@@ -177,13 +172,12 @@ def generate_gwr(n: int, seed: int) -> GeoDataset:
 def _sl_weights(coords: np.ndarray) -> sp.csr_matrix:
     """Row-standardised directed 8-nearest-neighbour adjacency."""
     n = coords.shape[0]
-    tree = KdTree(coords, np.arange(n))
-    rows, cols = [], []
-    for i in range(n):
-        hits = tree.knn(coords[i], SL_N_NEIGHBORS + 1)
-        neigh = [pid for pid, _ in hits if pid != i][:SL_N_NEIGHBORS]
-        rows.extend([i] * len(neigh))
-        cols.extend(neigh)
+    hits, _ = KdTree(coords, np.arange(n)).search(coords, SL_N_NEIGHBORS + 1)
+    # each point's own row, else its farthest hit, leaves its 8 neighbours
+    keep = hits != np.arange(n)[:, None]
+    keep[keep.all(axis=1), -1] = False
+    cols = hits[keep]
+    rows = np.repeat(np.arange(n), SL_N_NEIGHBORS)
     vals = np.full(len(rows), 1.0 / SL_N_NEIGHBORS)
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
@@ -278,13 +272,13 @@ def load_csv(path) -> GeoDataset:
             cell = cells[col_idx].strip()
             try:
                 return caster(cell)
-            except ValueError:
+            except (ValueError, OverflowError):  # ids must fit int64
                 raise CsvFormatError(
                     f"{path}: line {lineno}, column '{header[col_idx]}': "
                     f"could not parse {cells[col_idx]!r}"
                 ) from None
 
-        ids.append(parse(0, int))
+        ids.append(parse(0, np.int64))
         coords.append((parse(1, float), parse(2, float)))
         xs.append([parse(3 + j, float) for j in range(p)])
         ys.append(parse(3 + p, float) if has_y and cells[3 + p].strip() else None)

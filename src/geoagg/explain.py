@@ -202,7 +202,7 @@ class ShapPredictor:
 
     The predictor fills caches as it is used: the neighbour list of an id
     outside ``queries`` (a background row from the context pool) is searched
-    on its first use, and each (member, id) pair's gathered context rows are
+    on its first use, and each (member, id) pair's drawn context rows are
     kept after their first use.  Both depend only on the pair, so outputs do
     not depend on the order or grouping of the rows; but calls mutate the
     predictor, and concurrent calls on one predictor are not safe.
@@ -216,7 +216,8 @@ class ShapPredictor:
         self.context = context
         self.members = members
         self.seed = seed
-        self._contexts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._picks: dict[tuple[int, int], np.ndarray] = {}
+        self._live: dict[int, np.ndarray] = {}
         self._cache = precompute_neighbors(
             queries, context, neighbor_budget(config.l_max, expansion)
         )
@@ -228,32 +229,32 @@ class ShapPredictor:
 
     def neighbor_ids(self, pid: int, member: int = 0):
         """Context ids one member's sequence would use for ``pid``."""
-        entry = self._entry(pid)
-        rng = self._member_rng(member, pid)
-        return [entry[i][0]
-                for i in subset_indices(entry, pid, self.config.l_max, rng)]
+        return self.context.ids[self._picked(member, pid)].tolist()
 
-    def _entry(self, pid: int):
-        if pid not in self._cache:
+    def _entry(self, pid: int) -> np.ndarray:
+        """Context rows of ``pid``'s neighbours, nearest first."""
+        if pid in self._cache:
+            return self._cache.entry(pid)
+        rows = self._live.get(pid)
+        if rows is None:
             # rows substituted from the background carry context-pool ids;
             # their true neighbourhoods are filled in on first use
             row = self.context.row_of.get(pid)
             if row is None:
                 raise SequenceLookupError(f"unknown point id {pid}")
-            self._cache.entries[pid] = self.context.tree.knn(
-                self.context.coords[row].tolist(), self._cache.k)
-        return self._cache[pid]
+            hits = self.context.tree.knn(self.context.coords[row], self._cache.k)
+            rows = self._live[pid] = np.array([self.context.row_of[i] for i, _ in hits])
+        return rows
 
-    def _context_rows(self, member: int, pid: int):
-        """``(feats, coords)`` of the context rows one member places after ``pid``."""
+    def _picked(self, member: int, pid: int) -> np.ndarray:
+        """Context rows one member places after ``pid``, drawn on first use."""
         key = (member, pid)
-        rows = self._contexts.get(key)
+        rows = self._picks.get(key)
         if rows is None:
             entry = self._entry(pid)
-            rows = gather(self.context, entry,
-                          subset_indices(entry, pid, self.config.l_max,
-                                         self._member_rng(member, pid)))
-            self._contexts[key] = rows
+            rows = self._picks[key] = entry[subset_indices(
+                entry, self.context.row_of.get(pid, -1), self.config.l_max,
+                self._member_rng(member, pid))]
         return rows
 
     def __call__(self, ids, coords, x) -> np.ndarray:
@@ -263,14 +264,14 @@ class ShapPredictor:
         n = len(ids)
         l_max = self.config.l_max
         out = np.zeros(n)
-        feats = np.empty((n, l_max, self.context.feats.shape[1]))
+        feats = np.zeros((n, l_max, self.context.feats.shape[1]))  # the target's y stays 0
         seq_coords = np.empty((n, l_max, 2))
         feats[:, 0, :-1] = x
-        feats[:, 0, -1] = 0.0
         seq_coords[:, 0] = coords
         for member in range(self.members):
-            for i, pid in enumerate(ids.tolist()):
-                feats[i, 1:], seq_coords[i, 1:] = self._context_rows(member, pid)
+            picks = np.array([self._picked(member, pid) for pid in ids.tolist()],
+                             dtype=np.intp).reshape(n, l_max - 1)
+            feats[:, 1:], seq_coords[:, 1:] = gather(self.context, picks)
             out += forward_batch(feats, seq_coords, self.params, self.config)
         return out / self.members
 

@@ -28,6 +28,7 @@ from .autodiff import AdamState, ContractError, Tape, adam_step, backward
 from . import autodiff as ad
 from .datasets import GeoDataset
 from .model import (
+    _ROW_BLOCK,
     ModelConfig,
     ModelParams,
     bind_params,
@@ -66,6 +67,9 @@ __all__ = [
 _SEED_SPLIT = 1
 _SEED_INIT = 2
 _SEED_EPOCH = 3
+
+# (query, member) sequences per inference forward pass, in whole row blocks
+_CHUNK_ROWS = 16 * _ROW_BLOCK
 
 
 @dataclass
@@ -188,11 +192,11 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
                         cache_mode: str = "precomputed") -> np.ndarray:
     """(members, n_queries) raw member outputs; the shared inference engine.
 
-    ``precomputed`` mode queries the tree once per query point up front;
-    ``on_the_fly`` re-queries it for every member and query.  Both modes feed
-    identical candidate lists through identical rng streams, so their
-    predictions match exactly.  Per query, the candidates' rows are gathered
-    once, and all members run as one batched forward pass over them.
+    ``precomputed`` mode searches the tree once for all query points up
+    front; ``on_the_fly`` searches it again for every member and query.  Both
+    feed identical rows through identical rng streams, so their predictions
+    match exactly.  Each member draws in query order, and every chunk of
+    queries is gathered at once and run as one batched forward pass.
     """
     if members < 1:
         raise ContractError("need at least one ensemble member")
@@ -210,39 +214,36 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
             f"query points carry {queries.x.shape[1]} covariates, "
             f"context points carry {width - 1}"
         )
+    if len(context) < l_max:
+        raise ContractError(f"only {len(context)} context points available, need {l_max}")
 
-    cache = None
-    if cache_mode == "precomputed":
-        cache = precompute_neighbors(queries, context, k)
+    cache = (precompute_neighbors(queries, context, k)
+             if cache_mode == "precomputed" else None)
     rngs = [np.random.default_rng([seed, member]) for member in range(members)]
 
     preds = np.empty((members, len(queries)))
-    feats = np.empty((members, l_max, width))
-    coords = np.empty((members, l_max, 2))
-    for qi, (qid, uv) in enumerate(zip(queries.ids.tolist(), queries.coords.tolist())):
-        candidates = None
-        feats[:, 0, :-1] = queries.x[qi]
-        feats[:, 0, -1] = 0.0
-        coords[:, 0] = uv
-        for member in range(members):
-            if cache is not None:
-                entry = cache[qid]
-            else:
-                # the naive pipeline being modelled repeats this search for
-                # every member; the repeated results are identical
-                entry = context.tree.knn(uv, k)
-            if len(entry) < l_max:
-                raise ContractError(
-                    f"only {len(entry)} context points available for id {qid}, "
-                    f"need at least {l_max}"
-                )
-            if candidates is None:
-                # ids map to rows once per query; members index the result
-                candidates = gather(context, entry, range(len(entry)))
-            idx = subset_indices(entry, qid, l_max, rngs[member])
-            feats[member, 1:] = candidates[0][idx]
-            coords[member, 1:] = candidates[1][idx]
-        preds[:, qi] = forward_batch(feats, coords, params, config)
+    step = max(1, _CHUNK_ROWS // members)
+    picks = np.empty((step * members, l_max - 1), dtype=np.intp)
+    feats = np.zeros((step * members, l_max, width))  # the target's y stays 0
+    coords = np.empty((step * members, l_max, 2))
+    ids = queries.ids.tolist()
+    for start in range(0, len(ids), step):
+        stop = min(start + step, len(ids))
+        n = (stop - start) * members
+        for qi in range(start, stop):
+            target = context.row_of.get(ids[qi], -1)
+            for member in range(members):
+                # the naive pipeline being modelled searches again for every
+                # member and query; the repeated results are identical
+                rows = (cache.rows[qi] if cache is not None
+                        else context.tree.search(queries.coords[qi], k)[0][0])
+                idx = subset_indices(rows, target, l_max, rngs[member])
+                picks[(qi - start) * members + member] = rows[idx]
+        feats[:n, 0, :-1] = np.repeat(queries.x[start:stop], members, axis=0)
+        coords[:n, 0] = np.repeat(queries.coords[start:stop], members, axis=0)
+        feats[:n, 1:], coords[:n, 1:] = gather(context, picks[:n])
+        out = forward_batch(feats[:n], coords[:n], params, config)
+        preds[:, start:stop] = out.reshape(-1, members).T
     return preds
 
 

@@ -6,11 +6,11 @@ query pool of points to be predicted.  Both read the columns of a
 :class:`~geoagg.datasets.GeoDataset`: they check every row once, at
 construction, and add an id -> row index, so a bad row fails there with one
 line rather than wherever it is first read.
-Neighbourhoods are looked up once per query point and cached; every input
-sequence afterwards is assembled from the cache alone, so repeated epochs and
-ensemble members never touch the tree.  Training, prediction and explanation
-read context rows through one helper, :func:`gather`, at the cache positions
-that :func:`subset_indices` picks.
+Neighbourhoods are looked up by one batched tree search over a query pool
+and cached as arrays of context rows; every input sequence afterwards is
+assembled from the cache alone, so repeated epochs and ensemble members never
+touch the tree.  Training, prediction and explanation read context rows
+through one helper, :func:`gather`, at the positions :func:`subset_indices` picks.
 
 An input sequence is the target point followed by ``l_max - 1`` of its cached
 neighbours.  The cache deliberately over-fetches by an expansion factor, and
@@ -28,7 +28,7 @@ across concurrent readers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class QueryPool:
     @property
     def records(self) -> list[PointRecord]:
         """The pool's rows as records: its dataset's derived view."""
-        return self.data.records
+        return self.data.points
 
     def __len__(self):
         return len(self.ids)
@@ -113,28 +113,42 @@ class ContextPool(QueryPool):
 
 
 def build_tree(pool: ContextPool) -> KdTree:
-    """Balanced (median split, alternating axes) tree over a pool's points."""
+    """Exact k-nearest-neighbour tree over a pool's points, keyed by their ids."""
     return KdTree(pool.coords, pool.ids)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NeighborCache:
-    """Per-query-id neighbour lists, each ascending in (distance, id)."""
+    """Per-query neighbour rows of one context pool, each ascending in (d2, id).
 
-    entries: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
-    k: int = 0
+    ``rows`` ``(n_q, k)`` holds context-pool row indices and ``d2`` their
+    squared distances, one cache row per query; ``row_of`` maps a query id
+    to its cache row and ``ids`` a context row to its point id.
+    """
 
-    def __getitem__(self, qid: int) -> list[tuple[int, float]]:
+    rows: np.ndarray
+    d2: np.ndarray
+    row_of: dict
+    ids: np.ndarray
+    k: int
+
+    def entry(self, qid: int) -> np.ndarray:
+        """Context rows of a query id's neighbours, nearest first."""
         try:
-            return self.entries[qid]
+            return self.rows[self.row_of[qid]]
         except KeyError:
             raise SequenceLookupError(f"no cached neighbors for id {qid}") from None
 
+    def __getitem__(self, qid: int) -> list[tuple[int, float]]:
+        """The neighbours of a query id as ``(id, squared distance)`` pairs."""
+        rows = self.entry(qid)
+        return list(zip(self.ids[rows].tolist(), self.d2[self.row_of[qid]].tolist()))
+
     def __contains__(self, qid: int) -> bool:
-        return qid in self.entries
+        return qid in self.row_of
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.row_of)
 
 
 def neighbor_budget(l_max: int, expansion: float) -> int:
@@ -145,38 +159,38 @@ def neighbor_budget(l_max: int, expansion: float) -> int:
 
 
 def precompute_neighbors(queries: QueryPool, context: ContextPool, k: int) -> NeighborCache:
-    """Query the context tree once per query point and cache the results."""
-    entries = {pid: context.tree.knn(uv, k)
-               for pid, uv in zip(queries.ids.tolist(), queries.coords.tolist())}
-    return NeighborCache(entries=entries, k=k)
+    """Search the context tree once, for every query point, and cache the results."""
+    rows, d2 = context.tree.search(queries.coords, k)
+    return NeighborCache(rows, d2, queries.row_of, context.ids, k)
 
 
-def subset_indices(entry, target_id: int, l_max: int, rng: np.random.Generator):
-    """Positions within a cached entry chosen for one sequence.
+def subset_indices(rows: np.ndarray, target_row: int, l_max: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Positions within a cached entry's context ``rows`` chosen for one sequence.
 
-    Drops the target's own slot by id when present, otherwise the farthest
-    candidate, then keeps ``l_max - 1`` of the remaining candidates (uniformly
-    at random when there is surplus, in ascending distance order always).
+    Drops the target's own row (``target_row``, -1 when the target is not a
+    context point) when present, otherwise the farthest candidate, then keeps
+    ``l_max - 1`` of the remaining candidates (uniformly at random when there
+    is surplus, in ascending distance order always).
     """
-    positions = [i for i, (cid, _) in enumerate(entry) if cid != target_id]
-    if len(positions) == len(entry) and positions:
+    positions = np.flatnonzero(rows != target_row)
+    if len(positions) == len(rows) and len(positions):
         positions = positions[:-1]
     slots = l_max - 1
     if len(positions) > slots:
         pick = rng.choice(len(positions), size=slots, replace=False)
         pick.sort()
-        positions = [positions[i] for i in pick]
+        positions = positions[pick]
     return positions
 
 
-def gather(context: ContextPool, entry, positions):
-    """``(feats, coords)`` of the context rows at ``positions`` of a cached entry.
+def gather(context: ContextPool, rows):
+    """``(feats, coords)`` of the context pool at the row-index array ``rows``.
 
     The one path by which training, prediction and explanation read context
-    rows: ``(len(positions), p + 1)`` covariates and observed targets, and
-    ``(len(positions), 2)`` coordinates.
+    rows: ``rows.shape + (p + 1,)`` covariates and observed targets, and
+    ``rows.shape + (2,)`` coordinates.
     """
-    rows = [context.row_of[entry[i][0]] for i in positions]
     return context.feats[rows], context.coords[rows]
 
 
@@ -188,7 +202,7 @@ def assemble_sequence(target_id: int, cache: NeighborCache, context: ContextPool
     observed target in the last channel (0 in the target's own row, which
     the model masks) and ``(l_max, 2)`` planar coordinates.
     """
-    entry = cache[target_id]
+    entry = cache.entry(target_id)
     if len(entry) < l_max:
         raise ContractError(
             f"cache entry for id {target_id} holds {len(entry)} neighbors, "
@@ -197,7 +211,7 @@ def assemble_sequence(target_id: int, cache: NeighborCache, context: ContextPool
     row = context.row_of.get(target_id)
     if row is None:
         raise SequenceLookupError(f"id {target_id} is not in the context pool")
-    feats, coords = gather(context, entry, subset_indices(entry, target_id, l_max, rng))
+    feats, coords = gather(context, entry[subset_indices(entry, row, l_max, rng)])
     feats = np.vstack([context.feats[row], feats])
     feats[0, -1] = 0.0
     return feats, np.vstack([context.coords[row], coords])

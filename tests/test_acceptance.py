@@ -109,15 +109,24 @@ def ensemble_metrics(trained_models):
 
 @pytest.fixture(scope="session")
 def bench_records(trained_models):
-    """Both cache modes over the standard length sweep on the spatial-lag run."""
+    """Both cache modes over the standard length sweep on the spatial-lag run.
+
+    The sweep runs three times; each (mode, length) keeps its fastest
+    sample, so one slow stretch of a shared machine does not decide a ratio.
+    """
     run = trained_models[("sl", 0)]
     queries = QueryPool(run["test"].points)
     context = ContextPool(run["train"].points)
-    rows = benchmark_inference(
-        run["params"], ModelConfig(), queries, context,
-        [16, 32, 64, 128], members=8, expansion=1.25, seed=0,
-    )
-    return {mode: [r for r in rows if r.mode == mode]
+    best = {}
+    for _ in range(3):
+        for rec in benchmark_inference(
+            run["params"], ModelConfig(), queries, context,
+            [16, 32, 64, 128], members=8, expansion=1.25, seed=0,
+        ):
+            key = (rec.mode, rec.length)
+            if key not in best or rec.seconds < best[key].seconds:
+                best[key] = rec
+    return {mode: [best[(mode, length)] for length in (16, 32, 64, 128)]
             for mode in ("on_the_fly", "precomputed")}
 
 

@@ -142,6 +142,18 @@ class TestTrainPredictExplainBench:
         assert f"id {cells[0]} has non-finite covariates" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_id_outside_int64_is_a_data_error(self, trained, capsys):
+        data, model, cfg, tmp_path = trained
+        lines = data.read_text().splitlines()
+        lines[1] = "99999999999999999999," + lines[1].split(",", 1)[1]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run("predict", "--model", model, "--data", bad, "--out", tmp_path / "p.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 2, column 'id'" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_model_file_that_does_not_fit_its_config_is_runtime_error(self, trained, capsys):
         data, model, cfg, tmp_path = trained
         doc = json.loads(model.read_text())

@@ -165,6 +165,13 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match="line 2.*'x1'"):
             load_csv(path)
 
+    def test_id_outside_int64_reports_row_and_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,u,v,x1,y\n0,0.5,0.5,1.0,2.0\n99999999999999999999,0.1,0.2,1.0,2.0\n")
+        with pytest.raises(CsvFormatError, match="line 3, column 'id'") as exc:
+            load_csv(path)
+        assert len(str(exc.value).splitlines()) == 1
+
     def test_query_file_without_y(self, tmp_path):
         path = tmp_path / "queries.csv"
         path.write_text("id,u,v,x1,x2\n7,0.1,0.9,1.5,-2.5\n")

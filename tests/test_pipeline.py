@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from geoagg.autodiff import ContractError
-from geoagg.model import ModelConfig, init_params
+from geoagg.model import ModelConfig, forward_batch, init_params
 from geoagg.pipeline import (
     EnsemblePrediction,
     TrainConfig,
     UndefinedMetricError,
+    _CHUNK_ROWS,
     _SEED_INIT,
     _member_predictions,
     benchmark_inference,
@@ -21,7 +22,15 @@ from geoagg.pipeline import (
     write_predictions_csv,
 )
 from geoagg.pipeline import BenchRecord
-from geoagg.spatial import ContextPool, PointRecord, QueryPool
+from geoagg.spatial import (
+    ContextPool,
+    PointRecord,
+    QueryPool,
+    gather,
+    neighbor_budget,
+    precompute_neighbors,
+    subset_indices,
+)
 
 
 def tiny_dataset(n=60, seed=0, fn=None):
@@ -192,6 +201,41 @@ class TestEvaluate:
             ens_mse = ((members.mean(axis=0) - truth) ** 2).mean()
             avg_mse = ((members - truth) ** 2).mean(axis=1).mean()
             assert ens_mse <= avg_mse + 1e-12
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_chunked_members_equal_per_query_passes(self, members):
+        """Many queries per forward pass give the bytes of one pass per query."""
+        ds = tiny_dataset(1000, seed=4)
+        config = tiny_config()
+        params, _ = train(ds, config, TrainConfig(epochs=0, seed=4))
+        tr, te = split_dataset(ds, 0.7, 4)
+        ctx, q = ContextPool(tr), QueryPool(te)
+        per_chunk = _CHUNK_ROWS // members
+        assert len(q) > per_chunk and len(q) % per_chunk
+        got = _member_predictions(params, config, q, ctx, members, 1.25, 5)
+        want = per_query_reference(params, config, q, ctx, members, 1.25, 5)
+        assert np.array_equal(got, want)
+
+
+def per_query_reference(params, config, queries, context, members, expansion, seed):
+    """Member outputs with one ``forward_batch`` of ``members`` rows per query."""
+    l_max = config.l_max
+    cache = precompute_neighbors(queries, context, neighbor_budget(l_max, expansion))
+    rngs = [np.random.default_rng([seed, member]) for member in range(members)]
+    out = np.empty((members, len(queries)))
+    for qi, qid in enumerate(queries.ids.tolist()):
+        rows = cache.entry(qid)
+        target = context.row_of.get(qid, -1)
+        feats = np.empty((members, l_max, context.feats.shape[1]))
+        coords = np.empty((members, l_max, 2))
+        feats[:, 0, :-1] = queries.x[qi]
+        feats[:, 0, -1] = 0.0
+        coords[:, 0] = queries.coords[qi]
+        for member in range(members):
+            picked = rows[subset_indices(rows, target, l_max, rngs[member])]
+            feats[member, 1:], coords[member, 1:] = gather(context, picked)
+        out[:, qi] = forward_batch(feats, coords, params, config)
+    return out
 
 
 class TestBenchmark:

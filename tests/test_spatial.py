@@ -105,6 +105,49 @@ class TestKdTree:
 
 
 @st.composite
+def tied_search(draw):
+    """Points and queries on a coarse grid, so many distances tie.
+
+    Returns ``(coords, ids, queries, k)``: up to 80 points (duplicates
+    likely) with distinct ids in any order, up to 8 query points on the
+    same grid, and ``k`` from 1 to past the pool size.
+    """
+    n = draw(st.integers(1, 80))
+    side = draw(st.integers(1, 7))
+    cell = st.tuples(st.integers(0, side), st.integers(0, side))
+    coords = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=np.float64) / side
+    ids = np.array(draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                 min_size=n, max_size=n, unique=True)))
+    queries = np.array(draw(st.lists(cell, min_size=1, max_size=8)), dtype=np.float64) / side
+    return coords, ids, queries, draw(st.integers(1, n + 3))
+
+
+class TestBatchedSearch:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(case=tied_search())
+    def test_search_knn_and_cache_equal_brute_force(self, case):
+        coords, ids, queries, k = case
+        tree = KdTree(coords, ids)
+        rows, d2 = tree.search(queries, k)
+        assert tree.query_count == len(queries)
+        assert rows.shape == d2.shape == (len(queries), min(k, len(ids)))
+        for i, q in enumerate(queries):
+            want = brute_force_knn(coords, ids, q, k)
+            assert list(zip(ids[rows[i]].tolist(), d2[i].tolist())) == want
+            assert tree.knn(q, k) == want
+        assert tree.query_count == 2 * len(queries)
+
+        context = ContextPool(GeoDataset(ids, coords, np.zeros((len(ids), 1)),
+                                         np.zeros(len(ids))))
+        probes = QueryPool(GeoDataset(np.arange(len(queries)), queries,
+                                      np.zeros((len(queries), 1)),
+                                      [None] * len(queries)))
+        cache = precompute_neighbors(probes, context, k)
+        for qid, q in zip(probes.ids.tolist(), queries):
+            assert cache[qid] == context.tree.knn(q, k)
+
+
+@st.composite
 def one_bad_row(draw):
     """A valid dataset with one fault planted at a random row.
 
@@ -279,11 +322,12 @@ class TestAssembleSequence:
         l_max = 8
         probe = PointRecord(777, 0.5, 0.5, np.zeros(2), None)
         cache = precompute_neighbors(QueryPool([probe]), context, l_max)
-        entry = cache[777]
-        a = gather(context, entry, subset_indices(entry, 777, l_max,
-                                                  np.random.default_rng(1)))
-        b = gather(context, entry, subset_indices(entry, 777, l_max,
-                                                  np.random.default_rng(2)))
+        entry = cache.entry(777)
+        target = context.row_of.get(777, -1)
+        a = gather(context, entry[subset_indices(entry, target, l_max,
+                                                 np.random.default_rng(1))])
+        b = gather(context, entry[subset_indices(entry, target, l_max,
+                                                 np.random.default_rng(2))])
         assert seq_ids(a, recs + [probe]) == seq_ids(b, recs + [probe])
 
     def test_surplus_varies_with_seed_and_repeats_with_same_seed(self):
