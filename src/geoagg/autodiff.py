@@ -5,10 +5,12 @@ Every value flowing through a :class:`Tape` is a ``float64`` array of shape
 Operands broadcast over those axes as in numpy, so a 2-D parameter meets a
 ``(B, L, d)`` batch of sequences directly, and its gradient is summed back
 over the batch.  Each primitive records which slots it read and which slot it
-wrote; :func:`backward` replays the records in exact reverse execution order
-and accumulates gradients into per-slot buffers that start at zero.  Backward
-rules live in a flat registry keyed by op name rather than in per-op
-closures, so the whole engine stays easy to inspect and to port.
+wrote; :func:`backward` replays the records in exact reverse execution order.
+A slot's gradient exists only while it is live: its first contribution
+becomes the gradient, later ones are added in place into a buffer the pass
+owns, and an op output's gradient is freed once its producer's rule has read
+it.  Backward rules live in a flat registry keyed by op name rather than in
+per-op closures, so the whole engine stays easy to inspect and to port.
 
 A tape built with ``record=False`` runs the same primitives but keeps no
 values and no op records: each result lives only in the :class:`Var` that
@@ -100,6 +102,11 @@ class Var:
 
     @property
     def grad(self) -> np.ndarray | None:
+        """d(loss)/d(value) after :func:`backward`.
+
+        A leaf always has one (zeros when the loss does not depend on it); an
+        op output's gradient is freed during the pass, so this is ``None``.
+        """
         return self.tape.grads[self.idx]
 
 
@@ -113,6 +120,8 @@ class Tape:
     def __init__(self, record: bool = True):
         self.values: list[np.ndarray] = []
         self.grads: list[np.ndarray | None] = []
+        # slots whose gradient is another slot's buffer, passed through unchanged
+        self.borrowed: set[int] = set()
         self.ops: list[_Op] = []
         self.recording = record
 
@@ -413,77 +422,110 @@ def multihead_attention(q: Var, k: Var, v: Var, n_heads: int,
 # ---------------------------------------------------------------------------
 
 
+def _give(tape, idx, grad, borrowed=False):
+    """Add one contribution ``grad`` to slot ``idx``'s gradient.
+
+    The first contribution becomes the gradient.  ``borrowed`` marks it as
+    another slot's buffer, passed through unchanged: the next contribution
+    is then added out of place, once, into a buffer this slot owns.  Later
+    contributions are added in place.
+    """
+    cur = tape.grads[idx]
+    if cur is None:
+        tape.grads[idx] = grad
+        if borrowed:
+            tape.borrowed.add(idx)
+    elif idx in tape.borrowed:
+        tape.grads[idx] = cur + grad
+        tape.borrowed.discard(idx)
+    else:
+        cur += grad
+
+
+def _pass(tape, idx, g):
+    """Pass the output gradient ``g`` on to slot ``idx``, summed to its shape."""
+    grad = _unbroadcast(g, tape.values[idx].shape)
+    _give(tape, idx, grad, borrowed=grad is g)
+
+
 def _bwd_matmul(tape, op):
     g = tape.grads[op.output]
     a, b = (tape.values[i] for i in op.inputs)
-    tape.grads[op.inputs[0]] += _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)
-    tape.grads[op.inputs[1]] += _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
+    _give(tape, op.inputs[0], _unbroadcast(g @ b.swapaxes(-1, -2), a.shape))
+    _give(tape, op.inputs[1], _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
 
 
 def _bwd_add(tape, op):
     g = tape.grads[op.output]
     for idx in op.inputs:
-        tape.grads[idx] += _unbroadcast(g, tape.values[idx].shape)
+        _pass(tape, idx, g)
 
 
 def _bwd_sub(tape, op):
     g = tape.grads[op.output]
     a_idx, b_idx = op.inputs
-    tape.grads[a_idx] += _unbroadcast(g, tape.values[a_idx].shape)
-    tape.grads[b_idx] -= _unbroadcast(g, tape.values[b_idx].shape)
+    _pass(tape, a_idx, g)
+    _give(tape, b_idx, -_unbroadcast(g, tape.values[b_idx].shape))
 
 
 def _bwd_mul(tape, op):
     g = tape.grads[op.output]
     a_idx, b_idx = op.inputs
     a, b = tape.values[a_idx], tape.values[b_idx]
-    tape.grads[a_idx] += _unbroadcast(g * b, a.shape)
-    tape.grads[b_idx] += _unbroadcast(g * a, b.shape)
+    _give(tape, a_idx, _unbroadcast(g * b, a.shape))
+    _give(tape, b_idx, _unbroadcast(g * a, b.shape))
 
 
 def _bwd_add_const(tape, op):
-    tape.grads[op.inputs[0]] += _unbroadcast(tape.grads[op.output],
-                                             tape.values[op.inputs[0]].shape)
+    _pass(tape, op.inputs[0], tape.grads[op.output])
 
 
 def _bwd_mul_const(tape, op):
     g = tape.grads[op.output] * op.aux["c"]
-    tape.grads[op.inputs[0]] += _unbroadcast(g, tape.values[op.inputs[0]].shape)
+    _give(tape, op.inputs[0], _unbroadcast(g, tape.values[op.inputs[0]].shape))
 
 
 def _bwd_slice_rows(tape, op):
-    tape.grads[op.inputs[0]][..., op.aux["start"]:op.aux["stop"], :] += tape.grads[op.output]
+    idx = op.inputs[0]
+    cur = tape.grads[idx]
+    if cur is None:
+        cur = tape.grads[idx] = np.zeros_like(tape.values[idx])
+    elif idx in tape.borrowed:
+        cur = tape.grads[idx] = cur.copy()
+        tape.borrowed.discard(idx)
+    cur[..., op.aux["start"]:op.aux["stop"], :] += tape.grads[op.output]
 
 
 def _bwd_softmax_rows(tape, op):
     g = tape.grads[op.output]
     s = tape.values[op.output]
-    tape.grads[op.inputs[0]] += s * (g - (g * s).sum(axis=-1, keepdims=True))
+    _give(tape, op.inputs[0], s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
 
 def _bwd_softplus(tape, op):
     x = tape.values[op.inputs[0]]
     sig = np.exp(-np.logaddexp(0.0, -x))
-    tape.grads[op.inputs[0]] += tape.grads[op.output] * sig
+    _give(tape, op.inputs[0], tape.grads[op.output] * sig)
 
 
 def _bwd_tanh(tape, op):
     y = tape.values[op.output]
-    tape.grads[op.inputs[0]] += tape.grads[op.output] * (1.0 - y * y)
+    _give(tape, op.inputs[0], tape.grads[op.output] * (1.0 - y * y))
 
 
 def _bwd_sum_all(tape, op):
-    tape.grads[op.inputs[0]] += tape.grads[op.output][0, 0]
+    x = tape.values[op.inputs[0]]
+    _give(tape, op.inputs[0], np.full(x.shape, tape.grads[op.output][0, 0]))
 
 
 def _bwd_mean_all(tape, op):
     x = tape.values[op.inputs[0]]
-    tape.grads[op.inputs[0]] += tape.grads[op.output][0, 0] / x.size
+    _give(tape, op.inputs[0], np.full(x.shape, tape.grads[op.output][0, 0] / x.size))
 
 
 def _bwd_rope2d(tape, op):
     # the rotation is orthogonal: its adjoint turns by the opposite angles
-    tape.grads[op.inputs[0]] += _rotate(tape.grads[op.output], op.aux["rot"].conj())
+    _give(tape, op.inputs[0], _rotate(tape.grads[op.output], op.aux["rot"].conj()))
 
 
 def _bwd_multihead_attention(tape, op):
@@ -499,7 +541,7 @@ def _bwd_multihead_attention(tape, op):
     gh = _heads(g, n_heads)
     vh = _heads(v, n_heads)
     dv = _merged_matmul(alpha.swapaxes(-2, -1), gh)
-    tape.grads[op.inputs[2]] += _unbroadcast(dv, v.shape)
+    _give(tape, op.inputs[2], _unbroadcast(dv, v.shape))
     # the softmax adjoint reduces over keys, in the layout the forward used
     if _keys_first(q.shape[-2], k.shape[-2]):
         weights = alpha.swapaxes(-2, -1)
@@ -515,13 +557,13 @@ def _bwd_multihead_attention(tape, op):
     dq *= inv
     dk = _merged_matmul(dlogits.swapaxes(-2, -1), _heads(q, n_heads))
     dk *= inv
-    tape.grads[op.inputs[0]] += _unbroadcast(dq, q.shape)
-    tape.grads[op.inputs[1]] += _unbroadcast(dk, k.shape)
+    _give(tape, op.inputs[0], _unbroadcast(dq, q.shape))
+    _give(tape, op.inputs[1], _unbroadcast(dk, k.shape))
     if sq is not None:
         # per-head sums over every batch, query and key position
         dlam = -(dlogits * sq).sum(axis=(-2, -1)).reshape(-1, n_heads).sum(axis=0)
         lam_idx = op.inputs[3]
-        tape.grads[lam_idx] += _unbroadcast(dlam.reshape(-1, 1), tape.values[lam_idx].shape)
+        _give(tape, lam_idx, _unbroadcast(dlam.reshape(-1, 1), tape.values[lam_idx].shape))
 
 
 _BACKWARD = {
@@ -543,10 +585,14 @@ _BACKWARD = {
 
 
 def backward(tape: Tape, loss: Var) -> None:
-    """Accumulate d(loss)/d(slot) for every slot on the tape.
+    """Set d(loss)/d(slot) for every leaf slot on the tape.
 
-    The loss slot must hold a scalar.  Gradient buffers are zeroed first, then
-    the op records are replayed in reverse execution order.
+    The loss slot must hold a scalar.  The op records are replayed in reverse
+    execution order; an op whose output received no gradient is skipped, and
+    an op output's gradient is freed once its producer's rule has run.  Leaves
+    that received nothing get zeros of their shape.  Leaf gradients are
+    read-only: one buffer may serve several leaves.  The values stay
+    recorded, so the pass may run again on the same tape.
     """
     if loss.tape is not tape:
         raise ContractError("loss does not belong to this tape")
@@ -554,10 +600,19 @@ def backward(tape: Tape, loss: Var) -> None:
         raise ContractError("backward needs a tape that records its ops")
     if loss.value.shape != (1, 1):
         raise ContractError(f"loss must be scalar, got shape {loss.value.shape}")
-    tape.grads = [np.zeros_like(val) for val in tape.values]
-    tape.grads[loss.idx][0, 0] = 1.0
+    grads = tape.grads = [None] * len(tape.values)
+    tape.borrowed = set()
+    grads[loss.idx] = np.ones((1, 1))
     for op in reversed(tape.ops):
+        if grads[op.output] is None:
+            continue
         _BACKWARD[op.name](tape, op)
+        grads[op.output] = None
+        tape.borrowed.discard(op.output)
+    produced = {op.output for op in tape.ops}
+    for idx, g in enumerate(grads):
+        if g is None and idx not in produced:
+            grads[idx] = np.zeros_like(tape.values[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +670,12 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
                 f"adam_step: gradient shape {g.shape} does not match parameter "
                 f"'{name}' of shape {p.shape}"
             )
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p)
+        v = state.v.get(name)
+        if v is None:
+            v = state.v[name] = np.zeros_like(p)
         if m.shape != p.shape or v.shape != p.shape:
             raise ContractError(f"adam_step: stale moment shapes for '{name}'")
         m *= beta1

@@ -62,8 +62,8 @@ def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
     for key, value in user.items():
         here = f"{path}{key}"
         if key not in defaults:
-            raise ContractError(f"unknown config key '{here}'")
-        check_config_value(f"config key '{here}'", defaults[key], value)
+            raise ContractError(f"unknown config key {here!r}")
+        check_config_value(f"config key {here!r}", defaults[key], value)
         if isinstance(value, dict):
             value = _merge_strict(defaults[key], value, here + ".")
         merged[key] = value

@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geoagg.cli import DEFAULT_CONFIG, load_config, main
+from geoagg.autodiff import ContractError
+from geoagg.cli import DEFAULT_CONFIG, _merge_strict, load_config, main
 from geoagg.datasets import load_csv
 from geoagg.pipeline import split_dataset
 
@@ -296,6 +298,92 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert "config key 'train.epochs' must be an integer, got '3'" in err
         assert len(err.strip().splitlines()) == 1
+
+
+def _typed_value(default):
+    """Values of the type a config field with this default takes."""
+    if type(default) is bool:
+        return st.booleans()
+    if type(default) is int:
+        return st.integers(-10**6, 10**6)
+    if type(default) is float:
+        return st.integers(-10**6, 10**6) | st.floats(allow_nan=False)
+    return st.lists(st.integers(-10**6, 10**6), max_size=5)
+
+
+def _well_typed(default, value):
+    """Whether ``value`` has the type of its field: a float field also takes
+    an int, the list field takes ints, and a bool is never a number."""
+    if type(default) is float and type(value) is int:
+        return True
+    if type(default) is list:
+        return type(value) is list and all(type(x) is int for x in value)
+    return type(value) is type(default)
+
+
+@st.composite
+def typed_subsets(draw):
+    """A well-typed user config: any subset of sections, and of their keys."""
+    user = {}
+    for section, fields in DEFAULT_CONFIG.items():
+        if draw(st.booleans()):
+            keys = draw(st.lists(st.sampled_from(sorted(fields)), unique=True))
+            user[section] = {key: draw(_typed_value(fields[key])) for key in keys}
+    return user
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+known_keys = st.sampled_from(sorted(DEFAULT_CONFIG)
+                             + sorted({k for sec in DEFAULT_CONFIG.values() for k in sec}))
+
+
+class TestMergeStrictProperties:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(user=typed_subsets())
+    def test_accepts_every_well_typed_subset(self, user):
+        merged = _merge_strict(DEFAULT_CONFIG, user)
+        assert merged.keys() == DEFAULT_CONFIG.keys()
+        for section, fields in DEFAULT_CONFIG.items():
+            assert merged[section] == {**fields, **user.get(section, {})}
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(user=typed_subsets(), data=st.data())
+    def test_rejects_an_unknown_key(self, user, data):
+        section = data.draw(st.sampled_from([None] + sorted(DEFAULT_CONFIG)))
+        scope = user if section is None else user.setdefault(section, {})
+        known = DEFAULT_CONFIG if section is None else DEFAULT_CONFIG[section]
+        key = data.draw(st.text(max_size=8).filter(lambda k: k not in known))
+        scope[key] = data.draw(json_values)
+        with pytest.raises(ContractError, match="unknown config key") as err:
+            _merge_strict(DEFAULT_CONFIG, user)
+        assert "\n" not in str(err.value)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(user=typed_subsets(), data=st.data())
+    def test_rejects_a_mistyped_value(self, user, data):
+        section = data.draw(st.sampled_from(sorted(DEFAULT_CONFIG)))
+        key = data.draw(st.sampled_from(sorted(DEFAULT_CONFIG[section])))
+        default = DEFAULT_CONFIG[section][key]
+        wrong = data.draw(json_values.filter(lambda v: not _well_typed(default, v)))
+        user.setdefault(section, {})[key] = wrong
+        with pytest.raises(ContractError, match=f"config key '{section}.{key}' must be") as err:
+            _merge_strict(DEFAULT_CONFIG, user)
+        assert "\n" not in str(err.value)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(user=st.dictionaries(known_keys | st.text(max_size=8), json_values, max_size=4))
+    def test_any_json_object_merges_or_fails_in_one_line(self, user):
+        try:
+            merged = _merge_strict(DEFAULT_CONFIG, user)
+        except ContractError as err:
+            assert "\n" not in str(err)
+        else:
+            assert merged.keys() == DEFAULT_CONFIG.keys()
 
 
 class TestReproduce:
