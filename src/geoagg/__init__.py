@@ -43,7 +43,6 @@ from .explain import (
 )
 from .kdtree import KdTree
 from .model import (
-    AttentionTrace,
     ModelConfig,
     ModelParams,
     bind_params,

@@ -82,15 +82,16 @@ def load_config(path=None) -> dict:
 
 def _resolve_seed(flag_value, config_value):
     """Precedence: command-line flag, then GA_SEED, then config/default."""
-    if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get("GA_SEED")
-    if env is not None:
+    seed, env = flag_value, os.environ.get("GA_SEED")
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ContractError(f"GA_SEED must be an integer, got {env!r}") from None
-    return int(config_value)
+    seed = int(config_value if seed is None else seed)
+    if seed < 0:
+        raise ContractError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _load_model(path):

@@ -37,10 +37,10 @@ from .model import ModelConfig, ModelParams, forward_batch
 from .spatial import (
     ContextPool,
     SequenceLookupError,
-    gather,
     neighbor_budget,
     precompute_neighbors,
     QueryPool,
+    sequences,
     subset_indices,
 )
 
@@ -211,6 +211,8 @@ class ShapPredictor:
     def __init__(self, params: ModelParams, config: ModelConfig,
                  context: ContextPool, queries: QueryPool, members: int = 1,
                  expansion: float = 1.0, seed: int = 0):
+        if members < 1:
+            raise ContractError("need at least one ensemble member")
         self.params = params
         self.config = config
         self.context = context
@@ -261,18 +263,12 @@ class ShapPredictor:
         ids = np.asarray(ids, dtype=np.int64).ravel()
         coords = np.asarray(coords, dtype=np.float64).reshape(len(ids), 2)
         x = np.asarray(x, dtype=np.float64).reshape(len(ids), -1)
-        n = len(ids)
-        l_max = self.config.l_max
-        out = np.zeros(n)
-        feats = np.zeros((n, l_max, self.context.feats.shape[1]))  # the target's y stays 0
-        seq_coords = np.empty((n, l_max, 2))
-        feats[:, 0, :-1] = x
-        seq_coords[:, 0] = coords
+        out = np.zeros(len(ids))
         for member in range(self.members):
             picks = np.array([self._picked(member, pid) for pid in ids.tolist()],
-                             dtype=np.intp).reshape(n, l_max - 1)
-            feats[:, 1:], seq_coords[:, 1:] = gather(self.context, picks)
-            out += forward_batch(feats, seq_coords, self.params, self.config)
+                             dtype=np.intp).reshape(len(ids), self.config.l_max - 1)
+            out += forward_batch(*sequences(self.context, x, coords, picks),
+                                 self.params, self.config)
         return out / self.members
 
 

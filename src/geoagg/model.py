@@ -44,7 +44,6 @@ from .autodiff import ContractError, Tape, Var
 __all__ = [
     "ModelConfig",
     "ModelParams",
-    "AttentionTrace",
     "init_params",
     "bind_params",
     "param_grads",
@@ -151,13 +150,6 @@ class ModelParams:
             arrays={k: v.copy() for k, v in self.arrays.items()},
             norm={k: v.copy() for k, v in self.norm.items()},
         )
-
-
-@dataclass
-class AttentionTrace:
-    """Per-head attention weights of the target-aggregation pass."""
-
-    alpha: np.ndarray  # (n_heads, n_q, L)
 
 
 def _identity_norm(p: int) -> dict[str, np.ndarray]:
@@ -273,16 +265,16 @@ def induced_block(tokens: Var, inducing: Var, wq_a: Var, wk_a: Var, wv_a: Var,
     return summary, refreshed
 
 
-def forward_on_tape(tape: Tape, bound: BoundParams, sequence, config: ModelConfig,
-                    want_trace: bool = False):
+def forward_on_tape(tape: Tape, bound: BoundParams, sequence, config: ModelConfig):
     """Prediction for the target point (row 0) of each sequence, as a tape Var.
 
     ``sequence`` is a ``(feats, coords)`` pair: ``feats`` holds raw
     covariates plus the observed target in the last channel (the target
     row's channel is ignored and masked), ``coords`` the planar positions.
     Their shapes are ``(L, p + 1)`` and ``(L, 2)``, optionally behind batch
-    axes ``(..., L, p + 1)``; the prediction is ``(..., 1, 1)``.  On a tape
-    that does not record, this is the inference path.
+    axes ``(..., L, p + 1)``; the prediction is ``(..., 1, 1)``, returned with
+    ``alpha``, the read-only ``(..., n_heads, 1, L)`` aggregation weights.  On
+    a tape that does not record, this is the inference path.
     """
     feats, coords = (np.asarray(a, dtype=np.float64) for a in sequence)
     if feats.ndim < 2 or coords.shape != feats.shape[:-1] + (2,):
@@ -323,7 +315,7 @@ def forward_on_tape(tape: Tape, bound: BoundParams, sequence, config: ModelConfi
         bound["head.b2"],
     )
     y_hat = ad.add_const(ad.mul_const(y_norm, bound.norm["y_std"]), bound.norm["y_mean"])
-    return y_hat, AttentionTrace(alpha=alpha) if want_trace else None
+    return y_hat, alpha
 
 
 def forward_batch(feats, coords, params: ModelParams, config: ModelConfig) -> np.ndarray:

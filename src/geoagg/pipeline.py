@@ -41,9 +41,9 @@ from .spatial import (
     ContextPool,
     QueryPool,
     assemble_sequence,
-    gather,
     neighbor_budget,
     precompute_neighbors,
+    sequences,
     subset_indices,
 )
 
@@ -86,6 +86,8 @@ class TrainConfig:
             raise ContractError("epochs must be nonnegative")
         if self.batch < 1:
             raise ContractError("batch must be at least 1")
+        if self.seed < 0:
+            raise ContractError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.split < 1.0:
             raise ContractError(f"split must lie in (0, 1), got {self.split}")
         if self.expansion_factor < 1.0:
@@ -127,9 +129,9 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
 
     Sequences are drawn from one precomputed neighbour cache; the random
     surplus removal is re-seeded per epoch, so every epoch sees fresh context
-    subsets without touching the tree again.  Each minibatch runs as one
-    batched forward on one tape, and its loss is the minibatch mean of
-    squared errors.
+    subsets without touching the tree again.  Each minibatch is assembled in
+    one call and runs as one batched forward on one tape, and its loss is the
+    minibatch mean of squared errors.
     """
     if dataset.n < config.l_max:
         raise ContractError(
@@ -153,18 +155,15 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
 
     state = AdamState()
     history: list[float] = []
-    ids = context.ids.tolist()
     for epoch in range(tc.epochs):
         rng = np.random.default_rng([_SEED_EPOCH, tc.seed, epoch])
-        order = rng.permutation(len(ids))
+        order = rng.permutation(len(context))
         sse = 0.0
         for start in range(0, len(order), tc.batch):
             chunk = order[start:start + tc.batch]
-            seqs = [assemble_sequence(ids[i], cache, context, config.l_max, rng)
-                    for i in chunk]
-            batch = tuple(np.stack(parts) for parts in zip(*seqs))
+            batch = assemble_sequence(context.ids[chunk], cache, context, config.l_max, rng)
             sse += _minibatch_step(params, config, batch, y[chunk], state, tc.lr) * len(chunk)
-        history.append(sse / len(ids))
+        history.append(sse / len(context))
     return params, history
 
 
@@ -196,7 +195,7 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
     front; ``on_the_fly`` searches it again for every member and query.  Both
     feed identical rows through identical rng streams, so their predictions
     match exactly.  Each member draws in query order, and every chunk of
-    queries is gathered at once and run as one batched forward pass.
+    queries is assembled at once and run as one batched forward pass.
     """
     if members < 1:
         raise ContractError("need at least one ensemble member")
@@ -223,13 +222,10 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
 
     preds = np.empty((members, len(queries)))
     step = max(1, _CHUNK_ROWS // members)
-    picks = np.empty((step * members, l_max - 1), dtype=np.intp)
-    feats = np.zeros((step * members, l_max, width))  # the target's y stays 0
-    coords = np.empty((step * members, l_max, 2))
+    picks = np.empty((step, members, l_max - 1), dtype=np.intp)
     ids = queries.ids.tolist()
     for start in range(0, len(ids), step):
         stop = min(start + step, len(ids))
-        n = (stop - start) * members
         for qi in range(start, stop):
             target = context.row_of.get(ids[qi], -1)
             for member in range(members):
@@ -238,11 +234,12 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
                 rows = (cache.rows[qi] if cache is not None
                         else context.tree.search(queries.coords[qi], k)[0][0])
                 idx = subset_indices(rows, target, l_max, rngs[member])
-                picks[(qi - start) * members + member] = rows[idx]
-        feats[:n, 0, :-1] = np.repeat(queries.x[start:stop], members, axis=0)
-        coords[:n, 0] = np.repeat(queries.coords[start:stop], members, axis=0)
-        feats[:n, 1:], coords[:n, 1:] = gather(context, picks[:n])
-        out = forward_batch(feats[:n], coords[:n], params, config)
+                picks[qi - start, member] = rows[idx]
+        # each query's row serves all of its members' sequences
+        feats, coords = sequences(context, queries.x[start:stop, None],
+                                  queries.coords[start:stop, None], picks[:stop - start])
+        out = forward_batch(feats.reshape(-1, l_max, width), coords.reshape(-1, l_max, 2),
+                            params, config)
         preds[:, start:stop] = out.reshape(-1, members).T
     return preds
 

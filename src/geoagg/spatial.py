@@ -9,8 +9,9 @@ line rather than wherever it is first read.
 Neighbourhoods are looked up by one batched tree search over a query pool
 and cached as arrays of context rows; every input sequence afterwards is
 assembled from the cache alone, so repeated epochs and ensemble members never
-touch the tree.  Training, prediction and explanation read context rows
-through one helper, :func:`gather`, at the positions :func:`subset_indices` picks.
+touch the tree.  Training, prediction and explanation build their batches of
+sequences through one function, :func:`sequences`, from target rows and the
+context rows :func:`subset_indices` picks.
 
 An input sequence is the target point followed by ``l_max - 1`` of its cached
 neighbours.  The cache deliberately over-fetches by an expansion factor, and
@@ -45,7 +46,7 @@ __all__ = [
     "build_tree",
     "precompute_neighbors",
     "assemble_sequence",
-    "gather",
+    "sequences",
     "subset_indices",
     "neighbor_budget",
 ]
@@ -184,34 +185,47 @@ def subset_indices(rows: np.ndarray, target_row: int, l_max: int,
     return positions
 
 
-def gather(context: ContextPool, rows):
-    """``(feats, coords)`` of the context pool at the row-index array ``rows``.
+def sequences(context: ContextPool, x, coords, picks):
+    """``(feats, coords)`` of input sequences: each target row, then its picks.
 
-    The one path by which training, prediction and explanation read context
-    rows: ``rows.shape + (p + 1,)`` covariates and observed targets, and
-    ``rows.shape + (2,)`` coordinates.
+    ``picks`` ``(..., l - 1)`` holds context-pool rows; the targets' ``x``
+    ``(..., p)`` and ``coords`` ``(..., 2)`` broadcast against its leading
+    axes.  ``feats`` ``(..., l, p + 1)`` ends in the observed target channel,
+    0 in the target's own row (the model masks it); ``coords`` is ``(..., l, 2)``.
     """
-    return context.feats[rows], context.coords[rows]
+    picks = np.asarray(picks, dtype=np.intp)
+    head = picks.shape[:-1] + (1,)
+    feats = np.concatenate([np.zeros(head + (context.feats.shape[1],)),
+                            context.feats[picks]], axis=-2)
+    feats[..., 0, :-1] = x
+    seq_coords = np.concatenate([np.empty(head + (2,)), context.coords[picks]], axis=-2)
+    seq_coords[..., 0, :] = coords
+    return feats, seq_coords
 
 
-def assemble_sequence(target_id: int, cache: NeighborCache, context: ContextPool,
+def assemble_sequence(target_ids, cache: NeighborCache, context: ContextPool,
                       l_max: int, rng: np.random.Generator):
-    """Build one model input sequence: a context point, then its neighbours.
+    """:func:`sequences` for context points, given by one id or an array of ids.
 
-    Returns ``(feats, coords)``: ``(l_max, p + 1)`` covariates with the
-    observed target in the last channel (0 in the target's own row, which
-    the model masks) and ``(l_max, 2)`` planar coordinates.
+    Each id's subset is drawn from ``rng`` in turn, in flattened order.  The
+    shape of ``target_ids`` leads the sequence axes, so one id gives
+    ``(l_max, p + 1)`` features and ``(l_max, 2)`` coordinates.
     """
-    entry = cache.entry(target_id)
-    if len(entry) < l_max:
-        raise ContractError(
-            f"cache entry for id {target_id} holds {len(entry)} neighbors, "
-            f"need at least l_max={l_max}"
-        )
-    row = context.row_of.get(target_id)
-    if row is None:
-        raise SequenceLookupError(f"id {target_id} is not in the context pool")
-    feats, coords = gather(context, entry[subset_indices(entry, row, l_max, rng)])
-    feats = np.vstack([context.feats[row], feats])
-    feats[0, -1] = 0.0
-    return feats, np.vstack([context.coords[row], coords])
+    ids = np.asarray(target_ids)
+    targets = np.empty(ids.size, dtype=np.intp)
+    picks = np.empty((ids.size, l_max - 1), dtype=np.intp)
+    for i, target_id in enumerate(ids.ravel().tolist()):
+        entry = cache.entry(target_id)
+        if len(entry) < l_max:
+            raise ContractError(
+                f"cache entry for id {target_id} holds {len(entry)} neighbors, "
+                f"need at least l_max={l_max}"
+            )
+        row = context.row_of.get(target_id)
+        if row is None:
+            raise SequenceLookupError(f"id {target_id} is not in the context pool")
+        targets[i] = row
+        picks[i] = entry[subset_indices(entry, row, l_max, rng)]
+    targets = targets.reshape(ids.shape)
+    return sequences(context, context.x[targets], context.coords[targets],
+                     picks.reshape(ids.shape + (l_max - 1,)))

@@ -239,6 +239,35 @@ class TestTrainPredictExplainBench:
         assert message in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("source", [
+        "gen-flag", "predict-flag", "explain-flag", "env", "config-file", "model-file",
+    ])
+    def test_negative_seed_is_runtime_error(self, trained, capsys, monkeypatch, source):
+        data, model, cfg, tmp_path = trained
+        out = tmp_path / "o.csv"
+        if source == "gen-flag":
+            argv = ["gen", "--dataset", "gwr-r", "--n", 144, "--seed", -1, "--out", out]
+        elif source.endswith("-flag"):
+            argv = [source[:-5], "--model", model, "--data", data, "--seed", -1, "--out", out]
+        elif source == "env":
+            monkeypatch.setenv("GA_SEED", "-3")
+            argv = ["predict", "--model", model, "--data", data, "--out", out]
+        elif source == "config-file":
+            bad = write_config(tmp_path, {"train": {**SMALL_CONFIG["train"], "seed": -2}})
+            argv = ["train", "--data", data, "--config", bad, "--model-out", tmp_path / "m.json"]
+        else:
+            doc = json.loads(model.read_text())
+            doc["train_config"]["seed"] = -2
+            bad = tmp_path / "bad_model.json"
+            bad.write_text(json.dumps(doc))
+            argv = ["predict", "--model", bad, "--data", data, "--out", out]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "seed must be nonnegative, got -" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_model_file_is_runtime_error(self, tmp_path, capsys):
         code = run("predict", "--model", tmp_path / "absent.json",
                    "--data", tmp_path / "absent.csv", "--out", tmp_path / "o.csv")

@@ -290,6 +290,12 @@ class TestShapPredictorWrapper:
         out = predictor(np.array([rec.id]), np.array([[rec.u, rec.v]]), rec.x[None, :])
         assert np.isfinite(out[0])
 
+    @pytest.mark.parametrize("members", [0, -2])
+    def test_fewer_than_one_member_rejected(self, members):
+        params, config, ctx, te = self._fitted()
+        with pytest.raises(ContractError, match="at least one ensemble member"):
+            make_shap_predictor(params, config, ctx, QueryPool(te.points), members=members)
+
     def test_unknown_id_raises_lookup_error(self):
         params, config, ctx, te = self._fitted()
         predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points))

@@ -65,12 +65,13 @@ def seq_arrays(sequence):
     return feats, coords
 
 
-def predict(sequence, params, config, want_trace=False):
-    """Scalar prediction for one sequence on a tape that records nothing."""
+def predict(sequence, params, config):
+    """Scalar prediction and aggregation weights for one sequence on a tape
+    that records nothing."""
     tape = Tape(record=False)
-    out, trace = forward_on_tape(tape, bind_params(tape, params), seq_arrays(sequence),
-                                 config, want_trace)
-    return float(out.value[0, 0]), trace
+    out, alpha = forward_on_tape(tape, bind_params(tape, params), seq_arrays(sequence),
+                                 config)
+    return float(out.value[0, 0]), alpha
 
 
 def reference_mha(q, k, v, n_heads):
@@ -363,9 +364,10 @@ class TestForward:
     def test_trace_rows_sum_to_one(self):
         config = toy_config()
         params = toy_params(config)
-        _, trace = predict(toy_sequence(8), params, config, want_trace=True)
-        assert trace.alpha.shape == (2, 1, 8)
-        np.testing.assert_allclose(trace.alpha.sum(axis=-1), 1.0, atol=1e-9, rtol=0)
+        _, alpha = predict(toy_sequence(8), params, config)
+        assert alpha.shape == (2, 1, 8)
+        assert not alpha.flags.writeable
+        np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-9, rtol=0)
 
     def test_legacy_single_abf_matches_equal_per_head(self):
         """Shared-factor mode equals per-head mode with all factors equal."""
@@ -406,7 +408,7 @@ class TestForward:
             predict(toy_sequence(6), params, config)
 
     def test_tape_path_matches_inference_path(self):
-        """Recording and non-recording tapes compute the same number and trace,
+        """Recording and non-recording tapes compute the same number and weights,
         and forward_batch gives it too."""
         for trial, (length, legacy, m, layers) in enumerate(
             [(1, False, 2, 1), (5, False, 1, 1), (9, True, 3, 2), (16, False, 8, 2)]
@@ -415,12 +417,12 @@ class TestForward:
                                  n_layers=layers, legacy_single_abf=legacy)
             params = toy_params(config, seed=trial)
             seq = toy_sequence(length, seed=trial + 50)
-            fast, ft = predict(seq, params, config, want_trace=True)
+            fast, fast_alpha = predict(seq, params, config)
             tape = Tape()
-            out, tt = forward_on_tape(tape, bind_params(tape, params), seq_arrays(seq),
-                                      config, want_trace=True)
+            out, alpha = forward_on_tape(tape, bind_params(tape, params), seq_arrays(seq),
+                                         config)
             assert abs(fast - float(out.value[0, 0])) < 1e-12
-            np.testing.assert_allclose(ft.alpha, tt.alpha, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(fast_alpha, alpha, atol=1e-12, rtol=0)
             feats, coords = seq_arrays(seq)
             batch = forward_batch(feats[None], coords[None], params, config)
             assert abs(batch[0] - float(out.value[0, 0])) < 1e-12
@@ -495,10 +497,9 @@ class TestForwardBatch:
         sequences = [seq_arrays(toy_sequence(10, seed=s)) for s in range(3)]
         batch = tuple(np.stack(parts) for parts in zip(*sequences))
         tape = Tape(record=False)
-        out, trace = forward_on_tape(tape, bind_params(tape, params), batch, config,
-                                     want_trace=True)
+        out, alpha = forward_on_tape(tape, bind_params(tape, params), batch, config)
         assert out.value.shape == (3, 1, 1)
-        assert trace.alpha.shape == (3, 4, 1, 10)
+        assert alpha.shape == (3, 4, 1, 10)
         assert tape.values == [] and tape.ops == [] and tape.grads == []
         with pytest.raises(ContractError, match="records"):
             ad.backward(tape, ad.sum_all(out))

@@ -1,17 +1,21 @@
 """Training loop, ensemble inference, metrics, and benchmark tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from geoagg.autodiff import ContractError
+from geoagg.autodiff import AdamState, ContractError
 from geoagg.model import ModelConfig, forward_batch, init_params
 from geoagg.pipeline import (
     EnsemblePrediction,
     TrainConfig,
     UndefinedMetricError,
     _CHUNK_ROWS,
+    _SEED_EPOCH,
     _SEED_INIT,
     _member_predictions,
+    _minibatch_step,
     benchmark_inference,
     evaluate,
     predict_ensemble,
@@ -26,7 +30,6 @@ from geoagg.spatial import (
     ContextPool,
     PointRecord,
     QueryPool,
-    gather,
     neighbor_budget,
     precompute_neighbors,
     subset_indices,
@@ -95,6 +98,41 @@ class TestTrain:
         assert ha == hb
         for name, arr in a.arrays.items():
             np.testing.assert_array_equal(b.arrays[name], arr)
+
+    def test_minibatch_assembly_equals_per_sequence_loop(self):
+        """Whole assembled minibatches train to the bytes of a loop that builds
+        each sequence alone from the pool's columns."""
+        ds = tiny_dataset(70, seed=8)
+        config = tiny_config()
+        tc = TrainConfig(epochs=2, seed=3, batch=16)
+        got, got_history = train(ds, config, tc)
+
+        params, _ = train(ds, config, replace(tc, epochs=0))
+        context = ContextPool(ds)
+        cache = precompute_neighbors(context, context,
+                                     neighbor_budget(config.l_max, tc.expansion_factor))
+        state, history = AdamState(), []
+        for epoch in range(tc.epochs):
+            rng = np.random.default_rng([_SEED_EPOCH, tc.seed, epoch])
+            order = rng.permutation(ds.n)
+            sse = 0.0
+            for start in range(0, ds.n, tc.batch):
+                chunk = order[start:start + tc.batch]
+                seqs = []
+                for row in chunk:
+                    entry = cache.entry(context.ids[row])
+                    picked = entry[subset_indices(entry, row, config.l_max, rng)]
+                    seqs.append((
+                        np.vstack([np.append(context.x[row], 0.0), context.feats[picked]]),
+                        np.vstack([context.coords[row], context.coords[picked]]),
+                    ))
+                batch = tuple(np.stack(parts) for parts in zip(*seqs))
+                sse += _minibatch_step(params, config, batch, ds.targets()[chunk],
+                                       state, tc.lr) * len(chunk)
+            history.append(sse / ds.n)
+        assert got_history == history
+        for name, arr in params.arrays.items():
+            assert np.array_equal(got.arrays[name], arr), name
 
     def test_dataset_smaller_than_l_max_rejected(self):
         ds = tiny_dataset(5)
@@ -233,7 +271,8 @@ def per_query_reference(params, config, queries, context, members, expansion, se
         coords[:, 0] = queries.coords[qi]
         for member in range(members):
             picked = rows[subset_indices(rows, target, l_max, rngs[member])]
-            feats[member, 1:], coords[member, 1:] = gather(context, picked)
+            feats[member, 1:] = context.feats[picked]
+            coords[member, 1:] = context.coords[picked]
         out[:, qi] = forward_batch(feats, coords, params, config)
     return out
 

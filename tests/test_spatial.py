@@ -15,7 +15,6 @@ from geoagg.spatial import (
     SequenceLookupError,
     assemble_sequence,
     build_tree,
-    gather,
     neighbor_budget,
     precompute_neighbors,
     subset_indices,
@@ -324,11 +323,10 @@ class TestAssembleSequence:
         cache = precompute_neighbors(QueryPool([probe]), context, l_max)
         entry = cache.entry(777)
         target = context.row_of.get(777, -1)
-        a = gather(context, entry[subset_indices(entry, target, l_max,
-                                                 np.random.default_rng(1))])
-        b = gather(context, entry[subset_indices(entry, target, l_max,
-                                                 np.random.default_rng(2))])
-        assert seq_ids(a, recs + [probe]) == seq_ids(b, recs + [probe])
+        a, b = (entry[subset_indices(entry, target, l_max, np.random.default_rng(seed))]
+                for seed in (1, 2))
+        assert seq_ids((context.feats[a], context.coords[a]), recs) == \
+            seq_ids((context.feats[b], context.coords[b]), recs)
 
     def test_surplus_varies_with_seed_and_repeats_with_same_seed(self):
         recs, context = self._setup()
@@ -390,6 +388,22 @@ class TestAssembleSequence:
         cache = precompute_neighbors(QueryPool(recs), context, 6)
         with pytest.raises(ContractError, match="l_max"):
             assemble_sequence(recs[0].id, cache, context, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4), (0,)])
+    def test_id_array_equals_per_id_calls(self, shape):
+        """An array of ids draws each id's subset in turn, as per-id calls do."""
+        recs, context = self._setup()
+        l_max = 8
+        cache = precompute_neighbors(QueryPool(recs), context, l_max + 4)
+        ids = np.random.default_rng(5).choice(context.ids, size=shape)
+        feats, coords = assemble_sequence(ids, cache, context, l_max,
+                                          np.random.default_rng(6))
+        assert feats.shape == shape + (l_max, 3) and coords.shape == shape + (l_max, 2)
+        rng = np.random.default_rng(6)
+        for pos, pid in np.ndenumerate(ids):
+            one = assemble_sequence(int(pid), cache, context, l_max, rng)
+            assert np.array_equal(feats[pos], one[0])
+            assert np.array_equal(coords[pos], one[1])
 
     def test_assembly_never_queries_the_tree(self):
         recs, context = self._setup()
