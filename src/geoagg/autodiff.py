@@ -240,9 +240,16 @@ def softplus(x: Var) -> Var:
 
 
 def softplus_inv(y: float) -> float:
-    """Scalar inverse of softplus, for parameter initialisation."""
-    if y <= 0:
-        raise ContractError(f"softplus_inv needs y > 0, got {y}")
+    """Scalar inverse of softplus, for parameter initialisation.
+
+    ``log(expm1(y))``, except above y = 700, near where ``expm1`` overflows,
+    which takes the equal ``y + log(-expm1(-y))``.  The two differ in the
+    last bit for ordinary y, so the first form stays the default.
+    """
+    if not 0.0 < y < np.inf:
+        raise ContractError(f"softplus_inv needs a finite y > 0, got {y}")
+    if y > 700.0:
+        return float(y + np.log(-np.expm1(-y)))
     return float(np.log(np.expm1(y)))
 
 

@@ -14,12 +14,19 @@ pairwise location/feature interaction is the Shapley interaction index, split
 half-and-half between the two mains so the four components still sum to the
 prediction.
 
+A coalition's value is a mean of model outputs over the background rows, so
+every instance's coalition rows are gathered into one table and each distinct
+row is predicted once, in one predictor call: the full coalition is the
+instance itself, and the empty coalition is the same background rows for
+every instance.
+
 For attention models whose input sequences come from neighbour lookups, the
 :func:`make_shap_predictor` wrapper keys every row by its original point id:
 perturbing a row's coordinates or covariates changes what the model sees, but
 the context sequence is always rebuilt from the id's true neighbours.  Rows
 substituted from the background carry the background point's id, so the base
-value is the genuine mean prediction of the background points.
+value is the genuine mean prediction of the background points.  The wrapper
+keeps no caches that calls fill: it is immutable once built.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 
 from .autodiff import ContractError
 from .datasets import GeoDataset
-from .model import ModelConfig, ModelParams, forward_batch
+from .model import _CHUNK_ROWS, ModelConfig, ModelParams, forward_batch
 from .spatial import (
     ContextPool,
     SequenceLookupError,
@@ -79,9 +86,6 @@ class RowBatch:
 
     def __len__(self):
         return len(self.ids)
-
-    def row(self, i: int):
-        return self.ids[i], self.coords[i], self.x[i]
 
 
 @dataclass
@@ -167,28 +171,65 @@ def interaction_index(values: np.ndarray, n_players: int, a: int, b: int) -> flo
 # ---------------------------------------------------------------------------
 
 
-def coalition_values(predictor, instance_row, background: RowBatch,
-                     n_players: int) -> np.ndarray:
-    """Values for every coalition bitmask, via one batched predictor call.
+def _coalition_rows(instances: RowBatch, background: RowBatch, n_players: int):
+    """Every instance's coalition rows over the background, as one int64 table.
 
-    ``values[mask]`` is the mean prediction over the background rows with the
-    coalition's players taken from the instance and the others from each row.
-    The location player carries both the (u, v) pair and the point id, so ids
+    The table is ``(n, 2**n_players, n_bg, 3 + p)``; a row holds the point
+    id, then u, v and the covariates with their float64 bits read as int64,
+    so equal rows are equal bytes.  Coalition ``mask`` takes player a's
+    columns from the instance where bit a is set, and from the background
+    row otherwise.  The location player owns the id, u and v columns, so ids
     always match the row whose location is used.
     """
     if len(background) == 0:
         raise ContractError("background must not be empty")
-    inst_id, inst_coord, inst_x = instance_row
     p = background.x.shape[1]
     # present[mask, a]: player a is in the coalition ``mask``
     present = (np.arange(2 ** n_players)[:, None] >> np.arange(p + 1)) & 1 == 1
-    geo = present[:, GEO_PLAYER, None]
-    preds = predictor(
-        np.where(geo, inst_id, background.ids).ravel(),
-        np.where(geo[..., None], inst_coord, background.coords).reshape(-1, 2),
-        np.where(present[:, None, 1:], inst_x, background.x).reshape(-1, p),
-    )
-    return np.asarray(preds, dtype=np.float64).reshape(2 ** n_players, -1).mean(axis=1)
+    owner = np.concatenate([[GEO_PLAYER] * 3, np.arange(1, p + 1)])
+
+    def columns(rows: RowBatch) -> np.ndarray:
+        return np.column_stack([np.asarray(rows.ids, dtype=np.int64),
+                                np.asarray(rows.coords, dtype=np.float64).view(np.int64),
+                                np.asarray(rows.x, dtype=np.float64).view(np.int64)])
+
+    return np.where(present[:, None, owner], columns(instances)[:, None, None],
+                    columns(background))
+
+
+def _values(predictor, instances: RowBatch, background: RowBatch,
+            n_players: int) -> np.ndarray:
+    """``(n, 2**n_players)`` coalition values of every instance, in one predictor call.
+
+    ``values[i, mask]`` is the mean prediction over the background rows of
+    instance i's coalition ``mask``.  A value is a mean of model outputs, so
+    a row that recurs (the instance itself in the full coalition, the
+    background rows in every instance's empty one) is predicted once: the
+    predictor sees each distinct ``(id, u, v, x)`` row, by exact bytes, once.
+    """
+    table = _coalition_rows(instances, background, n_players)
+    rows = np.ascontiguousarray(table.reshape(-1, table.shape[-1]))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = rows[first]
+    preds = predictor(distinct[:, 0], distinct[:, 1:3].view(np.float64),
+                      distinct[:, 3:].view(np.float64))
+    return np.asarray(preds, dtype=np.float64)[inverse].reshape(table.shape[:3]).mean(axis=2)
+
+
+def coalition_values(predictor, instance_row, background: RowBatch,
+                     n_players: int) -> np.ndarray:
+    """Values for every coalition bitmask of one instance row ``(id, coords, x)``.
+
+    ``values[mask]`` is the mean prediction over the background rows with the
+    coalition's players taken from the instance and the others from each row;
+    the predictor is called once, on the distinct rows.
+    """
+    inst_id, inst_coord, inst_x = instance_row
+    instance = RowBatch(ids=np.array([inst_id], dtype=np.int64),
+                        coords=np.asarray(inst_coord, dtype=np.float64).reshape(1, 2),
+                        x=np.asarray(inst_x, dtype=np.float64).reshape(1, -1))
+    return _values(predictor, instance, background, n_players)[0]
 
 
 class ShapPredictor:
@@ -200,12 +241,13 @@ class ShapPredictor:
     member is used so Shapley identities are exact; set ``members > 1`` for
     ensemble-mean explanations.
 
-    The predictor fills caches as it is used: the neighbour list of an id
-    outside ``queries`` (a background row from the context pool) is searched
-    on its first use, and each (member, id) pair's drawn context rows are
-    kept after their first use.  Both depend only on the pair, so outputs do
-    not depend on the order or grouping of the rows; but calls mutate the
-    predictor, and concurrent calls on one predictor are not safe.
+    The predictor is immutable after construction, which searches the
+    neighbours of every id in ``queries``.  Each call searches the ids
+    outside ``queries`` (background rows from the context pool) in one
+    batched tree search, and member m draws id i's context rows from the
+    stream seeded ``[seed, m, i]``.  So a row's output does not depend on
+    the order or grouping of the rows, and concurrent calls are safe.
+    Sequences are built and run in chunks of at most ``_CHUNK_ROWS`` rows.
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig,
@@ -213,62 +255,61 @@ class ShapPredictor:
                  expansion: float = 1.0, seed: int = 0):
         if members < 1:
             raise ContractError("need at least one ensemble member")
+        if len(context) < config.l_max:
+            raise ContractError(
+                f"only {len(context)} context points available, need {config.l_max}")
         self.params = params
         self.config = config
         self.context = context
         self.members = members
         self.seed = seed
-        self._picks: dict[tuple[int, int], np.ndarray] = {}
-        self._live: dict[int, np.ndarray] = {}
         self._cache = precompute_neighbors(
             queries, context, neighbor_budget(config.l_max, expansion)
         )
 
-    def _member_rng(self, member: int, pid: int) -> np.random.Generator:
-        # keyed per (member, id) so the same row always draws the same subset,
-        # whatever order rows arrive in
-        return np.random.default_rng([self.seed, member, pid])
-
     def neighbor_ids(self, pid: int, member: int = 0):
         """Context ids one member's sequence would use for ``pid``."""
-        return self.context.ids[self._picked(member, pid)].tolist()
+        return self.context.ids[self._picks(np.array([pid]))[member, 0]].tolist()
 
-    def _entry(self, pid: int) -> np.ndarray:
-        """Context rows of ``pid``'s neighbours, nearest first."""
-        if pid in self._cache:
-            return self._cache.entry(pid)
-        rows = self._live.get(pid)
-        if rows is None:
-            # rows substituted from the background carry context-pool ids;
-            # their true neighbourhoods are filled in on first use
-            row = self.context.row_of.get(pid)
-            if row is None:
+    def _picks(self, ids: np.ndarray) -> np.ndarray:
+        """``(members, len(ids), l_max - 1)`` context rows placed after each id."""
+        context, cache = self.context, self._cache
+        id_list = ids.tolist()
+        entries = np.empty((len(id_list), cache.rows.shape[1]), dtype=np.intp)
+        live = []
+        for i, pid in enumerate(id_list):
+            if pid in cache:
+                entries[i] = cache.entry(pid)
+            elif pid in context.row_of:
+                live.append(i)
+            else:
                 raise SequenceLookupError(f"unknown point id {pid}")
-            hits = self.context.tree.knn(self.context.coords[row], self._cache.k)
-            rows = self._live[pid] = np.array([self.context.row_of[i] for i, _ in hits])
-        return rows
-
-    def _picked(self, member: int, pid: int) -> np.ndarray:
-        """Context rows one member places after ``pid``, drawn on first use."""
-        key = (member, pid)
-        rows = self._picks.get(key)
-        if rows is None:
-            entry = self._entry(pid)
-            rows = self._picks[key] = entry[subset_indices(
-                entry, self.context.row_of.get(pid, -1), self.config.l_max,
-                self._member_rng(member, pid))]
-        return rows
+        if live:
+            # rows substituted from the background carry context-pool ids
+            targets = [context.row_of[id_list[i]] for i in live]
+            entries[live] = context.tree.search(context.coords[targets], cache.k)[0]
+        picks = np.empty((self.members, len(id_list), self.config.l_max - 1), dtype=np.intp)
+        for i, pid in enumerate(id_list):
+            target = context.row_of.get(pid, -1)
+            for member in range(self.members):
+                rng = np.random.default_rng([self.seed, member, pid])
+                picks[member, i] = entries[i][subset_indices(
+                    entries[i], target, self.config.l_max, rng)]
+        return picks
 
     def __call__(self, ids, coords, x) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64).ravel()
         coords = np.asarray(coords, dtype=np.float64).reshape(len(ids), 2)
         x = np.asarray(x, dtype=np.float64).reshape(len(ids), -1)
+        distinct, slot = np.unique(ids, return_inverse=True)
+        picks = self._picks(distinct)
         out = np.zeros(len(ids))
-        for member in range(self.members):
-            picks = np.array([self._picked(member, pid) for pid in ids.tolist()],
-                             dtype=np.intp).reshape(len(ids), self.config.l_max - 1)
-            out += forward_batch(*sequences(self.context, x, coords, picks),
-                                 self.params, self.config)
+        for start in range(0, len(ids), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            for member_picks in picks:
+                out[rows] += forward_batch(
+                    *sequences(self.context, x[rows], coords[rows], member_picks[slot[rows]]),
+                    self.params, self.config)
         return out / self.members
 
 
@@ -287,7 +328,11 @@ def make_shap_predictor(params: ModelParams, config: ModelConfig,
 
 def geoshapley_explain(predictor, instances: RowBatch,
                        background: RowBatch) -> GeoShapleyResult:
-    """Exact location-aware Shapley decomposition for every instance row."""
+    """Exact location-aware Shapley decomposition for every instance row.
+
+    Every instance's coalitions are evaluated together: the predictor is
+    called once, on the distinct rows of all of them.
+    """
     if instances.x.shape[1] != background.x.shape[1]:
         raise ContractError("instances and background must share the covariate schema")
     p = instances.x.shape[1]
@@ -295,13 +340,11 @@ def geoshapley_explain(predictor, instances: RowBatch,
     _check_player_count(n_players)
 
     n = len(instances)
+    all_values = _values(predictor, instances, background, n_players)
     phi_geo = np.zeros(n)
     phi = np.zeros((n, p))
     phi_geo_x = np.zeros((n, p))
-    phi0 = 0.0
-    for i in range(n):
-        values = coalition_values(predictor, instances.row(i), background, n_players)
-        phi0 = float(values[0])
+    for i, values in enumerate(all_values):
         raw = shapley_exact(values, n_players)
         sii = np.array([
             interaction_index(values, n_players, GEO_PLAYER, j + 1) for j in range(p)
@@ -309,6 +352,8 @@ def geoshapley_explain(predictor, instances: RowBatch,
         phi_geo_x[i] = sii
         phi[i] = raw[1:] - sii / 2.0
         phi_geo[i] = raw[GEO_PLAYER] - sii.sum() / 2.0
+    # the empty coalition is the same background rows for every instance
+    phi0 = float(all_values[0, 0]) if n else 0.0
     return GeoShapleyResult(ids=instances.ids.copy(), phi0=phi0,
                             phi_geo=phi_geo, phi=phi, phi_geo_x=phi_geo_x)
 

@@ -67,6 +67,11 @@ PARAMS_FORMAT = "geoagg-params-v1"
 # tried; 32-64 rows still faulted in some.
 _ROW_BLOCK = 16
 
+# Sequences that an inference caller (ensemble prediction, the explainer's
+# predictor) assembles and hands to forward_batch at a time, in whole row
+# blocks, so that no caller holds a whole prediction's sequences at once.
+_CHUNK_ROWS = 16 * _ROW_BLOCK
+
 
 @dataclass
 class ModelConfig:
@@ -94,8 +99,8 @@ class ModelConfig:
             raise ContractError("l_max must be at least 2")
         if self.n_layers < 1:
             raise ContractError("need at least one encoder layer")
-        if self.lambda_init <= 0:
-            raise ContractError("lambda_init must be positive")
+        if not 0.0 < self.lambda_init < np.inf:
+            raise ContractError(f"lambda_init must be finite and positive, got {self.lambda_init}")
 
     @property
     def head_dim(self) -> int:
@@ -354,7 +359,13 @@ def forward_batch(feats, coords, params: ModelParams, config: ModelConfig) -> np
 
 def save_params(path, params: ModelParams, config: ModelConfig,
                 train_config: dict | None = None) -> None:
-    """Self-describing JSON snapshot: format tag, configs, named row-major arrays."""
+    """Self-describing JSON snapshot: format tag, configs, named row-major arrays.
+
+    Arrays and constants must be finite; a non-finite one raises a one-line
+    :class:`ContractError` and nothing is written.
+    """
+    _check_finite("model", "array", params.arrays)
+    _check_finite("model", "constant", params.norm)
     doc = {
         "format": PARAMS_FORMAT,
         "model_config": asdict(config),
@@ -377,13 +388,20 @@ def _check_fits(kind: str, got: dict, want: dict) -> None:
                                 f"{got[name].shape}, its config needs {want[name].shape}")
 
 
+def _check_finite(owner: str, kind: str, named: dict) -> None:
+    """Every value of every named array finite, else a ContractError."""
+    for name in sorted(named):
+        if not np.isfinite(named[name]).all():
+            raise ContractError(f"{owner} {kind} {name!r} holds non-finite values")
+
+
 def load_params(path):
     """Inverse of :func:`save_params`: ``(params, config, train_config_dict)``.
 
     The file must fit its own ``model_config``: exactly the arrays and
     constants :func:`init_params` makes for that config, with the same
-    shapes, the covariate count being read from ``embed_w``.  A file that
-    does not fit raises a one-line :class:`ContractError`.
+    shapes, the covariate count being read from ``embed_w``, and every value
+    finite.  A file that does not fit raises a one-line :class:`ContractError`.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     found = doc.get("format") if isinstance(doc, dict) else None
@@ -405,4 +423,6 @@ def load_params(path):
     fitting = init_params(config, embed_w.shape[0] - 1, np.random.default_rng(0))
     _check_fits("array", arrays, fitting.arrays)
     _check_fits("constant", norm, fitting.norm)
+    _check_finite("parameter file", "array", arrays)
+    _check_finite("parameter file", "constant", norm)
     return ModelParams(arrays=arrays, norm=norm), config, doc.get("train_config")

@@ -28,7 +28,7 @@ from .autodiff import AdamState, ContractError, Tape, adam_step, backward
 from . import autodiff as ad
 from .datasets import GeoDataset
 from .model import (
-    _ROW_BLOCK,
+    _CHUNK_ROWS,
     ModelConfig,
     ModelParams,
     bind_params,
@@ -67,9 +67,6 @@ __all__ = [
 _SEED_SPLIT = 1
 _SEED_INIT = 2
 _SEED_EPOCH = 3
-
-# (query, member) sequences per inference forward pass, in whole row blocks
-_CHUNK_ROWS = 16 * _ROW_BLOCK
 
 
 @dataclass
@@ -131,7 +128,8 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
     surplus removal is re-seeded per epoch, so every epoch sees fresh context
     subsets without touching the tree again.  Each minibatch is assembled in
     one call and runs as one batched forward on one tape, and its loss is the
-    minibatch mean of squared errors.
+    minibatch mean of squared errors.  An epoch whose mean squared error is
+    not finite stops training with a one-line :class:`ContractError`.
     """
     if dataset.n < config.l_max:
         raise ContractError(
@@ -163,7 +161,10 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
             chunk = order[start:start + tc.batch]
             batch = assemble_sequence(context.ids[chunk], cache, context, config.l_max, rng)
             sse += _minibatch_step(params, config, batch, y[chunk], state, tc.lr) * len(chunk)
-        history.append(sse / len(context))
+        mse = sse / len(context)
+        if not np.isfinite(mse):
+            raise ContractError(f"training diverged: epoch {epoch} has mean squared error {mse}")
+        history.append(mse)
     return params, history
 
 

@@ -554,3 +554,21 @@ class TestAdam:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError, match="shape"):
             adam_step({"w": np.ones((2, 2))}, {"w": np.ones((1, 2))}, AdamState(), lr=0.1)
+
+
+class TestSoftplusInv:
+    def test_ordinary_values_keep_the_log_expm1_form(self):
+        """Init weights stay bit for bit where expm1 does not overflow."""
+        for y in (1e-3, 0.5, 1.0, 30.0, 700.0):
+            assert ad.softplus_inv(y) == float(np.log(np.expm1(y)))
+
+    @pytest.mark.parametrize("y", [700.5, 709.9, 1000.0, 1e300])
+    def test_large_values_stay_finite(self, y):
+        raw = ad.softplus_inv(y)
+        assert np.isfinite(raw)
+        assert np.logaddexp(0.0, raw) == pytest.approx(y, rel=1e-15)
+
+    @pytest.mark.parametrize("y", [0.0, -1.0, float("nan"), float("inf")])
+    def test_nonpositive_or_non_finite_rejected(self, y):
+        with pytest.raises(ContractError, match="finite y > 0"):
+            ad.softplus_inv(y)

@@ -168,6 +168,30 @@ class TestTrainPredictExplainBench:
         assert "parameter file lacks array 'l1.a.wk'" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_non_finite_model_file_is_runtime_error(self, trained, capsys):
+        data, model, cfg, tmp_path = trained
+        doc = json.loads(model.read_text())
+        doc["arrays"]["agg.lam_raw"][1][0] = float("nan")
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        code = run("explain", "--model", bad, "--data", data, "--out", tmp_path / "e.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "parameter file array 'agg.lam_raw' holds non-finite values" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_diverging_training_is_runtime_error(self, trained, capsys):
+        data, _, _, tmp_path = trained
+        cfg = write_config(tmp_path, {"train": {**SMALL_CONFIG["train"], "lr": 1e30}})
+        with pytest.warns(RuntimeWarning):
+            code = run("train", "--data", data, "--config", cfg,
+                       "--model-out", tmp_path / "diverged.json")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "training diverged: epoch" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "diverged.json").exists()
+
     def test_missing_context_target_is_a_data_error(self, trained, capsys):
         """A blank ``y`` on a train-split row stops every command at the pool."""
         data, model, cfg, tmp_path = trained

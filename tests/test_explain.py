@@ -1,9 +1,13 @@
 """Explainer tests: exact Shapley values, the joint location player, the
 interaction split, the id-keyed predictor wrapper, and slope recovery."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from geoagg import explain
 from geoagg.autodiff import ContractError
 from geoagg.datasets import generate_gwr, gwr_beta1, gwr_beta2
 from geoagg.explain import (
@@ -17,9 +21,10 @@ from geoagg.explain import (
     shapley_exact,
     write_explanations_csv,
 )
+from geoagg.kdtree import KdTree
 from geoagg.model import ModelConfig, forward_batch
 from geoagg.pipeline import TrainConfig, predict_ensemble, split_dataset, train
-from geoagg.spatial import ContextPool, QueryPool, SequenceLookupError
+from geoagg.spatial import ContextPool, QueryPool, SequenceLookupError, sequences
 
 
 def rows(ids, coords, x):
@@ -141,7 +146,9 @@ class TestCoalitionValue:
                                                           np.zeros((0, 1))), 2)
 
     def test_call_accounting_two_features_thirty_background(self):
-        """p = 2 means 2^3 coalition evaluations, each over 30 background rows."""
+        """p = 2 means 2^3 coalitions over 30 background rows, in one call of
+        the distinct rows: the full coalition is the instance once, and the
+        other seven coalitions are 30 distinct rows each."""
         calls = []
 
         def counting(ids, coords, x):
@@ -153,7 +160,7 @@ class TestCoalitionValue:
         bg = rows(np.arange(30), rng.random((30, 2)), rng.normal(size=(30, 2)))
         values = coalition_values(counting, inst, bg, 3)
         assert values.shape == (8,)
-        assert sum(calls) == 8 * 30
+        assert calls == [7 * 30 + 1]
 
 
 class TestGeoShapleyDecomposition:
@@ -194,10 +201,24 @@ class TestGeoShapleyDecomposition:
 
         instances, background, res = self._explain(messy)
         for i in range(len(instances)):
-            values = coalition_values(messy, instances.row(i), background, 3)
+            row = (instances.ids[i], instances.coords[i], instances.x[i])
+            values = coalition_values(messy, row, background, 3)
             raw = shapley_exact(values, 3)
             total_split = res.phi_geo[i] + res.phi[i].sum() + res.phi_geo_x[i].sum()
             assert total_split == pytest.approx(raw.sum(), abs=1e-9)
+
+    @pytest.mark.parametrize("n, n_bg, p", [(20, 30, 2), (3, 4, 1), (5, 7, 3)])
+    def test_each_distinct_row_is_predicted_once_in_one_call(self, n, n_bg, p):
+        """Per instance, 2^P - 2 mixed coalitions of n_bg rows plus the instance
+        itself; the empty coalition's n_bg background rows are shared."""
+        calls = []
+
+        def counting(ids, coords, x):
+            calls.append(len(ids))
+            return x.sum(axis=1) + coords[:, 0]
+
+        self._explain(counting, p=p, n_bg=n_bg, n_inst=n)
+        assert calls == [n * ((2 ** (p + 1) - 2) * n_bg + 1) + n_bg]
 
     def test_schema_mismatch_rejected(self):
         instances = rows([0], [[0.0, 0.0]], [[1.0, 2.0]])
@@ -242,11 +263,34 @@ class TestLocalCoefficients:
         assert np.isfinite(beta[0, 1])
 
 
+def per_instance_reference(predictor, instances, background):
+    """GeoShapley with each instance's whole coalition table predicted as is,
+    duplicate rows included, one predictor call per instance."""
+    n, p = instances.x.shape
+    n_players = p + 1
+    present = (np.arange(2 ** n_players)[:, None] >> np.arange(n_players)) & 1 == 1
+    phi_geo, phi, phi_geo_x, phi0 = np.zeros(n), np.zeros((n, p)), np.zeros((n, p)), 0.0
+    for i in range(n):
+        ids = np.where(present[:, :1], instances.ids[i], background.ids)
+        coords = np.where(present[:, :1, None], instances.coords[i], background.coords)
+        x = np.where(present[:, None, 1:], instances.x[i], background.x)
+        preds = predictor(ids.ravel(), coords.reshape(-1, 2), x.reshape(-1, p))
+        values = preds.reshape(2 ** n_players, -1).mean(axis=1)
+        raw = shapley_exact(values, n_players)
+        sii = np.array([interaction_index(values, n_players, GEO_PLAYER, j + 1)
+                        for j in range(p)])
+        phi_geo_x[i] = sii
+        phi[i] = raw[1:] - sii / 2.0
+        phi_geo[i] = raw[GEO_PLAYER] - sii.sum() / 2.0
+        phi0 = float(values[0])
+    return phi_geo, phi, phi_geo_x, phi0
+
+
 class TestShapPredictorWrapper:
-    def _fitted(self):
+    def _fitted(self, epochs=0):
         ds = generate_gwr(100, 4)
         config = ModelConfig(d_model=8, n_heads=2, n_inducing=2, l_max=8, n_layers=1)
-        params, _ = train(ds, config, TrainConfig(epochs=0, seed=0))
+        params, _ = train(ds, config, TrainConfig(epochs=epochs, seed=0))
         tr, te = split_dataset(ds, 0.7, 0)
         return params, config, ContextPool(tr.points), te
 
@@ -331,6 +375,88 @@ class TestShapPredictorWrapper:
         got = predictor(batch.ids, batch.coords, x)
         assert got.tobytes() == want.tobytes()
         np.testing.assert_allclose(shuffled, want[order], atol=1e-12, rtol=0)
+
+
+    def test_distinct_rows_explain_byte_equal_to_full_tables(self):
+        params, config, ctx, te = self._fitted(epochs=2)
+        predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points),
+                                        members=2, expansion=1.5, seed=5)
+        instances = RowBatch.from_records(te.points[:12])
+        background = RowBatch.from_records(ctx.records[10:19])
+        res = geoshapley_explain(predictor, instances, background)
+        phi_geo, phi, phi_geo_x, phi0 = per_instance_reference(predictor, instances, background)
+        assert res.phi_geo.tobytes() == phi_geo.tobytes()
+        assert res.phi.tobytes() == phi.tobytes()
+        assert res.phi_geo_x.tobytes() == phi_geo_x.tobytes()
+        assert np.float64(res.phi0).tobytes() == np.float64(phi0).tobytes()
+
+    def test_calls_leave_the_predictor_unchanged_and_never_use_knn(self, monkeypatch):
+        params, config, ctx, te = self._fitted()
+        predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points),
+                                        members=2, expansion=1.5, seed=3)
+
+        def no_knn(*args, **kwargs):
+            raise AssertionError("KdTree.knn called")
+
+        monkeypatch.setattr(KdTree, "knn", no_knn)
+        before = dict(vars(predictor))
+        # query ids read the cache; context ids (background rows) are searched
+        batch = RowBatch.from_records(list(te.points[:5]) + list(ctx.records[:5]))
+        first = predictor(batch.ids, batch.coords, batch.x)
+        neighbours = predictor.neighbor_ids(int(ctx.ids[0]), member=1)
+        second = predictor(batch.ids, batch.coords, batch.x)
+        assert vars(predictor).keys() == before.keys()
+        assert all(vars(predictor)[key] is value for key, value in before.items())
+        assert first.tobytes() == second.tobytes()
+        assert predictor.neighbor_ids(int(ctx.ids[0]), member=1) == neighbours
+
+    def test_concurrent_calls_match_serial_calls(self):
+        params, config, ctx, te = self._fitted()
+        predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points),
+                                        members=2, expansion=1.5, seed=6)
+        pool = RowBatch.from_records(list(te.points) + list(ctx.records))
+        batches = [np.random.default_rng(i).integers(len(pool), size=40) for i in range(8)]
+        want = [predictor(pool.ids[b], pool.coords[b], pool.x[b]) for b in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as workers:
+                futures = [workers.submit(predictor, pool.ids[b], pool.coords[b], pool.x[b])
+                           for b in batches]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_context_smaller_than_l_max_rejected(self):
+        params, config, ctx, te = self._fitted()
+        small = ContextPool(ctx.records[:config.l_max - 1])
+        with pytest.raises(ContractError, match="only 7 context points available, need 8"):
+            make_shap_predictor(params, config, small, QueryPool(te.points))
+
+    def test_sequences_are_assembled_at_most_256_rows_at_a_time(self, monkeypatch):
+        params, config, ctx, te = self._fitted()
+        predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points),
+                                        members=2, expansion=1.5)
+        sizes = []
+
+        def recording(context, x, coords, picks):
+            sizes.append(len(picks))
+            return sequences(context, x, coords, picks)
+
+        monkeypatch.setattr(explain, "sequences", recording)
+        pool = RowBatch.from_records(list(te.points) + list(ctx.records))
+        rng = np.random.default_rng(1)
+        take = rng.integers(len(pool), size=1000)
+        coords = pool.coords[take] + rng.normal(0.0, 0.01, size=(1000, 2))
+        got = predictor(pool.ids[take], coords, pool.x[take])
+        assert max(sizes) <= 256
+        assert sum(sizes) == 2 * 1000
+        tail = slice(990, 1000)
+        np.testing.assert_allclose(
+            got[tail], predictor(pool.ids[take][tail], coords[tail], pool.x[take][tail]),
+            atol=1e-12, rtol=0)
 
 
 class TestExplanationsCsv:

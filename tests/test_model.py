@@ -526,6 +526,17 @@ class TestConfigValidation:
         with pytest.raises(ContractError):
             ModelConfig(lambda_init=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_lambda_init_finite(self, value):
+        with pytest.raises(ContractError, match="lambda_init must be finite"):
+            ModelConfig(lambda_init=value)
+
+    def test_large_lambda_init_gives_a_finite_raw_factor(self):
+        params = init_params(ModelConfig(lambda_init=1000.0), 2, np.random.default_rng(0))
+        lam_raw = params.arrays["agg.lam_raw"]
+        assert np.isfinite(lam_raw).all()
+        np.testing.assert_array_equal(np.logaddexp(0.0, lam_raw), 1000.0)
+
 
 @st.composite
 def saved_models(draw):
@@ -624,6 +635,32 @@ class TestSerialization:
 
         path = self._edited(tmp_path, drop_a_row)
         with pytest.raises(ContractError, match=r"'l0.a.wk' has shape \(7, 8\).*\(8, 8\)"):
+            load_params(path)
+
+    @pytest.mark.parametrize("kind, section, name, value", [
+        ("array", "arrays", "agg.wq", float("nan")),
+        ("constant", "norm", "y_std", float("inf")),
+    ])
+    def test_saving_non_finite_values_rejected(self, tmp_path, kind, section, name, value):
+        config = toy_config()
+        params = toy_params(config, seed=8)
+        getattr(params, section)[name][0, 0] = value
+        path = tmp_path / "model.json"
+        with pytest.raises(ContractError, match=f"^model {kind} '{name}' holds non-finite"):
+            save_params(path, params, config)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind, section, name, value", [
+        ("array", "arrays", "head.w1", float("nan")),
+        ("constant", "constants", "x_mean", float("-inf")),
+    ])
+    def test_loading_non_finite_values_rejected(self, tmp_path, kind, section, name, value):
+        def poison(doc):
+            doc[section][name][0][0] = value  # json writes NaN / -Infinity
+
+        path = self._edited(tmp_path, poison)
+        with pytest.raises(ContractError,
+                           match=f"^parameter file {kind} '{name}' holds non-finite"):
             load_params(path)
 
     def test_unknown_model_config_key_rejected(self, tmp_path):

@@ -134,6 +134,13 @@ class TestTrain:
         for name, arr in params.arrays.items():
             assert np.array_equal(got.arrays[name], arr), name
 
+    def test_non_finite_epoch_loss_stops_training_naming_the_epoch(self):
+        """A learning rate of 1e30 overflows in the second epoch."""
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(ContractError, match="^training diverged: epoch 1 "):
+                train(tiny_dataset(30), tiny_config(),
+                      TrainConfig(epochs=3, seed=0, batch=16, lr=1e30))
+
     def test_dataset_smaller_than_l_max_rejected(self):
         ds = tiny_dataset(5)
         with pytest.raises(ContractError, match="l_max"):
