@@ -15,10 +15,11 @@ half-and-half between the two mains so the four components still sum to the
 prediction.
 
 A coalition's value is a mean of model outputs over the background rows, so
-every instance's coalition rows are gathered into one table and each distinct
-row is predicted once, in one predictor call: the full coalition is the
-instance itself, and the empty coalition is the same background rows for
-every instance.
+the coalition rows of a block of instances are gathered into one table and
+each distinct row is predicted once, in one predictor call per block: the
+full coalition is the instance itself, and the empty coalition is the same
+background rows for every instance.  Blocks hold at most ``_BLOCK_ROWS``
+rows (or one instance), so memory does not grow with the instance count.
 
 For attention models whose input sequences come from neighbour lookups, the
 :func:`make_shap_predictor` wrapper keys every row by its original point id:
@@ -66,6 +67,10 @@ __all__ = [
 
 GEO_PLAYER = 0
 MAX_EXACT_PLAYERS = 20
+# coalition rows of a block of instances built, deduplicated and predicted
+# together; a block holds at least one instance, so memory stops growing with
+# the instance count
+_BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -181,8 +186,6 @@ def _coalition_rows(instances: RowBatch, background: RowBatch, n_players: int):
     row otherwise.  The location player owns the id, u and v columns, so ids
     always match the row whose location is used.
     """
-    if len(background) == 0:
-        raise ContractError("background must not be empty")
     p = background.x.shape[1]
     # present[mask, a]: player a is in the coalition ``mask``
     present = (np.arange(2 ** n_players)[:, None] >> np.arange(p + 1)) & 1 == 1
@@ -199,22 +202,33 @@ def _coalition_rows(instances: RowBatch, background: RowBatch, n_players: int):
 
 def _values(predictor, instances: RowBatch, background: RowBatch,
             n_players: int) -> np.ndarray:
-    """``(n, 2**n_players)`` coalition values of every instance, in one predictor call.
+    """``(n, 2**n_players)`` coalition values of every instance.
 
     ``values[i, mask]`` is the mean prediction over the background rows of
     instance i's coalition ``mask``.  A value is a mean of model outputs, so
     a row that recurs (the instance itself in the full coalition, the
-    background rows in every instance's empty one) is predicted once: the
-    predictor sees each distinct ``(id, u, v, x)`` row, by exact bytes, once.
+    background rows in every instance's empty one) is predicted once per
+    block: instances go in blocks of at most ``_BLOCK_ROWS`` coalition rows,
+    and the predictor sees each block's distinct ``(id, u, v, x)`` rows, by
+    exact bytes, once, in one call.
     """
-    table = _coalition_rows(instances, background, n_players)
-    rows = np.ascontiguousarray(table.reshape(-1, table.shape[-1]))
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = rows[first]
-    preds = predictor(distinct[:, 0], distinct[:, 1:3].view(np.float64),
-                      distinct[:, 3:].view(np.float64))
-    return np.asarray(preds, dtype=np.float64)[inverse].reshape(table.shape[:3]).mean(axis=2)
+    if len(background) == 0:
+        raise ContractError("background must not be empty")
+    values = np.empty((len(instances), 2 ** n_players))
+    step = max(1, _BLOCK_ROWS // (2 ** n_players * len(background)))
+    for start in range(0, len(instances), step):
+        block = slice(start, start + step)
+        table = _coalition_rows(RowBatch(instances.ids[block], instances.coords[block],
+                                         instances.x[block]), background, n_players)
+        rows = np.ascontiguousarray(table.reshape(-1, table.shape[-1]))
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        distinct = rows[first]
+        preds = predictor(distinct[:, 0], distinct[:, 1:3].view(np.float64),
+                          distinct[:, 3:].view(np.float64))
+        values[block] = np.asarray(preds, dtype=np.float64)[inverse].reshape(
+            table.shape[:3]).mean(axis=2)
+    return values
 
 
 def coalition_values(predictor, instance_row, background: RowBatch,
@@ -290,11 +304,10 @@ class ShapPredictor:
             entries[live] = context.tree.search(context.coords[targets], cache.k)[0]
         picks = np.empty((self.members, len(id_list), self.config.l_max - 1), dtype=np.intp)
         for i, pid in enumerate(id_list):
-            target = context.row_of.get(pid, -1)
+            target = [context.row_of.get(pid, -1)]
             for member in range(self.members):
                 rng = np.random.default_rng([self.seed, member, pid])
-                picks[member, i] = entries[i][subset_indices(
-                    entries[i], target, self.config.l_max, rng)]
+                picks[member, i] = subset_indices(entries[i:i + 1], target, self.config.l_max, rng)
         return picks
 
     def __call__(self, ids, coords, x) -> np.ndarray:
@@ -330,8 +343,8 @@ def geoshapley_explain(predictor, instances: RowBatch,
                        background: RowBatch) -> GeoShapleyResult:
     """Exact location-aware Shapley decomposition for every instance row.
 
-    Every instance's coalitions are evaluated together: the predictor is
-    called once, on the distinct rows of all of them.
+    Instances' coalitions are evaluated a block at a time: the predictor is
+    called once per block, on the distinct rows of its instances.
     """
     if instances.x.shape[1] != background.x.shape[1]:
         raise ContractError("instances and background must share the covariate schema")

@@ -101,6 +101,8 @@ class ModelConfig:
             raise ContractError("need at least one encoder layer")
         if not 0.0 < self.lambda_init < np.inf:
             raise ContractError(f"lambda_init must be finite and positive, got {self.lambda_init}")
+        if not 0.0 < self.rope_base < np.inf:
+            raise ContractError(f"rope_base must be finite and positive, got {self.rope_base}")
 
     @property
     def head_dim(self) -> int:

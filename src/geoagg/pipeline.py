@@ -6,7 +6,9 @@ minimises mean squared error with Adam, recording one tape per minibatch.
 Inference assembles ``members`` sequences per query (member k draws its
 context subsets from the stream seeded ``[seed, k]``) and reports the per-query
 mean and sample standard deviation, the latter being the epistemic
-uncertainty of the ensemble.
+uncertainty of the ensemble.  Context rows are drawn a batch at a time, one
+:func:`~geoagg.spatial.subset_indices` call per training minibatch and per
+(member, chunk of queries) at inference.
 
 Everything is a pure function of (data, config, seeds): fixed split, fixed
 parameter initialisation, fixed per-epoch shuffles.  The benchmark harness
@@ -18,6 +20,7 @@ the timing curves are free of scheduling noise.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -87,8 +90,11 @@ class TrainConfig:
             raise ContractError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.split < 1.0:
             raise ContractError(f"split must lie in (0, 1), got {self.split}")
-        if self.expansion_factor < 1.0:
-            raise ContractError("expansion_factor must be >= 1")
+        if not 0.0 < self.lr < math.inf:
+            raise ContractError(f"lr must be finite and positive, got {self.lr}")
+        if not 1.0 <= self.expansion_factor < math.inf:
+            raise ContractError(
+                f"expansion_factor must be finite and >= 1, got {self.expansion_factor}")
 
 
 @dataclass
@@ -195,8 +201,9 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
     ``precomputed`` mode searches the tree once for all query points up
     front; ``on_the_fly`` searches it again for every member and query.  Both
     feed identical rows through identical rng streams, so their predictions
-    match exactly.  Each member draws in query order, and every chunk of
-    queries is assembled at once and run as one batched forward pass.
+    match exactly.  Queries go in chunks: each member draws a chunk's context
+    rows in one :func:`subset_indices` call, and the chunk's sequences of
+    every member run as one batched forward pass.
     """
     if members < 1:
         raise ContractError("need at least one ensemble member")
@@ -220,28 +227,28 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
     cache = (precompute_neighbors(queries, context, k)
              if cache_mode == "precomputed" else None)
     rngs = [np.random.default_rng([seed, member]) for member in range(members)]
+    targets = [context.row_of.get(qid, -1) for qid in queries.ids.tolist()]
+
+    def entries(chunk: slice) -> np.ndarray:
+        if cache is not None:
+            return cache.rows[chunk]
+        # the naive pipeline being modelled searches again for every member
+        # and query; the repeated results are identical
+        return np.concatenate([context.tree.search(point, k)[0]
+                               for point in queries.coords[chunk]])
 
     preds = np.empty((members, len(queries)))
     step = max(1, _CHUNK_ROWS // members)
-    picks = np.empty((step, members, l_max - 1), dtype=np.intp)
-    ids = queries.ids.tolist()
-    for start in range(0, len(ids), step):
-        stop = min(start + step, len(ids))
-        for qi in range(start, stop):
-            target = context.row_of.get(ids[qi], -1)
-            for member in range(members):
-                # the naive pipeline being modelled searches again for every
-                # member and query; the repeated results are identical
-                rows = (cache.rows[qi] if cache is not None
-                        else context.tree.search(queries.coords[qi], k)[0][0])
-                idx = subset_indices(rows, target, l_max, rngs[member])
-                picks[qi - start, member] = rows[idx]
+    for start in range(0, len(queries), step):
+        chunk = slice(start, start + step)
+        picks = np.stack([subset_indices(entries(chunk), targets[chunk], l_max, rng)
+                          for rng in rngs], axis=1)
         # each query's row serves all of its members' sequences
-        feats, coords = sequences(context, queries.x[start:stop, None],
-                                  queries.coords[start:stop, None], picks[:stop - start])
+        feats, coords = sequences(context, queries.x[chunk, None],
+                                  queries.coords[chunk, None], picks)
         out = forward_batch(feats.reshape(-1, l_max, width), coords.reshape(-1, l_max, 2),
                             params, config)
-        preds[:, start:stop] = out.reshape(-1, members).T
+        preds[:, chunk] = out.reshape(-1, members).T
     return preds
 
 

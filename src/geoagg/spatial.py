@@ -20,7 +20,9 @@ members distinct context draws.  One cached slot is reserved for the target
 itself: if the target appears in the cache (training-style pools) that slot is
 dropped by id, otherwise the farthest candidate is discarded.  Either way the
 sampling pool has exactly ``k' - 1`` entries, so an expansion factor of 1.0
-yields fully deterministic sequences.
+yields fully deterministic sequences.  A whole batch's surplus is removed in
+one draw: one block of uniform keys, one row per sequence, drawn in row
+order, of which each row keeps its ``l_max - 1`` smallest.
 
 Pools, trees, and caches are immutable after construction and safe to share
 across concurrent readers.
@@ -133,12 +135,16 @@ class NeighborCache:
     ids: np.ndarray
     k: int
 
+    def entries(self, qids) -> np.ndarray:
+        """``(len(qids), k)`` context rows of query ids' neighbours, nearest first."""
+        try:
+            return self.rows[[self.row_of[qid] for qid in qids]]
+        except KeyError as err:
+            raise SequenceLookupError(f"no cached neighbors for id {err.args[0]}") from None
+
     def entry(self, qid: int) -> np.ndarray:
         """Context rows of a query id's neighbours, nearest first."""
-        try:
-            return self.rows[self.row_of[qid]]
-        except KeyError:
-            raise SequenceLookupError(f"no cached neighbors for id {qid}") from None
+        return self.entries([qid])[0]
 
     def __getitem__(self, qid: int) -> list[tuple[int, float]]:
         """The neighbours of a query id as ``(id, squared distance)`` pairs."""
@@ -154,8 +160,10 @@ class NeighborCache:
 
 def neighbor_budget(l_max: int, expansion: float) -> int:
     """Cache depth k' for a given max sequence length and expansion factor."""
-    if expansion < 1.0:
-        raise ContractError(f"expansion factor must be >= 1, got {expansion}")
+    if not 1.0 <= expansion < math.inf:
+        raise ContractError(f"expansion factor must be finite and >= 1, got {expansion}")
+    if not math.isfinite(expansion * l_max):
+        raise ContractError(f"expansion factor {expansion} times l_max={l_max} is not finite")
     return int(math.ceil(expansion * l_max))
 
 
@@ -165,24 +173,30 @@ def precompute_neighbors(queries: QueryPool, context: ContextPool, k: int) -> Ne
     return NeighborCache(rows, d2, queries.row_of, context.ids, k)
 
 
-def subset_indices(rows: np.ndarray, target_row: int, l_max: int,
+def subset_indices(rows: np.ndarray, targets, l_max: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Positions within a cached entry's context ``rows`` chosen for one sequence.
+    """``(n, l_max - 1)`` context rows for n sequences, one per cached entry.
 
-    Drops the target's own row (``target_row``, -1 when the target is not a
-    context point) when present, otherwise the farthest candidate, then keeps
-    ``l_max - 1`` of the remaining candidates (uniformly at random when there
-    is surplus, in ascending distance order always).
+    ``rows`` ``(n, k)`` holds entries ascending in distance, ``targets``
+    ``(n,)`` each sequence's own context row (-1 when not a context point).
+    Each entry drops its target's slot, or else its last (farthest) one, and
+    keeps ``l_max - 1`` of the other ``k - 1``, in entry order: those with
+    the smallest of ``(n, k)`` uniform keys drawn from ``rng`` in row order,
+    a uniform sample without replacement.  So one call over n entries picks
+    what n one-entry calls in turn would; with no surplus nothing is drawn.
     """
-    positions = np.flatnonzero(rows != target_row)
-    if len(positions) == len(rows) and len(positions):
-        positions = positions[:-1]
-    slots = l_max - 1
-    if len(positions) > slots:
-        pick = rng.choice(len(positions), size=slots, replace=False)
-        pick.sort()
-        positions = positions[pick]
-    return positions
+    n, k = rows.shape
+    if k < l_max:
+        raise ContractError(f"cache entries hold {k} neighbors, need at least l_max={l_max}")
+    dropped = rows == np.asarray(targets).reshape(n, 1)
+    dropped[:, -1] |= ~dropped.any(axis=1)
+    if k == l_max:
+        return rows[~dropped].reshape(n, l_max - 1)
+    keys = rng.random((n, k))
+    keys[dropped] = np.inf
+    picked = np.argpartition(keys, l_max - 2, axis=1)[:, :l_max - 1]
+    picked.sort(axis=1)
+    return np.take_along_axis(rows, picked, axis=1)
 
 
 def sequences(context: ContextPool, x, coords, picks):
@@ -207,25 +221,19 @@ def assemble_sequence(target_ids, cache: NeighborCache, context: ContextPool,
                       l_max: int, rng: np.random.Generator):
     """:func:`sequences` for context points, given by one id or an array of ids.
 
-    Each id's subset is drawn from ``rng`` in turn, in flattened order.  The
-    shape of ``target_ids`` leads the sequence axes, so one id gives
-    ``(l_max, p + 1)`` features and ``(l_max, 2)`` coordinates.
+    Every id's context rows come from one :func:`subset_indices` draw on
+    ``rng``, in flattened order.  The shape of ``target_ids`` leads the
+    sequence axes, so one id gives ``(l_max, p + 1)`` features and
+    ``(l_max, 2)`` coordinates.
     """
     ids = np.asarray(target_ids)
-    targets = np.empty(ids.size, dtype=np.intp)
-    picks = np.empty((ids.size, l_max - 1), dtype=np.intp)
-    for i, target_id in enumerate(ids.ravel().tolist()):
-        entry = cache.entry(target_id)
-        if len(entry) < l_max:
-            raise ContractError(
-                f"cache entry for id {target_id} holds {len(entry)} neighbors, "
-                f"need at least l_max={l_max}"
-            )
-        row = context.row_of.get(target_id)
-        if row is None:
-            raise SequenceLookupError(f"id {target_id} is not in the context pool")
-        targets[i] = row
-        picks[i] = entry[subset_indices(entry, row, l_max, rng)]
+    flat = ids.ravel().tolist()
+    entries = cache.entries(flat)
+    try:
+        targets = np.array([context.row_of[qid] for qid in flat], dtype=np.intp)
+    except KeyError as err:
+        raise SequenceLookupError(f"id {err.args[0]} is not in the context pool") from None
+    picks = subset_indices(entries, targets, l_max, rng)
     targets = targets.reshape(ids.shape)
     return sequences(context, context.x[targets], context.coords[targets],
                      picks.reshape(ids.shape + (l_max - 1,)))

@@ -292,6 +292,40 @@ class TestTrainPredictExplainBench:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, key, value, message", [
+        ("predict-flag", "expansion", "nan", "expansion factor must be finite and >= 1, got nan"),
+        ("predict-flag", "expansion", "inf", "expansion factor must be finite and >= 1, got inf"),
+        ("predict-flag", "expansion", "1e308",
+         "expansion factor 1e+308 times l_max=8 is not finite"),
+        ("config-file", "expansion_factor", float("nan"),
+         "expansion_factor must be finite and >= 1, got nan"),
+        ("config-file", "lr", -1.0, "lr must be finite and positive, got -1.0"),
+        ("train_config", "expansion_factor", float("nan"),
+         "expansion_factor must be finite and >= 1, got nan"),
+        ("model_config", "rope_base", -5, "rope_base must be finite and positive, got -5"),
+    ])
+    def test_out_of_range_float_is_runtime_error(self, trained, capsys,
+                                                 source, key, value, message):
+        data, model, cfg, tmp_path = trained
+        out = tmp_path / "o.csv"
+        if source == "predict-flag":
+            argv = ["predict", "--model", model, "--data", data, f"--{key}", value, "--out", out]
+        elif source == "config-file":
+            bad = write_config(tmp_path, {"train": {**SMALL_CONFIG["train"], key: value}})
+            out = tmp_path / "m.json"
+            argv = ["train", "--data", data, "--config", bad, "--model-out", out]
+        else:
+            doc = json.loads(model.read_text())
+            doc[source][key] = value
+            bad = tmp_path / "bad_model.json"
+            bad.write_text(json.dumps(doc))
+            argv = ["predict", "--model", bad, "--data", data, "--out", out]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"geoagg: error: {message}\n"
+        assert not out.exists()
+
     def test_missing_model_file_is_runtime_error(self, tmp_path, capsys):
         code = run("predict", "--model", tmp_path / "absent.json",
                    "--data", tmp_path / "absent.csv", "--out", tmp_path / "o.csv")

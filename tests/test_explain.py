@@ -220,6 +220,36 @@ class TestGeoShapleyDecomposition:
         self._explain(counting, p=p, n_bg=n_bg, n_inst=n)
         assert calls == [n * ((2 ** (p + 1) - 2) * n_bg + 1) + n_bg]
 
+    def test_blocks_bound_each_call_and_keep_the_bytes(self, monkeypatch):
+        """Instances go in blocks of at most ``_BLOCK_ROWS`` coalition rows;
+        the decomposition is the bytes of one block holding them all."""
+        ds = generate_gwr(100, 4)
+        config = ModelConfig(d_model=8, n_heads=2, n_inducing=2, l_max=8, n_layers=1)
+        params, _ = train(ds, config, TrainConfig(epochs=1, seed=0))
+        tr, te = split_dataset(ds, 0.7, 0)
+        predictor = make_shap_predictor(params, config, ContextPool(tr), QueryPool(te),
+                                        members=2, expansion=1.5, seed=4)
+        instances = RowBatch.from_dataset(te)
+        background = RowBatch.from_dataset(tr.take(np.arange(6)))
+        calls = []
+
+        def counting(ids, coords, x):
+            calls.append(len(ids))
+            return predictor(ids, coords, x)
+
+        results = {}
+        # 8 coalitions of 6 background rows per instance: all 30 instances at
+        # once, then 4 to a block
+        for bound, blocks in ((10**9, 1), (4 * 8 * 6, 8)):
+            monkeypatch.setattr(explain, "_BLOCK_ROWS", bound)
+            calls.clear()
+            results[bound] = geoshapley_explain(counting, instances, background)
+            assert len(calls) == blocks
+            assert max(calls) <= bound
+        one, blocked = results.values()
+        for name in ("phi0", "phi_geo", "phi", "phi_geo_x"):
+            assert np.array_equal(getattr(one, name), getattr(blocked, name)), name
+
     def test_schema_mismatch_rejected(self):
         instances = rows([0], [[0.0, 0.0]], [[1.0, 2.0]])
         background = rows([1], [[0.0, 0.0]], [[1.0]])

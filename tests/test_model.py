@@ -531,6 +531,11 @@ class TestConfigValidation:
         with pytest.raises(ContractError, match="lambda_init must be finite"):
             ModelConfig(lambda_init=value)
 
+    @pytest.mark.parametrize("value", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_rope_base_finite_and_positive(self, value):
+        with pytest.raises(ContractError, match="rope_base must be finite and positive"):
+            ModelConfig(rope_base=value)
+
     def test_large_lambda_init_gives_a_finite_raw_factor(self):
         params = init_params(ModelConfig(lambda_init=1000.0), 2, np.random.default_rng(0))
         lam_raw = params.arrays["agg.lam_raw"]

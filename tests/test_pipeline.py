@@ -1,10 +1,12 @@
 """Training loop, ensemble inference, metrics, and benchmark tests."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from geoagg import pipeline, spatial
 from geoagg.autodiff import AdamState, ContractError
 from geoagg.model import ModelConfig, forward_batch, init_params
 from geoagg.pipeline import (
@@ -121,7 +123,7 @@ class TestTrain:
                 seqs = []
                 for row in chunk:
                     entry = cache.entry(context.ids[row])
-                    picked = entry[subset_indices(entry, row, config.l_max, rng)]
+                    picked = subset_indices(entry[None], [row], config.l_max, rng)[0]
                     seqs.append((
                         np.vstack([np.append(context.x[row], 0.0), context.feats[picked]]),
                         np.vstack([context.coords[row], context.coords[picked]]),
@@ -277,7 +279,7 @@ def per_query_reference(params, config, queries, context, members, expansion, se
         feats[:, 0, -1] = 0.0
         coords[:, 0] = queries.coords[qi]
         for member in range(members):
-            picked = rows[subset_indices(rows, target, l_max, rngs[member])]
+            picked = subset_indices(rows[None], [target], l_max, rngs[member])[0]
             feats[member, 1:] = context.feats[picked]
             coords[member, 1:] = context.coords[picked]
         out[:, qi] = forward_batch(feats, coords, params, config)
@@ -319,6 +321,56 @@ class TestBenchmark:
         params, config, ctx, q = self._setup()
         with pytest.raises(ContractError, match="mode"):
             _member_predictions(params, config, q, ctx, 1, 1.25, 0, cache_mode="nope")
+
+
+class TestDrawCounts:
+    """Context rows are drawn a batch at a time: one ``subset_indices`` call
+    per training minibatch and per (member, chunk of queries)."""
+
+    @pytest.fixture()
+    def draws(self, monkeypatch):
+        sizes = []
+        for owner in (spatial, pipeline):
+            def counted(rows, *args, _draw=owner.subset_indices):
+                sizes.append(len(rows))
+                return _draw(rows, *args)
+            monkeypatch.setattr(owner, "subset_indices", counted)
+        return sizes
+
+    def test_one_draw_per_minibatch(self, draws):
+        ds = tiny_dataset(70)
+        train(ds, tiny_config(), TrainConfig(epochs=2, seed=0, batch=16))
+        assert draws == [16, 16, 16, 16, 6] * 2
+
+    @pytest.mark.parametrize("mode", ["precomputed", "on_the_fly"])
+    def test_one_draw_per_member_and_chunk(self, draws, mode):
+        ds = tiny_dataset(400, seed=6)
+        config = tiny_config()
+        params, _ = train(ds, config, TrainConfig(epochs=0, seed=6))
+        tr, te = split_dataset(ds, 0.7, 6)
+        ctx, q = ContextPool(tr), QueryPool(te)
+        members = 3
+        per_chunk = _CHUNK_ROWS // members
+        ctx.tree.reset_query_count()
+        _member_predictions(params, config, q, ctx, members, 1.25, 0, cache_mode=mode)
+        assert len(draws) == members * math.ceil(len(q) / per_chunk) == 6
+        assert sum(draws) == members * len(q)
+        # the naive mode still searches the tree once per (member, query)
+        assert ctx.tree.query_count == (members * len(q) if mode == "on_the_fly" else len(q))
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("field, value, message", [
+        ("lr", 0.0, "lr must be finite and positive, got 0.0"),
+        ("lr", -1.0, "lr must be finite and positive, got -1.0"),
+        ("lr", float("inf"), "lr must be finite and positive, got inf"),
+        ("lr", float("nan"), "lr must be finite and positive, got nan"),
+        ("expansion_factor", float("nan"), "expansion_factor must be finite and >= 1, got nan"),
+        ("expansion_factor", float("inf"), "expansion_factor must be finite and >= 1, got inf"),
+    ])
+    def test_out_of_range_float_is_rejected(self, field, value, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            TrainConfig(**{field: value})
 
 
 class TestCsvWriters:

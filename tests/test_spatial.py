@@ -1,5 +1,7 @@
 """k-d tree, pools, neighbour cache, and sequence assembly tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,7 +325,7 @@ class TestAssembleSequence:
         cache = precompute_neighbors(QueryPool([probe]), context, l_max)
         entry = cache.entry(777)
         target = context.row_of.get(777, -1)
-        a, b = (entry[subset_indices(entry, target, l_max, np.random.default_rng(seed))]
+        a, b = (subset_indices(entry[None], [target], l_max, np.random.default_rng(seed))[0]
                 for seed in (1, 2))
         assert seq_ids((context.feats[a], context.coords[a]), recs) == \
             seq_ids((context.feats[b], context.coords[b]), recs)
@@ -424,3 +426,77 @@ class TestNeighborBudget:
     def test_rejects_shrinking_factor(self):
         with pytest.raises(ContractError):
             neighbor_budget(10, 0.9)
+
+    @pytest.mark.parametrize("factor, message", [
+        (float("nan"), "expansion factor must be finite and >= 1, got nan"),
+        (float("inf"), "expansion factor must be finite and >= 1, got inf"),
+        (1e308, "expansion factor 1e+308 times l_max=10 is not finite"),
+    ])
+    def test_rejects_non_finite_budget(self, factor, message):
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            neighbor_budget(10, factor)
+
+
+def draw_case(data):
+    """A batch of cached entries: n rows of k distinct context rows, with each
+    target at a random slot of its row or absent (-1)."""
+    n = data.draw(st.integers(1, 6), label="n")
+    l_max = data.draw(st.integers(2, 10), label="l_max")
+    k = data.draw(st.integers(l_max, l_max + 8), label="k")
+    rows = np.array([data.draw(st.permutations(range(30)))[:k] for _ in range(n)])
+    slots = data.draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n), label="slots")
+    targets = np.array([rows[i, s] if s >= 0 else -1 for i, s in enumerate(slots)])
+    return rows, targets, slots, l_max
+
+
+class TestSubsetIndices:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_picks_distinct_ascending_rows_never_the_dropped_slot(self, data, seed):
+        rows, targets, slots, l_max = draw_case(data)
+        n, k = rows.shape
+        picks = subset_indices(rows, targets, l_max, np.random.default_rng(seed))
+        assert picks.shape == (n, l_max - 1)
+        for i in range(n):
+            positions = [rows[i].tolist().index(row) for row in picks[i]]
+            assert positions == sorted(set(positions))
+            assert (slots[i] if slots[i] >= 0 else k - 1) not in positions
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_one_call_equals_one_row_calls_in_turn(self, data, seed):
+        rows, targets, _, l_max = draw_case(data)
+        batched = subset_indices(rows, targets, l_max, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        for i in range(len(rows)):
+            assert np.array_equal(batched[i],
+                                  subset_indices(rows[i:i + 1], targets[i:i + 1], l_max, rng)[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2,
+                                          max_size=2, unique=True))
+    def test_no_surplus_ignores_the_stream(self, data, seeds):
+        rows, targets, _, _ = draw_case(data)
+        l_max = rows.shape[1]
+        a, b = (subset_indices(rows, targets, l_max, np.random.default_rng(seed))
+                for seed in seeds)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("target_slot", [-1, 5])
+    def test_each_candidate_is_picked_at_the_uniform_rate(self, target_slot):
+        """The default cache shape, 63 of 79 candidates per draw: every
+        candidate's inclusion rate over 10,000 draws lies within 0.02 (about
+        five standard errors) of 63/79, and the dropped slot's is 0."""
+        n, k, l_max = 10_000, 80, 64
+        rows = np.tile(np.arange(k), (n, 1))
+        targets = np.full(n, target_slot)
+        picks = subset_indices(rows, targets, l_max, np.random.default_rng(7))
+        rate = np.bincount(picks.ravel(), minlength=k) / n
+        dropped = target_slot if target_slot >= 0 else k - 1
+        assert rate[dropped] == 0.0
+        np.testing.assert_allclose(np.delete(rate, dropped), (l_max - 1) / (k - 1), atol=0.02)
+
+    def test_short_entries_are_rejected(self):
+        with pytest.raises(ContractError,
+                           match="cache entries hold 7 neighbors, need at least l_max=8"):
+            subset_indices(np.arange(7)[None], [-1], 8, np.random.default_rng(0))
