@@ -77,7 +77,12 @@ def load_config(path=None) -> dict:
     user = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(user, dict):
         raise ContractError("config file must hold a JSON object")
-    return _merge_strict(DEFAULT_CONFIG, user)
+    merged = _merge_strict(DEFAULT_CONFIG, user)
+    for key in ("background", "instances"):
+        if merged["explain"][key] < 1:
+            raise ContractError(f"config key 'explain.{key}' must be at least 1, "
+                                f"got {merged['explain'][key]}")
+    return merged
 
 
 def _resolve_seed(flag_value, config_value):
@@ -333,7 +338,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ContractError, CsvFormatError, SequenceLookupError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError) as exc:
         print(f"geoagg: error: {exc}", file=sys.stderr)
         return 1
 

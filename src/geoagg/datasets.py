@@ -14,8 +14,15 @@ autocorrelation.
 
 All randomness comes from numpy's default PCG64 generator seeded explicitly,
 and the draw order is fixed (covariates first, then noise), so a dataset is a
-pure function of ``(generator, n, seed, params)``.  CSV files are written with
-17 significant digits, which round-trips float64 exactly.
+pure function of ``(generator, n, seed, params)``.
+
+CSV files are written and read a whole column at a time.  :func:`write_csv`
+formats every row of a file in one ``%`` over a flat tuple of values, floats
+with 17 significant digits, which round-trips float64 exactly; the result
+files of :mod:`geoagg.pipeline` and :mod:`geoagg.explain` go through it too.
+:func:`load_csv` converts each column in one pass; only when a conversion
+fails does it read the file again line by line, to name the first bad line
+and column.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +51,7 @@ __all__ = [
     "gwr_beta2",
     "save_csv",
     "load_csv",
+    "write_csv",
 ]
 
 GWR_NOISE_SD = 0.25
@@ -216,35 +225,99 @@ def generate_sl(n: int, seed: int, rho: float = 0.6) -> GeoDataset:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def write_csv(path, header, columns, blank=None) -> None:
+    """Write ``header`` and the rows of whole ``columns``, one line each.
+
+    Integer columns print with ``%d``, exact at any int64; float columns with
+    ``%.17g`` (``nan``, ``inf`` and ``-0`` as Python prints them); any other
+    column with ``%s``.  A cell where the ``(n, len(columns))`` mask ``blank``
+    is True prints empty.  The body is one ``%`` format, each cell's format or
+    nothing where blank, applied to one flat tuple of the values.
+    """
+    columns = [np.asarray(col) for col in columns]
+    table = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, col in enumerate(columns):
+        table[:, j] = col  # numpy ints and floats become Python ints and floats
+    if blank is None:
+        blank = np.zeros(table.shape, dtype=bool)
+    ends = np.array([","] * (len(columns) - 1) + ["\n"], dtype=object)
+    cells = np.array([{"i": "%d", "u": "%d", "f": "%.17g"}.get(col.dtype.kind, "%s")
+                      for col in columns], dtype=object) + ends
+    body = "".join(np.where(blank, ends, cells).ravel().tolist()) % tuple(table[~blank].tolist())
+    Path(path).write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
 
 def save_csv(ds: GeoDataset, path) -> None:
-    """Write ``id,u,v,x1..xp,y`` plus a ``.meta.json`` sidecar."""
+    """Write ``id,u,v,x1..xp,y`` plus a ``.meta.json`` sidecar; unobserved ``y`` is blank."""
     path = Path(path)
-    p = ds.p
-    header = ["id", "u", "v"] + [f"x{j + 1}" for j in range(p)] + ["y"]
-    lines = [",".join(header)]
-    for pid, (u, v), x, y, seen in zip(ds.ids().tolist(), ds.coords().tolist(),
-                                       ds.covariates().tolist(), ds.targets().tolist(),
-                                       ds.observed.tolist()):
-        cells = [str(pid), _fmt(u), _fmt(v)]
-        cells.extend(_fmt(val) for val in x)
-        cells.append(_fmt(y) if seen else "")
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ["id", "u", "v"] + [f"x{j + 1}" for j in range(ds.p)] + ["y"]
+    blank = np.zeros((ds.n, len(header)), dtype=bool)
+    blank[:, -1] = ~ds.observed
+    write_csv(path, header, [ds.ids(), *ds.coords().T, *ds.covariates().T, ds.targets()],
+              blank)
     if ds.meta:
         sidecar = path.with_suffix(path.suffix + ".meta.json")
         sidecar.write_text(json.dumps(ds.meta, sort_keys=True, indent=2) + "\n",
                            encoding="utf-8")
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") \
+            from None
+
+
+def _columns(rows: list[str], width: int, has_y: bool):
+    """Ids, ``(n, width - 1 - has_y)`` u, v and x values, y and its observed mask.
+
+    Raises ValueError or OverflowError when a row holds other than ``width``
+    cells or a cell does not parse; a blank (all-whitespace) y cell is
+    unobserved and reads NaN.
+    """
+    if set(map(str.count, rows, repeat(","))) - {width - 1}:
+        raise ValueError("ragged rows")
+    cells = ",".join(rows).split(",") if rows else []
+    ids = np.array(list(map(int, cells[0::width])), dtype=np.int64)
+    n_values = width - 1 - has_y
+    values = np.column_stack([np.array(list(map(float, cells[j::width])), dtype=np.float64)
+                              for j in range(1, 1 + n_values)])
+    y_cells = cells[width - 1::width] if has_y else [""] * len(rows)
+    observed = np.array(list(map(bool, map(str.strip, y_cells))), dtype=bool)
+    y = np.full(len(rows), np.nan)
+    y[observed] = list(map(float, compress(y_cells, observed)))
+    return ids, values, y, observed
+
+
+def _first_bad_line(path: Path, header: list[str], rows: list[str], has_y: bool):
+    """The error of the first bad line of ``rows``, read one line at a time."""
+    casters = [np.int64] + [float] * (len(header) - 1)
+    for lineno, line in enumerate(rows, start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            return CsvFormatError(
+                f"{path}: line {lineno}: expected {len(header)} cells, found {len(cells)}"
+            )
+        if has_y and not cells[-1].strip():
+            cells = cells[:-1]
+        for name, cell, caster in zip(header, cells, casters):
+            try:
+                caster(cell.strip())
+            except (ValueError, OverflowError):  # ids must fit int64
+                return CsvFormatError(
+                    f"{path}: line {lineno}, column '{name}': could not parse {cell!r}"
+                )
+    raise AssertionError(f"{path}: a column failed to parse but no line does")
+
+
 def load_csv(path) -> GeoDataset:
-    """Parse a dataset CSV, inferring p from the ``x1..xp`` columns."""
+    """Parse a dataset CSV, inferring p from the ``x1..xp`` columns.
+
+    Blank lines are skipped; line numbers in errors count the lines kept.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(str.strip, _read_text(path).splitlines()))
     if not lines:
         raise CsvFormatError(f"{path}: empty file")
 
@@ -258,33 +331,16 @@ def load_csv(path) -> GeoDataset:
             if want != got:
                 raise CsvFormatError(f"{path}: expected column '{want}', found '{got}'")
         raise CsvFormatError(f"{path}: malformed header {header}")
-    p = len(x_names)
 
-    ids, coords, xs, ys = [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise CsvFormatError(
-                f"{path}: line {lineno}: expected {len(header)} cells, found {len(cells)}"
-            )
-
-        def parse(col_idx, caster):
-            cell = cells[col_idx].strip()
-            try:
-                return caster(cell)
-            except (ValueError, OverflowError):  # ids must fit int64
-                raise CsvFormatError(
-                    f"{path}: line {lineno}, column '{header[col_idx]}': "
-                    f"could not parse {cells[col_idx]!r}"
-                ) from None
-
-        ids.append(parse(0, np.int64))
-        coords.append((parse(1, float), parse(2, float)))
-        xs.append([parse(3 + j, float) for j in range(p)])
-        ys.append(parse(3 + p, float) if has_y and cells[3 + p].strip() else None)
+    try:
+        ids, values, y, observed = _columns(lines[1:], len(header), has_y)
+    except (ValueError, OverflowError):
+        raise _first_bad_line(path, header, lines[1:], has_y) from None
 
     meta = {}
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    return GeoDataset(ids, coords, np.array(xs).reshape(len(ids), p), ys, meta=meta)
+        meta = json.loads(_read_text(sidecar))
+        if not isinstance(meta, dict):
+            raise CsvFormatError(f"{sidecar}: must hold a JSON object, found {type(meta).__name__}")
+    return GeoDataset(ids, values[:, :2], values[:, 2:], y, observed, meta)

@@ -35,12 +35,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .autodiff import ContractError
-from .datasets import GeoDataset
+from .datasets import GeoDataset, write_csv
 from .model import _CHUNK_ROWS, ModelConfig, ModelParams, forward_batch
 from .spatial import (
     ContextPool,
@@ -392,20 +391,14 @@ def local_coefficients(result: GeoShapleyResult, instances: RowBatch,
 
 def write_explanations_csv(path, result: GeoShapleyResult,
                            beta: np.ndarray | None = None) -> None:
-    """``id,phi0,phi_geo,phi_x*,phi_geo_x*`` plus slope columns, NaN as empty."""
+    """``id,phi0,phi_geo,phi_x*,phi_geo_x*`` plus slope columns, non-finite as empty."""
     p = result.phi.shape[1]
     header = ["id", "phi0", "phi_geo"]
     header += [f"phi_x{j + 1}" for j in range(p)]
     header += [f"phi_geo_x{j + 1}" for j in range(p)]
     if beta is not None:
         header += [f"beta_hat_x{j + 1}" for j in range(p)]
-    fmt = lambda v: "" if not np.isfinite(v) else f"{v:.17g}"  # noqa: E731
-    lines = [",".join(header)]
-    for i, pid in enumerate(result.ids):
-        cells = [str(int(pid)), fmt(result.phi0), fmt(result.phi_geo[i])]
-        cells += [fmt(v) for v in result.phi[i]]
-        cells += [fmt(v) for v in result.phi_geo_x[i]]
-        if beta is not None:
-            cells += [fmt(v) for v in beta[i]]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    values = np.column_stack([np.full(len(result.ids), result.phi0), result.phi_geo,
+                              result.phi, result.phi_geo_x] + ([] if beta is None else [beta]))
+    blank = np.column_stack([np.zeros(len(values), dtype=bool), ~np.isfinite(values)])
+    write_csv(path, header, [result.ids, *values.T], blank)

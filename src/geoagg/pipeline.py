@@ -23,13 +23,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .autodiff import AdamState, ContractError, Tape, adam_step, backward
 from . import autodiff as ad
-from .datasets import GeoDataset
+from .datasets import GeoDataset, write_csv
 from .model import (
     _CHUNK_ROWS,
     ModelConfig,
@@ -333,31 +332,21 @@ def benchmark_inference(params: ModelParams, config: ModelConfig,
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_predictions_csv(path, pred: EnsemblePrediction) -> None:
-    lines = ["id,y_mean,y_std"]
-    for pid, mean, std in zip(pred.ids, pred.mean, pred.std):
-        lines.append(f"{pid},{_fmt(mean)},{_fmt(std)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ["id", "y_mean", "y_std"], [pred.ids, pred.mean, pred.std])
 
 
 def write_loss_csv(path, history) -> None:
-    lines = ["epoch,mse"]
-    for epoch, mse in enumerate(history):
-        lines.append(f"{epoch},{_fmt(mse)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ["epoch", "mse"], [np.arange(len(history)), history])
 
 
 def write_bench_csv(path, records: list[BenchRecord]) -> None:
     """Timing rows plus a summary row with the precomputed/on-the-fly ratio."""
-    lines = ["length,mode,seconds"]
-    for rec in records:
-        lines.append(f"{rec.length},{rec.mode},{_fmt(rec.seconds)}")
+    columns = [[rec.length for rec in records], [rec.mode for rec in records],
+               [rec.seconds for rec in records]]
     pre = sum(r.seconds for r in records if r.mode == "precomputed")
     fly = sum(r.seconds for r in records if r.mode == "on_the_fly")
     if pre > 0 and fly > 0:
-        lines.append(f"all,ratio,{_fmt(pre / fly)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for col, cell in zip(columns, ("all", "ratio", pre / fly)):
+            col.append(cell)
+    write_csv(path, ["length", "mode", "seconds"], columns)

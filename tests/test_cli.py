@@ -332,6 +332,41 @@ class TestTrainPredictExplainBench:
         assert code == 1
 
 
+class TestBadDataFiles:
+    """A dataset file that cannot be read fails in one line, with exit code 1."""
+
+    def _train(self, tmp_path, data):
+        return run("train", "--data", data, "--config", write_config(tmp_path),
+                   "--model-out", tmp_path / "m.json")
+
+    def test_sidecar_that_is_not_an_object(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        run("gen", "--dataset", "gwr-r", "--n", 144, "--seed", 1, "--out", data)
+        sidecar = tmp_path / "d.csv.meta.json"
+        sidecar.write_text("[1]")
+        capsys.readouterr()
+        assert self._train(tmp_path, data) == 1
+        err = capsys.readouterr().err
+        assert err == f"geoagg: error: {sidecar}: must hold a JSON object, found list\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_csv_that_is_not_utf8(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"id,u,v,x1,y\n0,0.5,0.5,1.0,\xff\n")
+        assert self._train(tmp_path, data) == 1
+        err = capsys.readouterr().err
+        assert err == (f"geoagg: error: {data}: not UTF-8 text "
+                       f"(invalid start byte at byte 26)\n")
+
+    def test_data_path_that_is_a_directory(self, tmp_path, capsys):
+        folder = tmp_path / "folder.csv"
+        folder.mkdir()
+        assert self._train(tmp_path, folder) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("geoagg: error: ") and str(folder) in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestSeedPrecedence:
     def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -474,6 +509,16 @@ class TestMergeStrictProperties:
 
 
 class TestReproduce:
+    @pytest.mark.parametrize("key", ["instances", "background"])
+    @pytest.mark.parametrize("value", [-1, 0])
+    def test_explain_sizes_below_one_fail_before_training(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"explain": {**SMALL_CONFIG["explain"], key: value}})
+        outdir = tmp_path / "run"
+        assert run("reproduce", "--config", cfg, "--outdir", outdir) == 1
+        err = capsys.readouterr().err
+        assert err == f"geoagg: error: config key 'explain.{key}' must be at least 1, got {value}\n"
+        assert not outdir.exists()
+
     def test_chain_produces_all_artifacts(self, tmp_path):
         cfg = write_config(tmp_path)
         outdir = tmp_path / "run"
