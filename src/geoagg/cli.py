@@ -1,11 +1,13 @@
 """Command-line front end: generate, train, predict, explain, bench, reproduce.
 
-Every command is a pure function of its flags and input files; all randomness
-comes from explicit seeds (flag, then the ``GA_SEED`` environment variable,
-then the config value or documented default, in that order).  Model files
-embed both the architecture and the training configuration, so ``predict``,
-``explain`` and ``bench`` re-derive the exact train/test split from the model
-file and the dataset alone.
+Every command is a pure function of its flags and input files.  Settings
+resolve in :func:`_settings`: ``DEFAULT_CONFIG``, then ``--config``, then
+flags; each seed comes from its flag, then ``GA_SEED``, then the config.  The
+train, predict, explain and bench steps are each written once, and
+``reproduce`` runs them on the datasets it generates.  Model files embed both
+the architecture and the training configuration, so ``predict``, ``explain``
+and ``bench`` re-derive the exact train/test split from the model file and
+the dataset alone.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
@@ -17,13 +19,13 @@ import copy
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import ContractError
-from .datasets import CsvFormatError, generate_gwr, generate_sl, load_csv, save_csv
+from .datasets import CsvFormatError, generate_gwr, generate_sl, load_csv, read_text, save_csv
 from .explain import (
     RowBatch,
     geoshapley_explain,
@@ -43,7 +45,7 @@ from .pipeline import (
     write_loss_csv,
     write_predictions_csv,
 )
-from .spatial import ContextPool, QueryPool, SequenceLookupError
+from .spatial import ContextPool, QueryPool, SequenceLookupError, neighbor_budget
 
 __all__ = ["main", "DEFAULT_CONFIG", "load_config"]
 
@@ -74,7 +76,7 @@ def load_config(path=None) -> dict:
     """Defaults overlaid with a JSON config file; unknown keys are rejected."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    user = json.loads(Path(path).read_text(encoding="utf-8"))
+    user = json.loads(read_text(path, ContractError))
     if not isinstance(user, dict):
         raise ContractError("config file must hold a JSON object")
     merged = _merge_strict(DEFAULT_CONFIG, user)
@@ -99,11 +101,67 @@ def _resolve_seed(flag_value, config_value):
     return seed
 
 
-def _load_model(path):
-    params, config, train_dict = load_params(path)
+def _settings(args, *sections) -> dict:
+    """The run config, where a set flag replaces its key in the command's own
+    section and every seed of ``sections`` goes through :func:`_resolve_seed`."""
+    cfg = load_config(getattr(args, "config", None))
+    for name in sections:
+        for key, value in cfg[name].items():
+            flag = getattr(args, key, None) if name == args.command else None
+            if key.endswith("seed"):
+                cfg[name][key] = _resolve_seed(flag, value)
+            elif flag is not None:
+                cfg[name][key] = flag
+    return cfg
+
+
+def _load_run(model, data):
+    """A model file's parameters and configs, and the split it was trained on."""
+    params, model_cfg, train_dict = load_params(model)
     train_dict = train_dict or {}
     check_config_section("model file", "train_config", train_dict, asdict(TrainConfig()))
-    return params, config, TrainConfig(**train_dict)
+    tc = TrainConfig(**train_dict)
+    return (params, model_cfg, tc, *split_dataset(load_csv(data), tc.split, tc.seed))
+
+
+def _train(data, model_cfg, tc, model_out, loss_out):
+    train_ds, _ = split_dataset(load_csv(data), tc.split, tc.seed)
+    params, history = train(train_ds, model_cfg, tc)
+    save_params(model_out, params, model_cfg, asdict(tc))
+    write_loss_csv(loss_out, history)
+    return train_ds.n, history
+
+
+def _predict(model, data, settings, out):
+    params, model_cfg, _, train_ds, test_ds = _load_run(model, data)
+    pred = predict_ensemble(params, model_cfg, QueryPool(test_ds), ContextPool(train_ds),
+                            **settings)
+    write_predictions_csv(out, pred)
+    return len(pred.ids)
+
+
+def _explain(model, data, settings, out, instances=None):
+    """Explains the whole test split, or ``instances`` rows drawn from it."""
+    params, model_cfg, _, train_ds, test_ds = _load_run(model, data)
+    rng = np.random.default_rng([4, settings["seed"]])
+    bg_idx = rng.choice(train_ds.n, min(settings["background"], train_ds.n), replace=False)
+    background = RowBatch.from_dataset(train_ds.take(np.sort(bg_idx)))
+    if instances is not None and instances < test_ds.n:
+        test_ds = test_ds.take(np.sort(rng.choice(test_ds.n, size=instances, replace=False)))
+    rows = RowBatch.from_dataset(test_ds)
+    predictor = make_shap_predictor(params, model_cfg, ContextPool(train_ds), QueryPool(test_ds),
+                                    seed=settings["seed"])
+    result = geoshapley_explain(predictor, rows, background)
+    write_explanations_csv(out, result, local_coefficients(result, rows, background))
+    return len(result.ids)
+
+
+def _bench(model, data, settings, out):
+    params, model_cfg, tc, train_ds, test_ds = _load_run(model, data)
+    records = benchmark_inference(params, model_cfg, QueryPool(test_ds), ContextPool(train_ds),
+                                  **settings, expansion=tc.expansion_factor)
+    write_bench_csv(out, records)
+    return len(records)
 
 
 # ---------------------------------------------------------------------------
@@ -112,137 +170,79 @@ def _load_model(path):
 
 
 def _cmd_gen(args) -> int:
-    seed = _resolve_seed(args.seed, 42)
+    seed = _resolve_seed(args.seed, DEFAULT_CONFIG["data"]["gwr_seed"])  # for either dataset
     if args.dataset == "gwr-r":
         ds = generate_gwr(args.n, seed)
     else:
-        rho = 0.6 if args.rho is None else args.rho
-        ds = generate_sl(args.n, seed, rho)
+        ds = generate_sl(args.n, seed, args.rho)
     save_csv(ds, args.out)
     print(f"wrote {ds.n} rows to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    model_cfg = ModelConfig(**cfg["model"])
-    tc = TrainConfig(**cfg["train"])
-    train_ds, _ = split_dataset(load_csv(args.data), tc.split, tc.seed)
-    params, history = train(train_ds, model_cfg, tc)
-    save_params(args.model_out, params, model_cfg, asdict(tc))
+    cfg = _settings(args, "model", "train")
+    model_cfg, tc = ModelConfig(**cfg["model"]), TrainConfig(**cfg["train"])
     loss_path = Path(args.model_out).with_suffix(".loss.csv")
-    write_loss_csv(loss_path, history)
+    n, history = _train(args.data, model_cfg, tc, args.model_out, loss_path)
     final = history[-1] if history else float("nan")
-    print(f"trained {tc.epochs} epochs on {train_ds.n} points "
+    print(f"trained {tc.epochs} epochs on {n} points "
           f"(final mse {final:.6g}); model -> {args.model_out}, losses -> {loss_path}")
     return 0
 
 
 def _cmd_predict(args) -> int:
-    params, model_cfg, tc = _load_model(args.model)
-    train_ds, test_ds = split_dataset(load_csv(args.data), tc.split, tc.seed)
-    seed = _resolve_seed(args.seed, DEFAULT_CONFIG["predict"]["seed"])
-    pred = predict_ensemble(
-        params, model_cfg,
-        QueryPool(test_ds), ContextPool(train_ds),
-        members=args.members, expansion=args.expansion, seed=seed,
-    )
-    write_predictions_csv(args.out, pred)
-    print(f"wrote {len(pred.ids)} predictions ({args.members} members) to {args.out}")
+    settings = _settings(args, "predict")["predict"]
+    n = _predict(args.model, args.data, settings, args.out)
+    print(f"wrote {n} predictions ({settings['members']} members) to {args.out}")
     return 0
 
 
 def _cmd_explain(args) -> int:
-    params, model_cfg, tc = _load_model(args.model)
-    train_ds, test_ds = split_dataset(load_csv(args.data), tc.split, tc.seed)
-    seed = _resolve_seed(args.seed, DEFAULT_CONFIG["explain"]["seed"])
-    result, beta = _run_explain(params, model_cfg, train_ds, test_ds,
-                                n_background=args.background, seed=seed,
-                                n_instances=None)
-    write_explanations_csv(args.out, result, beta)
-    print(f"wrote explanations for {len(result.ids)} rows to {args.out}")
+    n = _explain(args.model, args.data, _settings(args, "explain")["explain"], args.out)
+    print(f"wrote explanations for {n} rows to {args.out}")
     return 0
-
-
-def _run_explain(params, model_cfg, train_ds, test_ds, n_background, seed,
-                 n_instances=None):
-    rng = np.random.default_rng([4, seed])
-    bg_idx = rng.choice(train_ds.n, size=min(n_background, train_ds.n), replace=False)
-    background = RowBatch.from_dataset(train_ds.take(np.sort(bg_idx)))
-
-    inst_ds = test_ds
-    if n_instances is not None and n_instances < test_ds.n:
-        pick = rng.choice(test_ds.n, size=n_instances, replace=False)
-        inst_ds = test_ds.take(np.sort(pick))
-    instances = RowBatch.from_dataset(inst_ds)
-
-    predictor = make_shap_predictor(
-        params, model_cfg, ContextPool(train_ds), QueryPool(inst_ds), seed=seed,
-    )
-    result = geoshapley_explain(predictor, instances, background)
-    beta = local_coefficients(result, instances, background)
-    return result, beta
 
 
 def _cmd_bench(args) -> int:
     if args.threads != 1:
         raise ContractError("only --threads 1 (serial benchmarking) is supported")
-    params, model_cfg, tc = _load_model(args.model)
-    train_ds, test_ds = split_dataset(load_csv(args.data), tc.split, tc.seed)
-    records = benchmark_inference(
-        params, model_cfg, QueryPool(test_ds), ContextPool(train_ds),
-        args.lengths, members=args.members, expansion=tc.expansion_factor,
-    )
-    write_bench_csv(args.out, records)
-    print(f"wrote {len(records)} timing rows to {args.out}")
+    n = _bench(args.model, args.data, _settings(args, "bench")["bench"], args.out)
+    print(f"wrote {n} timing rows to {args.out}")
     return 0
 
 
 def _cmd_reproduce(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _settings(args, *DEFAULT_CONFIG)
+    model_cfg, tc = ModelConfig(**cfg["model"]), TrainConfig(**cfg["train"])
+    # settings the predict and bench steps would reject fail now, with their messages
+    if min(cfg["predict"]["members"], cfg["bench"]["members"]) < 1:
+        raise ContractError("need at least one ensemble member")
+    neighbor_budget(model_cfg.l_max, cfg["predict"]["expansion"])
+    lengths = cfg["bench"]["lengths"]
+    if not lengths:
+        raise ContractError("config key 'bench.lengths' must hold at least one length")
+    if lengths != sorted(lengths):
+        raise ContractError("lengths must be ascending")
+    for length in lengths:
+        replace(model_cfg, l_max=length)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    model_cfg = ModelConfig(**cfg["model"])
-    tc = TrainConfig(**{**cfg["train"], "seed": _resolve_seed(None, cfg["train"]["seed"])})
-    data_cfg = cfg["data"]
-
-    runs = {
-        "gwr": generate_gwr(data_cfg["n"], _resolve_seed(None, data_cfg["gwr_seed"])),
-        "sl": generate_sl(data_cfg["n"], _resolve_seed(None, data_cfg["sl_seed"]),
-                          data_cfg["rho"]),
-    }
+    data = cfg["data"]
+    runs = {"gwr": generate_gwr(data["n"], data["gwr_seed"]),
+            "sl": generate_sl(data["n"], data["sl_seed"], data["rho"])}
     for tag, ds in runs.items():
-        data_path = outdir / f"{tag}_r.csv"
+        data_path, model_path = outdir / f"{tag}_r.csv", outdir / f"model_{tag}.json"
         save_csv(ds, data_path)
-        train_ds, test_ds = split_dataset(ds, tc.split, tc.seed)
-        params, history = train(train_ds, model_cfg, tc)
-        save_params(outdir / f"model_{tag}.json", params, model_cfg, asdict(tc))
-        write_loss_csv(outdir / f"loss_{tag}.csv", history)
-
-        pred = predict_ensemble(
-            params, model_cfg, QueryPool(test_ds), ContextPool(train_ds),
-            members=cfg["predict"]["members"], expansion=cfg["predict"]["expansion"],
-            seed=_resolve_seed(None, cfg["predict"]["seed"]),
-        )
-        write_predictions_csv(outdir / f"predictions_{tag}.csv", pred)
-        print(f"[{tag}] trained and predicted {len(pred.ids)} rows")
-
+        _train(data_path, model_cfg, tc, model_path, outdir / f"loss_{tag}.csv")
+        n = _predict(model_path, data_path, cfg["predict"], outdir / f"predictions_{tag}.csv")
+        print(f"[{tag}] trained and predicted {n} rows")
         if tag == "gwr":
-            result, beta = _run_explain(
-                params, model_cfg, train_ds, test_ds,
-                n_background=cfg["explain"]["background"],
-                seed=_resolve_seed(None, cfg["explain"]["seed"]),
-                n_instances=cfg["explain"]["instances"],
-            )
-            write_explanations_csv(outdir / "explanations_gwr.csv", result, beta)
-            print(f"[gwr] explained {len(result.ids)} rows")
+            n = _explain(model_path, data_path, cfg["explain"],
+                         outdir / "explanations_gwr.csv", cfg["explain"]["instances"])
+            print(f"[gwr] explained {n} rows")
         else:
-            records = benchmark_inference(
-                params, model_cfg, QueryPool(test_ds), ContextPool(train_ds),
-                cfg["bench"]["lengths"], members=cfg["bench"]["members"],
-                expansion=tc.expansion_factor,
-            )
-            write_bench_csv(outdir / "bench_sl.csv", records)
+            _bench(model_path, data_path, cfg["bench"], outdir / "bench_sl.csv")
             print("[sl] benchmark written")
     print(f"reproduction artifacts in {outdir}")
     return 0
@@ -279,13 +279,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "explain, benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    step = _ArgumentParser(add_help=False)  # what predict, explain and bench read and write
+    for flag in ("--model", "--data", "--out"):
+        step.add_argument(flag, required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     p.add_argument("--dataset", required=True, choices=["gwr-r", "sl-r"])
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rho", type=float, default=None,
-                   help="spatial-lag strength (sl-r only, default 0.6)")
+    p.add_argument("--rho", type=float, default=DEFAULT_CONFIG["data"]["rho"],
+                   help="spatial-lag strength (sl-r only, default %(default)s)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
@@ -295,32 +298,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("predict", help="ensemble predictions on the test split")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--members", type=int, default=8)
-    p.add_argument("--expansion", type=float, default=1.25)
+    p = sub.add_parser("predict", parents=[step], help="ensemble predictions on the test split")
+    p.add_argument("--members", type=int)
+    p.add_argument("--expansion", type=float)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("explain", help="location-aware Shapley explanations of the test split")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--background", type=_positive_int, default=30)
+    p = sub.add_parser("explain", parents=[step],
+                       help="location-aware Shapley explanations of the test split")
+    p.add_argument("--background", type=_positive_int)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_explain)
 
-    p = sub.add_parser("bench", help="inference timing in both cache modes")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--lengths", type=_int_list, default="16,32,64,128",
+    p = sub.add_parser("bench", parents=[step], help="inference timing in both cache modes")
+    p.add_argument("--lengths", type=_int_list,
                    help="comma-separated ascending sequence lengths")
-    p.add_argument("--members", type=int, default=8)
+    p.add_argument("--members", type=int)
     p.add_argument("--threads", type=int, default=1,
                    help="benchmark worker count (only 1 is supported)")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("reproduce",

@@ -51,6 +51,7 @@ __all__ = [
     "gwr_beta2",
     "save_csv",
     "load_csv",
+    "read_text",
     "write_csv",
 ]
 
@@ -261,12 +262,12 @@ def save_csv(ds: GeoDataset, path) -> None:
                            encoding="utf-8")
 
 
-def _read_text(path: Path) -> str:
+def read_text(path, error=CsvFormatError) -> str:
+    """A UTF-8 file's text; other bytes raise ``error`` naming the file and the byte."""
     try:
-        return path.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") \
-            from None
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _columns(rows: list[str], width: int, has_y: bool):
@@ -290,10 +291,12 @@ def _columns(rows: list[str], width: int, has_y: bool):
     return ids, values, y, observed
 
 
-def _first_bad_line(path: Path, header: list[str], rows: list[str], has_y: bool):
-    """The error of the first bad line of ``rows``, read one line at a time."""
+def _first_bad_line(path: Path, header: list[str], text: str, has_y: bool):
+    """The error of the first bad row of ``text``, read one line at a time."""
     casters = [np.int64] + [float] * (len(header) - 1)
-    for lineno, line in enumerate(rows, start=2):
+    numbered = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+                if line.strip()]
+    for lineno, line in numbered[1:]:  # past the header
         cells = line.split(",")
         if len(cells) != len(header):
             return CsvFormatError(
@@ -314,10 +317,10 @@ def _first_bad_line(path: Path, header: list[str], rows: list[str], has_y: bool)
 def load_csv(path) -> GeoDataset:
     """Parse a dataset CSV, inferring p from the ``x1..xp`` columns.
 
-    Blank lines are skipped; line numbers in errors count the lines kept.
+    Blank lines are skipped; line numbers in errors count them too.
     """
     path = Path(path)
-    lines = list(filter(str.strip, _read_text(path).splitlines()))
+    lines = list(filter(str.strip, read_text(path).splitlines()))
     if not lines:
         raise CsvFormatError(f"{path}: empty file")
 
@@ -335,12 +338,12 @@ def load_csv(path) -> GeoDataset:
     try:
         ids, values, y, observed = _columns(lines[1:], len(header), has_y)
     except (ValueError, OverflowError):
-        raise _first_bad_line(path, header, lines[1:], has_y) from None
+        raise _first_bad_line(path, header, read_text(path), has_y) from None
 
     meta = {}
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():
-        meta = json.loads(_read_text(sidecar))
+        meta = json.loads(read_text(sidecar))
         if not isinstance(meta, dict):
             raise CsvFormatError(f"{sidecar}: must hold a JSON object, found {type(meta).__name__}")
     return GeoDataset(ids, values[:, :2], values[:, 2:], y, observed, meta)

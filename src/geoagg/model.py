@@ -40,6 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, Tape, Var
+from .datasets import read_text
 
 __all__ = [
     "ModelConfig",
@@ -405,7 +406,7 @@ def load_params(path):
     shapes, the covariate count being read from ``embed_w``, and every value
     finite.  A file that does not fit raises a one-line :class:`ContractError`.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = json.loads(read_text(path, ContractError))
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != PARAMS_FORMAT:
         raise ContractError(

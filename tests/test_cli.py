@@ -333,7 +333,7 @@ class TestTrainPredictExplainBench:
 
 
 class TestBadDataFiles:
-    """A dataset file that cannot be read fails in one line, with exit code 1."""
+    """An input file that cannot be read fails in one line, with exit code 1."""
 
     def _train(self, tmp_path, data):
         return run("train", "--data", data, "--config", write_config(tmp_path),
@@ -357,6 +357,28 @@ class TestBadDataFiles:
         err = capsys.readouterr().err
         assert err == (f"geoagg: error: {data}: not UTF-8 text "
                        f"(invalid start byte at byte 26)\n")
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        data, cfg = tmp_path / "d.csv", tmp_path / "c.json"
+        run("gen", "--dataset", "gwr-r", "--n", 144, "--seed", 1, "--out", data)
+        cfg.write_bytes(b'{"train": {"epochs": 1}}\xff')
+        capsys.readouterr()
+        assert run("train", "--data", data, "--config", cfg,
+                   "--model-out", tmp_path / "m.json") == 1
+        err = capsys.readouterr().err
+        assert err == f"geoagg: error: {cfg}: not UTF-8 text (invalid start byte at byte 24)\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_model_file_that_is_not_utf8(self, trained, capsys):
+        data, model, _, tmp_path = trained
+        bad = tmp_path / "bad_model.json"
+        bad.write_bytes(model.read_bytes() + b"\xff")
+        capsys.readouterr()
+        assert run("predict", "--model", bad, "--data", data, "--out", tmp_path / "p.csv") == 1
+        err = capsys.readouterr().err
+        assert err == (f"geoagg: error: {bad}: not UTF-8 text "
+                       f"(invalid start byte at byte {len(model.read_bytes())})\n")
+        assert not (tmp_path / "p.csv").exists()
 
     def test_data_path_that_is_a_directory(self, tmp_path, capsys):
         folder = tmp_path / "folder.csv"
@@ -527,3 +549,82 @@ class TestReproduce:
                      "loss_gwr.csv", "loss_sl.csv", "predictions_gwr.csv",
                      "predictions_sl.csv", "explanations_gwr.csv", "bench_sl.csv"):
             assert (outdir / name).exists(), name
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("predict", "members", 0, "need at least one ensemble member"),
+        ("predict", "expansion", 0.5, "expansion factor must be finite and >= 1, got 0.5"),
+        ("bench", "members", 0, "need at least one ensemble member"),
+        ("bench", "lengths", [8, 4], "lengths must be ascending"),
+        ("bench", "lengths", [1], "l_max must be at least 2"),
+        ("bench", "lengths", [], "config key 'bench.lengths' must hold at least one length"),
+    ], ids=["predict-members", "predict-expansion", "bench-members", "bench-descending",
+            "bench-length-1", "bench-no-lengths"])
+    def test_bad_inference_settings_fail_before_training(self, tmp_path, capsys,
+                                                         section, key, value, message):
+        cfg = write_config(tmp_path, {section: {**SMALL_CONFIG[section], key: value}})
+        outdir = tmp_path / "run"
+        assert run("reproduce", "--config", cfg, "--outdir", outdir) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"geoagg: error: {message}\n"
+        assert captured.out == ""
+        assert not (outdir / "model_gwr.json").exists()
+
+
+class TestOnePath:
+    """``reproduce`` runs the same steps as the standalone commands."""
+
+    @pytest.mark.parametrize("ga_seed", [None, "5"], ids=["no-GA_SEED", "GA_SEED"])
+    def test_reproduce_matches_the_standalone_commands(self, tmp_path, monkeypatch, ga_seed):
+        monkeypatch.delenv("GA_SEED", raising=False)
+        if ga_seed is not None:
+            monkeypatch.setenv("GA_SEED", ga_seed)
+        # instances at least the test split, which standalone explain always covers
+        cfg = write_config(tmp_path, {"explain": {**SMALL_CONFIG["explain"], "instances": 144}})
+        outdir = tmp_path / "run"
+        assert run("reproduce", "--config", cfg, "--outdir", outdir) == 0
+        pred, expl = SMALL_CONFIG["predict"], SMALL_CONFIG["explain"]
+        # a seed flag would beat GA_SEED, which reproduce applied to every seed
+        pred_seed = [] if ga_seed else ["--seed", pred["seed"]]
+        expl_seed = [] if ga_seed else ["--seed", expl["seed"]]
+        same = {}
+        for tag in ("gwr", "sl"):
+            data, model = outdir / f"{tag}_r.csv", tmp_path / f"model_{tag}.json"
+            assert run("train", "--data", data, "--config", cfg, "--model-out", model) == 0
+            assert run("predict", "--model", model, "--data", data, "--members", pred["members"],
+                       "--expansion", pred["expansion"], *pred_seed,
+                       "--out", tmp_path / f"predictions_{tag}.csv") == 0
+            same[f"model_{tag}.json"] = model
+            same[f"loss_{tag}.csv"] = tmp_path / f"model_{tag}.loss.csv"
+            same[f"predictions_{tag}.csv"] = tmp_path / f"predictions_{tag}.csv"
+        assert run("explain", "--model", same["model_gwr.json"], "--data", outdir / "gwr_r.csv",
+                   "--background", expl["background"], *expl_seed,
+                   "--out", tmp_path / "explanations_gwr.csv") == 0
+        same["explanations_gwr.csv"] = tmp_path / "explanations_gwr.csv"
+        for name, path in same.items():
+            assert (outdir / name).read_bytes() == path.read_bytes(), name
+
+    def test_flags_default_to_the_run_config(self, tmp_path):
+        data, model = tmp_path / "data.csv", tmp_path / "model.json"
+        # enough context points for the default bench lengths
+        run("gen", "--dataset", "gwr-r", "--n", 400, "--seed", 5, "--out", data)
+        assert run("train", "--data", data, "--config", write_config(tmp_path),
+                   "--model-out", model) == 0
+        pred, expl, bench = (DEFAULT_CONFIG[k] for k in ("predict", "explain", "bench"))
+        flags = {
+            "predict": ["--members", pred["members"], "--expansion", pred["expansion"],
+                        "--seed", pred["seed"]],
+            "explain": ["--background", expl["background"], "--seed", expl["seed"]],
+            "bench": ["--lengths", ",".join(map(str, bench["lengths"])),
+                      "--members", bench["members"]],
+        }
+        for command, given in flags.items():
+            a, b = tmp_path / f"{command}_a.csv", tmp_path / f"{command}_b.csv"
+            assert run(command, "--model", model, "--data", data, "--out", a) == 0
+            assert run(command, "--model", model, "--data", data, *given, "--out", b) == 0
+            if command == "bench":  # timings differ; the rows and their lengths do not
+                rows_a, rows_b = ([ln.split(",")[:2] for ln in f.read_text().splitlines()]
+                                  for f in (a, b))
+                assert rows_a == rows_b
+                assert {int(r[0]) for r in rows_a[1:-1]} == set(bench["lengths"])
+            else:
+                assert a.read_bytes() == b.read_bytes(), command

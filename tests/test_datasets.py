@@ -262,12 +262,14 @@ def reference_explanations_csv(result, beta) -> str:
 
 def reference_load(path):
     """Columns read one line at a time, or the CsvFormatError message."""
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
-    header = [h.strip() for h in lines[0].split(",")]
+    lines = [(lineno, ln) for lineno, ln in
+             enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1)
+             if ln.strip()]
+    header = [h.strip() for h in lines[0][1].split(",")]
     has_y = header[-1] == "y"
     p = len(header) - 3 - has_y
     ids, coords, xs, ys = [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             return f"{path}: line {lineno}: expected {len(header)} cells, found {len(cells)}"
@@ -388,7 +390,8 @@ class TestColumnarErrors:
         (f"{HEAD}\n{with_cell(4, 'b', with_cell(1, 'a'))}\n",
          "line 2, column 'u': could not parse 'a'"),
         (f"{HEAD}\n\n{GOOD}\n   \n\n{with_cell(2, '?')}\n",
-         "line 3, column 'v': could not parse '?'"),
+         "line 6, column 'v': could not parse '?'"),
+        (f"\n \n{HEAD}\n{GOOD}\n\n0,1\n", "line 6: expected 6 cells, found 2"),
         (f"{HEAD}\r\n{GOOD}\r\n{with_cell(1, 'u?')}\r\n",
          "line 3, column 'u': could not parse 'u?'"),
         (f"{HEAD}\n{with_cell(3, ' 1 2 ')}\n", "line 2, column 'x1': could not parse ' 1 2 '"),
@@ -398,7 +401,7 @@ class TestColumnarErrors:
     ], ids=["id", "u", "v", "x1", "x2", "y", "x1-no-y", "float-id", "id-above-int64",
             "id-below-int64", "too-few", "too-many", "y-cell-without-y-column",
             "cell-before-count", "count-before-cell", "first-column", "blank-lines",
-            "crlf", "whitespace", "empty", "whitespace-only", "header"])
+            "blank-lines-before-header", "crlf", "whitespace", "empty", "whitespace-only", "header"])
     def test_message(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8", newline="")
