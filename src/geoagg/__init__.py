@@ -1,11 +1,13 @@
 """Geospatial tabular regression with distance-biased attention.
 
-A numpy/scipy library for predicting and explaining geo-referenced tabular
+A numpy library for predicting and explaining geo-referenced tabular
 targets: a set-attention regressor whose attention logits are penalised by
 learnable per-head Gaussian distance factors, a data-loading layer that
-precomputes k-d tree neighbourhoods once and reuses them across epochs and
-ensemble members, randomised-context ensembles with per-query uncertainty,
-and an exact Shapley-style explainer that treats location as one joint player.
+precomputes neighbourhoods once, from a grid index, and reuses them across
+epochs and ensemble members, randomised-context ensembles with per-query
+uncertainty, and an exact Shapley-style explainer that treats location as
+one joint player.  scipy is imported only by the spatial-lag generator,
+:func:`generate_sl`, for its sparse solve.
 """
 
 from .autodiff import (

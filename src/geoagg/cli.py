@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
 import os
 import sys
 from dataclasses import asdict, replace
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ContractError
-from .datasets import CsvFormatError, generate_gwr, generate_sl, load_csv, read_text, save_csv
+from .datasets import CsvFormatError, generate_gwr, generate_sl, load_csv, read_json, save_csv
 from .explain import (
     RowBatch,
     geoshapley_explain,
@@ -76,7 +75,7 @@ def load_config(path=None) -> dict:
     """Defaults overlaid with a JSON config file; unknown keys are rejected."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    user = json.loads(read_text(path, ContractError))
+    user = read_json(path, ContractError)
     if not isinstance(user, dict):
         raise ContractError("config file must hold a JSON object")
     merged = _merge_strict(DEFAULT_CONFIG, user)
@@ -226,6 +225,13 @@ def _cmd_reproduce(args) -> int:
         raise ContractError("lengths must be ascending")
     for length in lengths:
         replace(model_cfg, l_max=length)
+    # the train split is the context pool of every step
+    n_context = int(round(tc.split * cfg["data"]["n"]))
+    if n_context < model_cfg.l_max:
+        raise ContractError(f"dataset has {n_context} points, need at least "
+                            f"l_max={model_cfg.l_max}")
+    if n_context < lengths[-1]:
+        raise ContractError(f"only {n_context} context points available, need {lengths[-1]}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     data = cfg["data"]
@@ -332,8 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ContractError, CsvFormatError, SequenceLookupError,
-            OSError, json.JSONDecodeError) as exc:
+    except (ContractError, CsvFormatError, SequenceLookupError, OSError) as exc:
         print(f"geoagg: error: {exc}", file=sys.stderr)
         return 1
 

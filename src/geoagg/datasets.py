@@ -35,8 +35,6 @@ from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .autodiff import ContractError
 from .kdtree import KdTree
@@ -52,6 +50,7 @@ __all__ = [
     "save_csv",
     "load_csv",
     "read_text",
+    "read_json",
     "write_csv",
 ]
 
@@ -179,8 +178,14 @@ def generate_gwr(n: int, seed: int) -> GeoDataset:
     return GeoDataset(np.arange(n), np.column_stack([u, v]), x, y, meta=meta)
 
 
-def _sl_weights(coords: np.ndarray) -> sp.csr_matrix:
-    """Row-standardised directed 8-nearest-neighbour adjacency."""
+def _sl_weights(coords: np.ndarray):
+    """Row-standardised directed 8-nearest-neighbour adjacency.
+
+    scipy is imported here and in :func:`generate_sl` only, so that no other
+    code path loads it.
+    """
+    import scipy.sparse as sp
+
     n = coords.shape[0]
     hits, _ = KdTree(coords, np.arange(n)).search(coords, SL_N_NEIGHBORS + 1)
     # each point's own row, else its farthest hit, leaves its 8 neighbours
@@ -203,6 +208,9 @@ def generate_sl(n: int, seed: int, rho: float = 0.6) -> GeoDataset:
     coords = rng.random((n, 2))
     x = rng.standard_normal((n, 2))
     eps = SL_NOISE_SD * rng.standard_normal(n)
+
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
 
     b = x @ np.asarray(SL_BETA) + eps
     w = _sl_weights(coords)
@@ -268,6 +276,15 @@ def read_text(path, error=CsvFormatError) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_json(path, error=CsvFormatError):
+    """A UTF-8 JSON file's value; bad bytes or bad JSON raise ``error`` naming the file."""
+    try:
+        return json.loads(read_text(path, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON ({exc.msg} at line {exc.lineno} "
+                    f"column {exc.colno})") from None
 
 
 def _columns(rows: list[str], width: int, has_y: bool):
@@ -343,7 +360,7 @@ def load_csv(path) -> GeoDataset:
     meta = {}
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():
-        meta = json.loads(read_text(sidecar))
+        meta = read_json(sidecar)
         if not isinstance(meta, dict):
             raise CsvFormatError(f"{sidecar}: must hold a JSON object, found {type(meta).__name__}")
     return GeoDataset(ids, values[:, :2], values[:, 2:], y, observed, meta)

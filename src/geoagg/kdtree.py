@@ -1,35 +1,51 @@
-"""Planar k-d tree with exact, batched k-nearest-neighbour queries.
+"""Planar nearest-neighbour index with exact, batched k-nearest-neighbour queries.
 
-The tree is scipy's ``cKDTree``; this module makes its answers exact and
-deterministic.  Squared distances are recomputed as ``du*du + dv*dv`` and
-every neighbour list is ordered by ``(squared distance, id)``, so distance
-ties break towards the smaller point id and query results (and everything
-cached from them) are a pure function of the points.  Where the first point
-left out of a candidate list is not shown to lie past the k-th kept one (a
-tie, or a near tie within rounding), a ball search at a radius just above
-the k-th distance completes the list.  A query counter records how many
-points were searched for; the caching layer uses it to prove that
-precomputed neighbourhoods never fall back to live searches.
+The index is numpy alone: a uniform grid of square cells over the bounding
+box of the points, which are stored in cell order, so that one row of cells
+is one contiguous run of points.  A search gives each query the smallest
+square window of cells around its own cell that holds enough points (read
+off a summed-area table of cell counts), ranks the window's points, and
+accepts the answer once its k-th distance lies clear of the window's edges.
+A query that fails that test is searched again in a window wide enough for
+the distance it found.  A window that reaches every edge of the grid holds
+the whole pool and is always accepted, so the search is exact.  Batches of
+at most ``_FEW`` queries skip the grid and rank the whole pool at once,
+which is cheaper at that size; the route depends on the query count alone.
+
+Squared distances are ``du*du + dv*dv``, and every neighbour list is
+ordered by ``(squared distance, id)``, so distance ties break towards the
+smaller point id and query results (and everything cached from them) are a
+pure function of the points.  A query counter records how many points were
+searched for; the caching layer uses it to prove that precomputed
+neighbourhoods never fall back to live searches.
+
+The class keeps the name ``KdTree``, and its ``search``, ``knn``,
+``query_count`` and ``reset_query_count``, because the benchmark under
+``perfbench/`` binds them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .autodiff import ContractError
 
 __all__ = ["KdTree"]
 
-# candidates fetched past k, so that a short tie group is resolved without a
-# ball search
-_SLACK = 8
-# relative margin on distances: far above cKDTree's few-ulp rounding
+# queries ranked at a time
+_BLOCK = 256
+# mean points per grid cell
+_POINTS_PER_CELL = 1
+# circles hold this many times k points, at the mean density
+_SLACK = 1.2
+# batches of at most this many queries rank the whole pool directly
+_FEW = 4
+# relative margin on the window test: far above float rounding
 _MARGIN = 1e-9
 
 
 class KdTree:
-    """Static 2-D tree over ``(u, v)`` points with integer ids."""
+    """Static index over ``(u, v)`` points with integer ids."""
 
     def __init__(self, coords, ids):
         coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
@@ -40,28 +56,40 @@ class KdTree:
             raise ContractError("coords and ids disagree in length")
         if not np.isfinite(coords).all():
             raise ContractError("coordinates must be finite")
-        self.size = coords.shape[0]
+        self.size = n = coords.shape[0]
         self.query_count = 0
-        self._coords, self._ids = coords, ids
-        self._tree = cKDTree(coords)
+        self._lo, self._hi = coords.min(axis=0), coords.max(axis=0)
+        extent = self._hi - self._lo
+        cells = max(1, n // _POINTS_PER_CELL)
+        # square cells, at most `cells` along either axis (any side when all coincide)
+        side = max(np.sqrt(extent[0] * extent[1] / cells), extent.max() / cells)
+        self._side = side = side if side > 0 else 1.0
+        self._shape = (extent // side).astype(np.int64) + 1  # cells along u, v
+        nu, nv = self._shape
+        cell = np.minimum(((coords - self._lo) // side).astype(np.int64), self._shape - 1)
+        flat = cell[:, 1] * nu + cell[:, 0]
+        self._order = np.argsort(flat, kind="stable")  # storage position -> row
+        counts = np.bincount(flat, minlength=nu * nv)
+        self._start = np.concatenate(([0], np.cumsum(counts)))
+        self._sat = np.zeros((nv + 1, nu + 1), dtype=np.int64)
+        self._sat[1:, 1:] = counts.reshape(nv, nu).cumsum(axis=0).cumsum(axis=1)
+        # points in storage order, then a sentinel at infinity that pads windows
+        self._u = np.append(coords[self._order, 0], np.inf)
+        self._v = np.append(coords[self._order, 1], np.inf)
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(ids, kind="stable")] = np.arange(n)
+        self._rank = np.append(rank[self._order], n)
+        self._ids = ids
+        self._tol = _MARGIN * (np.abs(coords).max() + side)
 
     def reset_query_count(self) -> None:
         self.query_count = 0
-
-    def _ranked(self, points, rows):
-        """``rows`` re-ranked per point by ``(d2, id)``, with their d2."""
-        du = points[:, None, 0] - self._coords[rows, 0]
-        dv = points[:, None, 1] - self._coords[rows, 1]
-        d2 = du * du + dv * dv
-        order = np.lexsort((self._ids[rows], d2), axis=-1)
-        return (np.take_along_axis(rows, order, axis=-1),
-                np.take_along_axis(d2, order, axis=-1))
 
     def search(self, points, k: int):
         """Rows of the ``k`` nearest points to each of ``points``, with their d2.
 
         Returns ``(rows, d2)``, both ``(n, min(k, size))``: row indices into
-        the tree's points and squared distances, each row ordered by
+        the index's points and squared distances, each row ordered by
         ``(squared distance, id)``.
         """
         if k < 1:
@@ -69,25 +97,122 @@ class KdTree:
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         self.query_count += len(points)
         k = min(k, self.size)
-        fetch = min(k + _SLACK, self.size)
-        dist, rows = self._tree.query(points, range(1, fetch + 1))
-        rows, d2 = self._ranked(points, rows)
-        rows, d2 = rows[:, :k], d2[:, :k]
-        # a point left out lies at least dist[:, -1] away: where that is not
-        # past the k-th kept point, a ball search finds every contender
-        open_ = np.flatnonzero(dist[:, -1] ** 2 <= d2[:, -1] * (1.0 + _MARGIN))
-        if fetch < self.size and len(open_):
-            radii = np.sqrt(d2[open_, -1]) * (1.0 + _MARGIN)
-            for i, ball in zip(open_, self._tree.query_ball_point(points[open_], radii)):
-                ball_rows, ball_d2 = self._ranked(points[i:i + 1], np.array([ball]))
-                rows[i], d2[i] = ball_rows[0, :k], ball_d2[0, :k]
-        return rows, d2
+        if len(points) <= _FEW:
+            pos, d2 = self._ranked(points, None, k)
+            return self._order[pos], d2
+        pos = np.empty((len(points), k), dtype=np.int64)
+        d2 = np.empty((len(points), k))
+        reach, held = self._fitting_reach(points, k)
+        # blocks of queries with like windows, so that little padding is ranked
+        todo = np.argsort(held, kind="stable")
+        while len(todo):
+            now, todo = todo[:_BLOCK], todo[_BLOCK:]
+            cand, bound = self._window(points[now], reach[now])
+            got, got_d2 = self._ranked(points[now], cand, k)
+            done = got_d2[:, -1] * (1.0 + _MARGIN) < bound * bound
+            pos[now[done]], d2[now[done]] = got[done], got_d2[done]
+            # again, in a window wide enough for the k-th distance found
+            now = now[~done]
+            reach[now] = np.maximum(np.sqrt(got_d2[~done, -1]) * (1.0 + _MARGIN)
+                                    + 2.0 * self._tol, reach[now] + self._side)
+            todo = np.concatenate([todo, now])
+        return self._order[pos], d2
+
+    def _cells(self, points, reach):
+        """The first and last grid cells ``(m, 2)`` within ``reach`` of each point."""
+        reach = reach[:, None]
+        lo = np.clip((points - reach - self._lo) // self._side, 0, self._shape - 1)
+        hi = np.clip((points + reach - self._lo) // self._side, 0, self._shape - 1)
+        return lo.astype(np.int64), hi.astype(np.int64)
+
+    def _fitting_reach(self, points, k: int):
+        """Per query, the least reach, in half cells, whose window holds enough
+        points, and the count its window holds.
+
+        Enough is what a window needs, at the pool's mean density, for the
+        circle of that reach to hold ``_SLACK`` times k points.  A query
+        outside the bounding box starts that far beyond its distance to it.
+        """
+        fill = np.sqrt(_POINTS_PER_CELL)
+        need = min(self.size, (2.0 * np.sqrt(_SLACK * k / np.pi) + fill) ** 2)
+        outside = np.maximum(self._lo - points, points - self._hi).max(axis=1)
+        reach = (self._side * max(0.0, np.sqrt(need) - fill) / (2.0 * fill)
+                 + np.maximum(outside, 0.0))
+        held = np.empty(len(points), dtype=np.int64)
+        short = np.arange(len(points))
+        sat = self._sat
+        while len(short):
+            lo, hi = self._cells(points[short], reach[short])
+            hi += 1
+            count = (sat[hi[:, 1], hi[:, 0]] - sat[lo[:, 1], hi[:, 0]]
+                     - sat[hi[:, 1], lo[:, 0]] + sat[lo[:, 1], lo[:, 0]])
+            held[short] = count
+            short = short[count < need]
+            reach[short] += self._side / 2.0
+        return reach, held
+
+    def _window(self, points, reach):
+        """Storage positions of the points in each query's window, and its bound.
+
+        The window is the cells within ``reach`` of the query.  Returns
+        ``(cand, bound)``: ``cand`` ``(m, width)`` positions, padded with the
+        sentinel, and ``bound`` the distance below which no point outside the
+        window can lie (infinite where the window holds the pool).
+        """
+        nu, nv = self._shape
+        lo, hi = self._cells(points, reach)
+        offset = points - self._lo
+        below = np.where(lo > 0, offset - lo * self._side, np.inf)
+        above = np.where(hi < self._shape - 1, (hi + 1) * self._side - offset, np.inf)
+        bound = np.minimum(below.min(axis=1), above.min(axis=1)) - self._tol
+        # one run of storage positions per row of cells in the window
+        lines = lo[:, 1, None] + np.arange((hi[:, 1] - lo[:, 1]).max() + 1)
+        inside = lines <= hi[:, 1, None]
+        lines = np.minimum(lines, hi[:, 1, None]) * nu
+        begin = self._start[lines + lo[:, 0, None]]
+        runs = np.where(inside, self._start[lines + hi[:, 0, None] + 1] - begin, 0).ravel()
+        held = runs.reshape(len(points), -1).sum(axis=1)
+        flat = (np.repeat(begin.ravel() - (np.cumsum(runs) - runs), runs)
+                + np.arange(held.sum()))
+        cand = np.full((len(points), held.max()), self.size)
+        cand[np.arange(held.max()) < held[:, None]] = flat
+        return cand, np.maximum(bound, 0.0)
+
+    def _ranked(self, points, cand, k: int):
+        """Storage positions and d2 of the ``k`` nearest candidates, by ``(d2, id)``.
+
+        ``cand`` ``(m, width)`` holds each query's candidate positions; None
+        stands for the whole pool.
+        """
+        if cand is None:
+            u, v = self._u, self._v
+        else:
+            u, v = self._u[cand], self._v[cand]
+        d2 = np.subtract(points[:, :1], u)
+        d2 *= d2
+        dv = np.subtract(points[:, 1:], v)
+        dv *= dv
+        d2 += dv
+        rows = np.arange(len(d2))[:, None]
+        order = np.argsort(d2, axis=1)
+        d2 = d2[rows, order]
+        # every point tied with a k-th nearest contends for its place
+        width = k + int((d2[:, k:] == d2[:, k - 1:k]).sum(axis=1).max())
+        d2, order = d2[:, :width], order[:, :width]
+        pos = order if cand is None else cand[rows, order]
+        tied = d2[:, 1:] == d2[:, :-1]
+        if tied.any():
+            # equal distances, ordered by id: sort on (distance group, id rank)
+            group = np.zeros(d2.shape, dtype=np.int64)
+            np.cumsum(~tied, axis=1, out=group[:, 1:])
+            pos = pos[rows, np.argsort(group * (self.size + 1) + self._rank[pos], axis=1)]
+        return pos[:, :k], d2[:, :k]
 
     def knn(self, point, k: int) -> list[tuple[int, float]]:
         """The ``k`` nearest points as ``(id, squared distance)``, ascending.
 
         Ordering is by ``(squared distance, id)``; asking for more points than
-        the tree holds returns the whole pool.
+        the index holds returns the whole pool.
         """
         rows, d2 = self.search([point], k)
         return list(zip(self._ids[rows[0]].tolist(), d2[0].tolist()))

@@ -2,7 +2,8 @@
 
 Training precomputes each point's neighbourhood once, then rebuilds input
 sequences every epoch with fresh random removal of the surplus neighbours, and
-minimises mean squared error with Adam, recording one tape per minibatch.
+minimises mean squared error with Adam, recording one tape per minibatch; the
+tapes of one call write into one pool of buffers.
 Inference assembles ``members`` sequences per query (member k draws its
 context subsets from the stream seeded ``[seed, k]``) and reports the per-query
 mean and sample standard deviation, the latter being the epistemic
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import AdamState, ContractError, Tape, adam_step, backward
+from .autodiff import AdamState, BufferPool, ContractError, Tape, adam_step, backward
 from . import autodiff as ad
 from .datasets import GeoDataset, write_csv
 from .model import (
@@ -157,6 +158,7 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
     )
 
     state = AdamState()
+    pool = BufferPool()
     history: list[float] = []
     for epoch in range(tc.epochs):
         rng = np.random.default_rng([_SEED_EPOCH, tc.seed, epoch])
@@ -165,7 +167,8 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
         for start in range(0, len(order), tc.batch):
             chunk = order[start:start + tc.batch]
             batch = assemble_sequence(context.ids[chunk], cache, context, config.l_max, rng)
-            sse += _minibatch_step(params, config, batch, y[chunk], state, tc.lr) * len(chunk)
+            sse += _minibatch_step(params, config, batch, y[chunk], state, tc.lr,
+                                   pool) * len(chunk)
         mse = sse / len(context)
         if not np.isfinite(mse):
             raise ContractError(f"training diverged: epoch {epoch} has mean squared error {mse}")
@@ -174,20 +177,22 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
 
 
 def _minibatch_step(params: ModelParams, config: ModelConfig, batch, targets,
-                    state: AdamState, lr: float) -> float:
+                    state: AdamState, lr: float, pool: BufferPool | None = None) -> float:
     """One Adam step on a minibatch's mean squared error, which it returns.
 
-    The tape lives only inside this call, so it is freed before the next
-    minibatch records its own.
+    The tape lives only inside this call, and its arrays go back to ``pool``
+    at the end, for the next minibatch to write into.
     """
-    tape = Tape()
+    tape = Tape(pool=pool)
     bound = bind_params(tape, params)
     pred, _ = forward_on_tape(tape, bound, batch, config)
     resid = ad.sub(pred, targets.reshape(-1, 1, 1))
     loss = ad.mean_all(ad.mul(resid, resid))
     backward(tape, loss)
     adam_step(params.arrays, param_grads(tape, bound), state, lr)
-    return float(loss.value[0, 0])
+    mse = float(loss.value[0, 0])
+    tape.release()
+    return mse
 
 
 def _member_predictions(params: ModelParams, config: ModelConfig,
@@ -310,10 +315,13 @@ def benchmark_inference(params: ModelParams, config: ModelConfig,
     length alike rather than their ratio.  The timed region covers neighbour
     lookup (cached or live) plus all member forward passes; the tree's query
     counter is captured alongside so the two modes' lookup behaviour is
-    verifiable (``n_queries`` versus ``members * n_queries``).
+    verifiable (``n_queries`` versus ``members * n_queries``).  Every length
+    is checked against the context pool before the first one is timed.
     """
     if list(lengths) != sorted(lengths):
         raise ContractError("lengths must be ascending")
+    if lengths and lengths[-1] > len(context):
+        raise ContractError(f"only {len(context)} context points available, need {lengths[-1]}")
     records = []
     for length in lengths:
         for mode in ("on_the_fly", "precomputed"):

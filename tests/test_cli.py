@@ -1,6 +1,10 @@
 """Command-line interface tests (run in-process through main())."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -380,6 +384,41 @@ class TestBadDataFiles:
                        f"(invalid start byte at byte {len(model.read_bytes())})\n")
         assert not (tmp_path / "p.csv").exists()
 
+    def test_config_that_is_not_json(self, tmp_path, capsys):
+        data, cfg = tmp_path / "d.csv", tmp_path / "c.json"
+        run("gen", "--dataset", "gwr-r", "--n", 144, "--seed", 1, "--out", data)
+        cfg.write_text('{"train": {')
+        capsys.readouterr()
+        assert run("train", "--data", data, "--config", cfg,
+                   "--model-out", tmp_path / "m.json") == 1
+        err = capsys.readouterr().err
+        assert err == (f"geoagg: error: {cfg}: not valid JSON (Expecting property name "
+                       f"enclosed in double quotes at line 1 column 12)\n")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_model_file_that_is_not_json(self, trained, capsys):
+        data, model, _, tmp_path = trained
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(model.read_text().replace("{", "[", 1))
+        capsys.readouterr()
+        assert run("predict", "--model", bad, "--data", data, "--out", tmp_path / "p.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"geoagg: error: {bad}: not valid JSON (")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_sidecar_that_is_not_json(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        run("gen", "--dataset", "gwr-r", "--n", 144, "--seed", 1, "--out", data)
+        sidecar = tmp_path / "d.csv.meta.json"
+        sidecar.write_text("{]")
+        capsys.readouterr()
+        assert self._train(tmp_path, data) == 1
+        err = capsys.readouterr().err
+        assert err == (f"geoagg: error: {sidecar}: not valid JSON (Expecting property name "
+                       f"enclosed in double quotes at line 1 column 2)\n")
+        assert not (tmp_path / "m.json").exists()
+
     def test_data_path_that_is_a_directory(self, tmp_path, capsys):
         folder = tmp_path / "folder.csv"
         folder.mkdir()
@@ -387,6 +426,35 @@ class TestBadDataFiles:
         err = capsys.readouterr().err
         assert err.startswith("geoagg: error: ") and str(folder) in err
         assert len(err.strip().splitlines()) == 1
+
+
+class TestLeanProcess:
+    """Only the spatial-lag generator loads scipy."""
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        data, model, cfg = tmp_path / "gwr.csv", tmp_path / "model.json", write_config(tmp_path)
+        steps = [
+            ["gen", "--dataset", "gwr-r", "--n", 144, "--seed", 5, "--out", data],
+            ["train", "--data", data, "--config", cfg, "--model-out", model],
+            ["predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv"],
+            ["explain", "--model", model, "--data", data, "--background", 5,
+             "--out", tmp_path / "e.csv"],
+        ]
+        script = (
+            "import sys\n"
+            "from geoagg.cli import main\n"
+            f"for argv in {[[str(a) for a in step] for step in steps]!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestSeedPrecedence:
@@ -539,6 +607,21 @@ class TestReproduce:
         assert run("reproduce", "--config", cfg, "--outdir", outdir) == 1
         err = capsys.readouterr().err
         assert err == f"geoagg: error: config key 'explain.{key}' must be at least 1, got {value}\n"
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("bench", {"lengths": [16, 32, 64, 128]}, "only 101 context points available, need 128"),
+        ("model", {"l_max": 128}, "dataset has 101 points, need at least l_max=128"),
+    ], ids=["bench-length", "l_max"])
+    def test_lengths_past_the_train_split_fail_before_generating(self, tmp_path, capsys,
+                                                                 section, value, message):
+        # 144 points split 70/30 leave 101 context points
+        cfg = write_config(tmp_path, {section: {**SMALL_CONFIG[section], **value}})
+        outdir = tmp_path / "run"
+        assert run("reproduce", "--config", cfg, "--outdir", outdir) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"geoagg: error: {message}\n"
+        assert captured.out == ""
         assert not outdir.exists()
 
     def test_chain_produces_all_artifacts(self, tmp_path):

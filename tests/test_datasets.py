@@ -1,5 +1,6 @@
 """Generator and CSV I/O tests, with independent statistical oracles."""
 
+import hashlib
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -110,6 +111,20 @@ class TestSlGenerator:
     def test_rho_bounds_enforced(self):
         with pytest.raises(ContractError, match="rho"):
             generate_sl(400, 0, rho=1.0)
+
+    @pytest.mark.parametrize("args, sha1", [
+        ((2500, 7, 0.6), "3eb3c8ed7b8e3b6ce10e319031271d8324f4b7eb"),
+        ((400, 3, 0.3), "181b059ff370c7a241ffb0873ae8196d61e020dc"),
+        ((101, 0, -0.5), "c4454d41964c9ddb1923074eeb8dc74891b7eec2"),
+    ])
+    def test_columns_keep_their_bytes(self, args, sha1):
+        """SHA-1 of the id, coordinate, covariate and target columns, pinned
+        from the cKDTree-based neighbour search the weights used to take."""
+        ds = generate_sl(*args)
+        digest = hashlib.sha1()
+        for col in (ds.ids(), ds.coords(), ds.covariates(), ds.targets()):
+            digest.update(col.tobytes())
+        assert digest.hexdigest() == sha1
 
     def test_deterministic_csv_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -72,6 +72,23 @@ class TestSplit:
 
 
 class TestTrain:
+    def test_steps_after_the_first_take_every_buffer_from_the_pool(self, monkeypatch):
+        """Two epochs of 70 points in minibatches of 16: every epoch ends in
+        a smaller minibatch of 6, and no step after the first makes a buffer."""
+        misses = []
+        step = pipeline._minibatch_step
+
+        def counted(*args):
+            loss = step(*args)
+            misses.append(args[-1].misses)
+            return loss
+
+        monkeypatch.setattr(pipeline, "_minibatch_step", counted)
+        tc = TrainConfig(epochs=2, batch=16, seed=5)
+        train(tiny_dataset(70), tiny_config(), tc)
+        assert len(misses) == 10 and misses[0] > 0
+        assert set(misses) == {misses[0]}
+
     def test_zero_epochs_returns_initialization(self):
         ds = tiny_dataset(30)
         config = tiny_config()
@@ -316,6 +333,16 @@ class TestBenchmark:
         params, config, ctx, q = self._setup()
         with pytest.raises(ContractError, match="ascending"):
             benchmark_inference(params, config, q, ctx, [8, 4], 1)
+
+    def test_every_length_is_checked_before_any_is_timed(self, monkeypatch):
+        params, config, ctx, q = self._setup()
+        timed = []
+        monkeypatch.setattr(pipeline, "_member_predictions",
+                            lambda *args, **kwargs: timed.append(kwargs["l_max"]))
+        with pytest.raises(ContractError) as exc:
+            benchmark_inference(params, config, q, ctx, [4, 8, len(ctx) + 1], 1)
+        assert str(exc.value) == f"only {len(ctx)} context points available, need {len(ctx) + 1}"
+        assert timed == []
 
     def test_unknown_mode_rejected(self):
         params, config, ctx, q = self._setup()

@@ -76,16 +76,27 @@ class TestKdTree:
             assert tree.knn(q, 10) == brute_force_knn(coords, ids, q, 10)
 
     def test_randomized_suite_matches_brute_force(self):
-        """50+ randomized (pool, k) cases, including coordinate ties."""
+        """50+ randomized (pool, k) cases, with coordinate ties and without.
+
+        Each case asks one point alone and a batch of ten, some of them
+        outside the pool's bounding box.
+        """
         rng = np.random.default_rng(4)
         for trial in range(60):
             n = int(rng.integers(1, 400))
-            coords = np.round(rng.random((n, 2)), 2 if trial % 3 else 1)
+            coords = rng.random((n, 2))
+            if trial % 4 != 3:  # the others continuous
+                coords = np.round(coords, 2 if trial % 4 else 1)
             ids = rng.permutation(n) + 10
             tree = KdTree(coords, ids)
             k = int(rng.integers(1, 17))
             q = rng.random(2)
             assert tree.knn(q, k) == brute_force_knn(coords, ids, q, k), trial
+            batch = rng.random((10, 2)) * 2.0 - 0.5
+            rows, d2 = tree.search(batch, k)
+            for i, q in enumerate(batch):
+                got = list(zip(ids[rows[i]].tolist(), d2[i].tolist()))
+                assert got == brute_force_knn(coords, ids, q, k), (trial, i)
 
     def test_results_sorted_by_distance(self):
         rng = np.random.default_rng(5)
@@ -107,19 +118,44 @@ class TestKdTree:
 
 @st.composite
 def tied_search(draw):
-    """Points and queries on a coarse grid, so many distances tie.
+    """Points and queries in the layouts a search has to get right.
 
-    Returns ``(coords, ids, queries, k)``: up to 80 points (duplicates
-    likely) with distinct ids in any order, up to 8 query points on the
-    same grid, and ``k`` from 1 to past the pool size.
+    Returns ``(coords, ids, queries, k)``: up to 80 points with distinct ids
+    in any order, up to 12 query points, and ``k`` from 1 to past the pool
+    size.  The points lie on a coarse grid, so many distances tie and
+    duplicates are likely; at continuous positions; in a tight cluster with
+    far outliers; all at one coordinate; or on a line with no extent along
+    one axis.  Queries lie on the same grid, or anywhere in a box three
+    times as wide as the points' bounding box, so that some fall outside
+    it.  Batches of up to four queries rank the whole pool, larger ones go
+    through the grid.
     """
     n = draw(st.integers(1, 80))
     side = draw(st.integers(1, 7))
     cell = st.tuples(st.integers(0, side), st.integers(0, side))
-    coords = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=np.float64) / side
+    layout = draw(st.sampled_from(["grid", "continuous", "cluster", "one point", "line"]))
+    if layout == "grid":
+        coords = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=np.float64) / side
+    else:
+        unit = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+        coords = np.array(draw(st.lists(unit, min_size=n, max_size=n)), dtype=np.float64)
+    if layout == "cluster":
+        outliers = draw(st.integers(0, min(3, n - 1)))
+        coords[outliers:] = 0.5 + 1e-4 * coords[outliers:]
+        coords[:outliers] = 1000.0 * coords[:outliers] - 500.0
+    elif layout == "one point":
+        coords[:] = coords[0]
+    elif layout == "line":
+        axis = draw(st.integers(0, 1))
+        coords[:, axis] = coords[0, axis]
     ids = np.array(draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
                                  min_size=n, max_size=n, unique=True)))
-    queries = np.array(draw(st.lists(cell, min_size=1, max_size=8)), dtype=np.float64) / side
+    lo, extent = coords.min(axis=0), np.ptp(coords, axis=0) + 1e-3
+    anywhere = st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)).map(
+        lambda t: tuple(lo + extent * np.array(t)))
+    on_grid = cell.map(lambda c: (c[0] / side, c[1] / side))
+    queries = np.array(draw(st.lists(st.one_of(on_grid, anywhere), min_size=1, max_size=12)),
+                       dtype=np.float64)
     return coords, ids, queries, draw(st.integers(1, n + 3))
 
 
