@@ -17,10 +17,11 @@ values and no op records: each result lives only in the :class:`Var` that
 holds it and is freed as soon as nothing references it.  Inference runs the
 training forward on such a tape.
 
-A recording tape given a :class:`BufferPool` draws every large array it
-makes from the pool: op values, rotary tables and attention weights,
-gradients and the scratch of the backward rules, each written through
-numpy's ``out=``, which leaves the arithmetic unchanged.  A gradient or
+Every large array a primitive makes (op values, rotary tables and
+attention weights, gradients and the scratch of the backward rules) is
+written through numpy's ``out=``, which leaves the arithmetic unchanged,
+into an array that a recording tape given a :class:`BufferPool` draws from
+the pool and any other tape allocates afresh.  A gradient or
 scratch buffer goes back to the pool as soon as no slot holds it, and
 :meth:`Tape.release` hands back the rest once a training step is done, so
 the pool holds about one step's peak live set and the next step of the same
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -168,11 +168,6 @@ class BufferPool:
             self._free[key].append(buf)
 
 
-@lru_cache(maxsize=1024)
-def _broadcast_shapes(*shapes) -> tuple:
-    return np.broadcast_shapes(*shapes)
-
-
 class Tape:
     """Ordered record of primitive operations and their value slots.
 
@@ -231,31 +226,25 @@ class Tape:
         return out
 
 
-def _out(tape: Tape, shape, dtype=_FLOAT):
-    """Where an op writes its result: a pooled array of ``shape``, or None,
-    which lets numpy allocate it."""
-    return None if tape.pool is None else tape.pool.take(shape, dtype)
+def _out(tape: Tape, shape, dtype=_FLOAT) -> np.ndarray:
+    """Where an op writes its result: an uninitialised array of ``shape``,
+    from the tape's pool when it has one."""
+    return np.empty(shape, dtype) if tape.pool is None else tape.pool.take(shape, dtype)
 
 
 def _apply(tape: Tape, ufunc, *args) -> np.ndarray:
-    """``ufunc(*args)``, written into a pooled array when the tape has a pool."""
-    if tape.pool is None:
-        return ufunc(*args)
-    return ufunc(*args, out=tape.pool.take(_broadcast_shapes(*map(np.shape, args))))
+    """``ufunc(*args)``, written into an array from :func:`_out`."""
+    return ufunc(*args, out=_out(tape, np.broadcast(*args).shape))
 
 
 def _zeros(tape: Tape, shape) -> np.ndarray:
     out = _out(tape, shape)
-    if out is None:
-        return np.zeros(shape)
     out.fill(0.0)
     return out
 
 
 def _copy(tape: Tape, x: np.ndarray) -> np.ndarray:
     out = _out(tape, x.shape)
-    if out is None:
-        return x.copy()
     out[...] = x
     return out
 
@@ -299,12 +288,14 @@ def matmul(a: Var, b) -> Var:
     return tape.record("matmul", (a, b), _matmul(tape, a.value, b.value))
 
 
+def _product_shape(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Shape of ``a @ b``."""
+    return np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+
+
 def _matmul(tape, a, b):
-    """``a @ b``, written into a pooled array when the tape has a pool."""
-    if tape.pool is None:
-        return a @ b
-    shape = _broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
-    return np.matmul(a, b, out=tape.pool.take(shape))
+    """``a @ b``, written into an array from :func:`_out`."""
+    return np.matmul(a, b, out=_out(tape, _product_shape(a, b)))
 
 
 def add(a: Var, b) -> Var:
@@ -412,8 +403,6 @@ def _rope_tables(tape: Tape, coords: np.ndarray, width: int, base: float,
     # (u * freqs, v * freqs) per row
     ang = (coords[..., None] * freqs).reshape(coords.shape[:-1] + (1, 2 * per_coord))
     rot = _out(tape, ang.shape, _COMPLEX)
-    if rot is None:
-        rot = np.empty(ang.shape, dtype=np.complex128)
     np.cos(ang, out=rot.real)
     np.sin(ang, out=rot.imag)
     return rot
@@ -429,8 +418,6 @@ def _rotate(tape: Tape, x: np.ndarray, rot: np.ndarray) -> np.ndarray:
     z = np.ascontiguousarray(x).view(np.complex128)
     z = z.reshape(z.shape[:-1] + (-1, rot.shape[-1]))
     out = _out(tape, x.shape)
-    if out is None:
-        return (z * rot).view(np.float64).reshape(x.shape)
     np.multiply(z, rot, out=out.view(np.complex128).reshape(z.shape))
     return out
 
@@ -465,11 +452,8 @@ def _merged_matmul(tape: Tape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     straight into the merged ``(..., n, n_heads * cols)`` layout, so no
     per-head result is materialised and copied.
     """
-    shape = _broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
-    *lead, n_heads, n, cols = shape
+    *lead, n_heads, n, cols = _product_shape(a, b)
     out = _out(tape, (*lead, n, n_heads * cols))
-    if out is None:
-        out = np.empty((*lead, n, n_heads * cols))
     np.matmul(a, b, out=out.reshape(*lead, n, n_heads, cols).swapaxes(-3, -2))
     return out
 

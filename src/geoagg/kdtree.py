@@ -8,9 +8,8 @@ off a summed-area table of cell counts), ranks the window's points, and
 accepts the answer once its k-th distance lies clear of the window's edges.
 A query that fails that test is searched again in a window wide enough for
 the distance it found.  A window that reaches every edge of the grid holds
-the whole pool and is always accepted, so the search is exact.  Batches of
-at most ``_FEW`` queries skip the grid and rank the whole pool at once,
-which is cheaper at that size; the route depends on the query count alone.
+the whole pool and is always accepted, so the search is exact.  Every
+batch, down to one query, takes this one route.
 
 Squared distances are ``du*du + dv*dv``, and every neighbour list is
 ordered by ``(squared distance, id)``, so distance ties break towards the
@@ -26,6 +25,8 @@ The class keeps the name ``KdTree``, and its ``search``, ``knn``,
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import ContractError
@@ -38,8 +39,8 @@ _BLOCK = 256
 _POINTS_PER_CELL = 1
 # circles hold this many times k points, at the mean density
 _SLACK = 1.2
-# batches of at most this many queries rank the whole pool directly
-_FEW = 4
+# window reaches tried at once, half a cell apart
+_LADDER = 4
 # relative margin on the window test: far above float rounding
 _MARGIN = 1e-9
 
@@ -65,6 +66,8 @@ class KdTree:
         side = max(np.sqrt(extent[0] * extent[1] / cells), extent.max() / cells)
         self._side = side = side if side > 0 else 1.0
         self._shape = (extent // side).astype(np.int64) + 1  # cells along u, v
+        self._last = self._shape - 1
+        self._steps = np.arange(_LADDER) * (side / 2.0)
         nu, nv = self._shape
         cell = np.minimum(((coords - self._lo) // side).astype(np.int64), self._shape - 1)
         flat = cell[:, 1] * nu + cell[:, 0]
@@ -97,9 +100,6 @@ class KdTree:
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         self.query_count += len(points)
         k = min(k, self.size)
-        if len(points) <= _FEW:
-            pos, d2 = self._ranked(points, None, k)
-            return self._order[pos], d2
         pos = np.empty((len(points), k), dtype=np.int64)
         d2 = np.empty((len(points), k))
         reach, held = self._fitting_reach(points, k)
@@ -110,6 +110,9 @@ class KdTree:
             cand, bound = self._window(points[now], reach[now])
             got, got_d2 = self._ranked(points[now], cand, k)
             done = got_d2[:, -1] * (1.0 + _MARGIN) < bound * bound
+            if done.all():
+                pos[now], d2[now] = got, got_d2
+                continue
             pos[now[done]], d2[now[done]] = got[done], got_d2[done]
             # again, in a window wide enough for the k-th distance found
             now = now[~done]
@@ -118,12 +121,16 @@ class KdTree:
             todo = np.concatenate([todo, now])
         return self._order[pos], d2
 
-    def _cells(self, points, reach):
-        """The first and last grid cells ``(m, 2)`` within ``reach`` of each point."""
-        reach = reach[:, None]
-        lo = np.clip((points - reach - self._lo) // self._side, 0, self._shape - 1)
-        hi = np.clip((points + reach - self._lo) // self._side, 0, self._shape - 1)
-        return lo.astype(np.int64), hi.astype(np.int64)
+    def _cells(self, offset, reach):
+        """The first and last grid cells ``(..., 2)`` within ``reach`` of each point.
+
+        ``offset`` is ``(..., 2)`` points less the grid's corner, and
+        ``reach`` broadcasts against ``offset[..., 0]``.
+        """
+        reach = reach[..., None]
+        lo = np.maximum((offset - reach) // self._side, 0.0)
+        hi = np.minimum((offset + reach) // self._side, self._last)
+        return np.minimum(lo, self._last).astype(np.int64), np.maximum(hi, 0.0).astype(np.int64)
 
     def _fitting_reach(self, points, k: int):
         """Per query, the least reach, in half cells, whose window holds enough
@@ -133,22 +140,30 @@ class KdTree:
         circle of that reach to hold ``_SLACK`` times k points.  A query
         outside the bounding box starts that far beyond its distance to it.
         """
-        fill = np.sqrt(_POINTS_PER_CELL)
-        need = min(self.size, (2.0 * np.sqrt(_SLACK * k / np.pi) + fill) ** 2)
+        fill = math.sqrt(_POINTS_PER_CELL)
+        need = min(self.size, (2.0 * math.sqrt(_SLACK * k / math.pi) + fill) ** 2)
         outside = np.maximum(self._lo - points, points - self._hi).max(axis=1)
-        reach = (self._side * max(0.0, np.sqrt(need) - fill) / (2.0 * fill)
+        start = (self._side * max(0.0, math.sqrt(need) - fill) / (2.0 * fill)
                  + np.maximum(outside, 0.0))
+        offset = points - self._lo
+        reach = np.empty(len(points))
         held = np.empty(len(points), dtype=np.int64)
         short = np.arange(len(points))
         sat = self._sat
         while len(short):
-            lo, hi = self._cells(points[short], reach[short])
+            # `_LADDER` reaches per query, one summed-area lookup for them all
+            tried = start[short, None] + self._steps
+            lo, hi = self._cells(offset[short, None], tried)
             hi += 1
-            count = (sat[hi[:, 1], hi[:, 0]] - sat[lo[:, 1], hi[:, 0]]
-                     - sat[hi[:, 1], lo[:, 0]] + sat[lo[:, 1], lo[:, 0]])
-            held[short] = count
-            short = short[count < need]
-            reach[short] += self._side / 2.0
+            count = (sat[hi[..., 1], hi[..., 0]] - sat[lo[..., 1], hi[..., 0]]
+                     - sat[hi[..., 1], lo[..., 0]] + sat[lo[..., 1], lo[..., 0]])
+            enough = count >= need
+            fits = enough.any(axis=1)
+            first = enough.argmax(axis=1)[fits]
+            reach[short[fits]] = tried[fits, first]
+            held[short[fits]] = count[fits, first]
+            short = short[~fits]
+            start[short] += _LADDER * self._side / 2.0
         return reach, held
 
     def _window(self, points, reach):
@@ -160,10 +175,10 @@ class KdTree:
         window can lie (infinite where the window holds the pool).
         """
         nu, nv = self._shape
-        lo, hi = self._cells(points, reach)
         offset = points - self._lo
+        lo, hi = self._cells(offset, reach)
         below = np.where(lo > 0, offset - lo * self._side, np.inf)
-        above = np.where(hi < self._shape - 1, (hi + 1) * self._side - offset, np.inf)
+        above = np.where(hi < self._last, (hi + 1) * self._side - offset, np.inf)
         bound = np.minimum(below.min(axis=1), above.min(axis=1)) - self._tol
         # one run of storage positions per row of cells in the window
         lines = lo[:, 1, None] + np.arange((hi[:, 1] - lo[:, 1]).max() + 1)
@@ -181,16 +196,11 @@ class KdTree:
     def _ranked(self, points, cand, k: int):
         """Storage positions and d2 of the ``k`` nearest candidates, by ``(d2, id)``.
 
-        ``cand`` ``(m, width)`` holds each query's candidate positions; None
-        stands for the whole pool.
+        ``cand`` ``(m, width)`` holds each query's candidate positions.
         """
-        if cand is None:
-            u, v = self._u, self._v
-        else:
-            u, v = self._u[cand], self._v[cand]
-        d2 = np.subtract(points[:, :1], u)
+        d2 = np.subtract(points[:, :1], self._u[cand])
         d2 *= d2
-        dv = np.subtract(points[:, 1:], v)
+        dv = np.subtract(points[:, 1:], self._v[cand])
         dv *= dv
         d2 += dv
         rows = np.arange(len(d2))[:, None]
@@ -199,7 +209,7 @@ class KdTree:
         # every point tied with a k-th nearest contends for its place
         width = k + int((d2[:, k:] == d2[:, k - 1:k]).sum(axis=1).max())
         d2, order = d2[:, :width], order[:, :width]
-        pos = order if cand is None else cand[rows, order]
+        pos = cand[rows, order]
         tied = d2[:, 1:] == d2[:, :-1]
         if tied.any():
             # equal distances, ordered by id: sort on (distance group, id rank)

@@ -78,8 +78,8 @@ class TestKdTree:
     def test_randomized_suite_matches_brute_force(self):
         """50+ randomized (pool, k) cases, with coordinate ties and without.
 
-        Each case asks one point alone and a batch of ten, some of them
-        outside the pool's bounding box.
+        Each case asks one point alone, a batch of ten, some of them outside
+        the pool's bounding box, and an empty batch.
         """
         rng = np.random.default_rng(4)
         for trial in range(60):
@@ -97,6 +97,9 @@ class TestKdTree:
             for i, q in enumerate(batch):
                 got = list(zip(ids[rows[i]].tolist(), d2[i].tolist()))
                 assert got == brute_force_knn(coords, ids, q, k), (trial, i)
+            rows, d2 = tree.search(np.empty((0, 2)), k)
+            assert rows.shape == d2.shape == (0, min(k, n)), trial
+            assert rows.dtype == np.int64 and d2.dtype == np.float64
 
     def test_results_sorted_by_distance(self):
         rng = np.random.default_rng(5)
@@ -127,8 +130,7 @@ def tied_search(draw):
     far outliers; all at one coordinate; or on a line with no extent along
     one axis.  Queries lie on the same grid, or anywhere in a box three
     times as wide as the points' bounding box, so that some fall outside
-    it.  Batches of up to four queries rank the whole pool, larger ones go
-    through the grid.
+    it.
     """
     n = draw(st.integers(1, 80))
     side = draw(st.integers(1, 7))
