@@ -15,18 +15,8 @@ per-op closures, so the whole engine stays easy to inspect and to port.
 A tape built with ``record=False`` runs the same primitives but keeps no
 values and no op records: each result lives only in the :class:`Var` that
 holds it and is freed as soon as nothing references it.  Inference runs the
-training forward on such a tape.
-
-Every large array a primitive makes (op values, rotary tables and
-attention weights, gradients and the scratch of the backward rules) is
-written through numpy's ``out=``, which leaves the arithmetic unchanged,
-into an array that a recording tape given a :class:`BufferPool` draws from
-the pool and any other tape allocates afresh.  A gradient or
-scratch buffer goes back to the pool as soon as no slot holds it, and
-:meth:`Tape.release` hands back the rest once a training step is done, so
-the pool holds about one step's peak live set and the next step of the same
-shapes allocates nothing.  Memory the process keeps is memory the operating
-system need not hand back and fault in again at every step.
+training forward on such a tape.  Either kind of tape allocates every array
+afresh, and reference counting frees it.
 
 The attention and rotary primitives keep memory traffic low: the softmax
 normalises in place, along the longer of the query and key axes (see
@@ -48,7 +38,6 @@ __all__ = [
     "ShapeError",
     "ContractError",
     "Tape",
-    "BufferPool",
     "Var",
     "backward",
     "matmul",
@@ -122,92 +111,20 @@ class Var:
         return self.tape.grads[self.idx]
 
 
-_FLOAT = np.dtype(np.float64)
-_COMPLEX = np.dtype(np.complex128)
-
-
-class BufferPool:
-    """Arrays that the tapes of one training call reuse, step after step.
-
-    A free buffer serves requests for its dtype and shape.  One of three or
-    more axes, a batch, also serves smaller batches of the same trailing
-    shape, as a view of its first rows, so the smaller last minibatch of an
-    epoch needs no buffers of its own.  ``misses`` counts the requests that
-    made a new buffer.
-    """
-
-    def __init__(self):
-        self._free: dict[tuple, list[np.ndarray]] = {}
-        self._key: dict[int, tuple] = {}  # id of each buffer made here -> its key
-        self._made: list[np.ndarray] = []  # keeps those ids in use
-        self._idle: set[int] = set()  # ids of the buffers in `_free`
-        self.misses = 0
-
-    def take(self, shape: tuple, dtype: np.dtype = _FLOAT) -> np.ndarray:
-        """An uninitialised array of ``shape``, reused where one is free."""
-        key = (dtype, "batch", shape[1:]) if len(shape) > 2 else (dtype, shape)
-        free = self._free.setdefault(key, [])
-        for i in range(len(free) - 1, -1, -1):
-            buf = free[i]
-            if len(buf) >= shape[0]:
-                del free[i]
-                self._idle.remove(id(buf))
-                return buf if len(buf) == shape[0] else buf[:shape[0]]
-        self.misses += 1
-        buf = np.empty(shape, dtype)
-        self._key[id(buf)] = key
-        self._made.append(buf)
-        return buf
-
-    def give(self, arr: np.ndarray) -> None:
-        """Take back the buffer under ``arr`` if this pool made it; else do nothing."""
-        buf = arr if arr.base is None else arr.base
-        key = self._key.get(id(buf))
-        if key is not None and id(buf) not in self._idle:
-            self._idle.add(id(buf))
-            self._free[key].append(buf)
-
-
 class Tape:
     """Ordered record of primitive operations and their value slots.
 
     With ``record=False`` the tape stores nothing: values stay in their
-    :class:`Var` handles only, and :func:`backward` refuses the tape.  A
-    ``pool`` (for a recording tape) supplies its large arrays; see
-    :meth:`release`.
+    :class:`Var` handles only, and :func:`backward` refuses the tape.
     """
 
-    def __init__(self, record: bool = True, pool: BufferPool | None = None):
+    def __init__(self, record: bool = True):
         self.values: list[np.ndarray] = []
         self.grads: list[np.ndarray | None] = []
         # slots whose gradient is another slot's buffer, passed through unchanged
         self.borrowed: set[int] = set()
-        # how many slots hold each gradient buffer, by id
-        self.holders: dict[int, int] = {}
         self.ops: list[_Op] = []
         self.recording = record
-        self.pool = pool if record else None
-
-    def recycle(self, arr: np.ndarray) -> None:
-        """Hand ``arr`` back to the pool: nothing may read it afterwards."""
-        if self.pool is not None:
-            self.pool.give(arr)
-
-    def release(self) -> None:
-        """Hand every pooled array back and empty the tape.
-
-        Call it once nothing will read the tape's values, gradients or
-        attention weights again; its :class:`Var` handles are then dead.
-        """
-        if self.pool is not None:
-            for arr in self.values + [g for g in self.grads if g is not None]:
-                self.pool.give(arr)
-            for op in self.ops:
-                for arr in op.aux.values():
-                    if isinstance(arr, np.ndarray):
-                        self.pool.give(arr)
-        self.values, self.grads, self.ops = [], [], []
-        self.borrowed, self.holders = set(), {}
 
     def slot(self, value) -> Var:
         """A leaf (parameter or constant) holding ``value``, slotted if recording."""
@@ -224,29 +141,6 @@ class Tape:
         out = self.slot(out_value)
         self.ops.append(_Op(name, tuple(v.idx for v in inputs), out.idx, aux))
         return out
-
-
-def _out(tape: Tape, shape, dtype=_FLOAT) -> np.ndarray:
-    """Where an op writes its result: an uninitialised array of ``shape``,
-    from the tape's pool when it has one."""
-    return np.empty(shape, dtype) if tape.pool is None else tape.pool.take(shape, dtype)
-
-
-def _apply(tape: Tape, ufunc, *args) -> np.ndarray:
-    """``ufunc(*args)``, written into an array from :func:`_out`."""
-    return ufunc(*args, out=_out(tape, np.broadcast(*args).shape))
-
-
-def _zeros(tape: Tape, shape) -> np.ndarray:
-    out = _out(tape, shape)
-    out.fill(0.0)
-    return out
-
-
-def _copy(tape: Tape, x: np.ndarray) -> np.ndarray:
-    out = _out(tape, x.shape)
-    out[...] = x
-    return out
 
 
 def _coerce(tape: Tape, x) -> Var:
@@ -285,47 +179,37 @@ def matmul(a: Var, b) -> Var:
         raise ShapeError(
             f"matmul: inner dimensions disagree: {a.value.shape} @ {b.value.shape}"
         )
-    return tape.record("matmul", (a, b), _matmul(tape, a.value, b.value))
-
-
-def _product_shape(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Shape of ``a @ b``."""
-    return np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
-
-
-def _matmul(tape, a, b):
-    """``a @ b``, written into an array from :func:`_out`."""
-    return np.matmul(a, b, out=_out(tape, _product_shape(a, b)))
+    return tape.record("matmul", (a, b), a.value @ b.value)
 
 
 def add(a: Var, b) -> Var:
     tape = a.tape
     b = _coerce(tape, b)
-    return tape.record("add", (a, b), _apply(tape, np.add, a.value, b.value))
+    return tape.record("add", (a, b), a.value + b.value)
 
 
 def sub(a: Var, b) -> Var:
     tape = a.tape
     b = _coerce(tape, b)
-    return tape.record("sub", (a, b), _apply(tape, np.subtract, a.value, b.value))
+    return tape.record("sub", (a, b), a.value - b.value)
 
 
 def mul(a: Var, b) -> Var:
     """Elementwise (broadcasting) product of two tape values."""
     tape = a.tape
     b = _coerce(tape, b)
-    return tape.record("mul", (a, b), _apply(tape, np.multiply, a.value, b.value))
+    return tape.record("mul", (a, b), a.value * b.value)
 
 
 def add_const(a: Var, c) -> Var:
     """Add a non-differentiated constant to ``a``."""
-    return a.tape.record("add_const", (a,), _apply(a.tape, np.add, a.value, as_matrix(c)))
+    return a.tape.record("add_const", (a,), a.value + as_matrix(c))
 
 
 def mul_const(a: Var, c) -> Var:
     """Multiply ``a`` elementwise by a non-differentiated constant."""
     c = as_matrix(c)
-    return a.tape.record("mul_const", (a,), _apply(a.tape, np.multiply, a.value, c), c=c)
+    return a.tape.record("mul_const", (a,), a.value * c, c=c)
 
 
 def slice_rows(a: Var, start: int, stop: int) -> Var:
@@ -333,7 +217,7 @@ def slice_rows(a: Var, start: int, stop: int) -> Var:
     n = a.value.shape[-2]
     if not (0 <= start < stop <= n):
         raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {a.value.shape}")
-    return a.tape.record("slice_rows", (a,), _copy(a.tape, a.value[..., start:stop, :]),
+    return a.tape.record("slice_rows", (a,), a.value[..., start:stop, :].copy(),
                          start=start, stop=stop)
 
 
@@ -353,7 +237,7 @@ def softmax_rows(x: Var) -> Var:
 
 
 def softplus(x: Var) -> Var:
-    return x.tape.record("softplus", (x,), _apply(x.tape, np.logaddexp, 0.0, x.value))
+    return x.tape.record("softplus", (x,), np.logaddexp(0.0, x.value))
 
 
 def softplus_inv(y: float) -> float:
@@ -371,7 +255,7 @@ def softplus_inv(y: float) -> float:
 
 
 def tanh(x: Var) -> Var:
-    return x.tape.record("tanh", (x,), _apply(x.tape, np.tanh, x.value))
+    return x.tape.record("tanh", (x,), np.tanh(x.value))
 
 
 def sum_all(x: Var) -> Var:
@@ -382,8 +266,7 @@ def mean_all(x: Var) -> Var:
     return x.tape.record("mean_all", (x,), np.array([[x.value.mean()]]))
 
 
-def _rope_tables(tape: Tape, coords: np.ndarray, width: int, base: float,
-                 block: int) -> np.ndarray:
+def _rope_tables(coords: np.ndarray, width: int, base: float, block: int) -> np.ndarray:
     """Unit complex rotations ``cos + i sin`` for planar rotary encoding.
 
     ``block`` is the head width; within each block the first half of the
@@ -402,13 +285,13 @@ def _rope_tables(tape: Tape, coords: np.ndarray, width: int, base: float,
     freqs = base ** (-2.0 * np.arange(per_coord) / (block / 2.0))
     # (u * freqs, v * freqs) per row
     ang = (coords[..., None] * freqs).reshape(coords.shape[:-1] + (1, 2 * per_coord))
-    rot = _out(tape, ang.shape, _COMPLEX)
+    rot = np.empty(ang.shape, dtype=np.complex128)
     np.cos(ang, out=rot.real)
     np.sin(ang, out=rot.imag)
     return rot
 
 
-def _rotate(tape: Tape, x: np.ndarray, rot: np.ndarray) -> np.ndarray:
+def _rotate(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
     """Turn each column pair of ``x`` by the angles of a :func:`_rope_tables` table.
 
     The pair ``(x[2j], x[2j + 1])`` is the complex number ``x[2j] + i x[2j + 1]``
@@ -417,7 +300,7 @@ def _rotate(tape: Tape, x: np.ndarray, rot: np.ndarray) -> np.ndarray:
     """
     z = np.ascontiguousarray(x).view(np.complex128)
     z = z.reshape(z.shape[:-1] + (-1, rot.shape[-1]))
-    out = _out(tape, x.shape)
+    out = np.empty(x.shape)
     np.multiply(z, rot, out=out.view(np.complex128).reshape(z.shape))
     return out
 
@@ -436,8 +319,8 @@ def rope2d(x: Var, coords, base: float, block: int | None = None) -> Var:
     width = x.value.shape[-1]
     if block is None:
         block = width
-    rot = _rope_tables(x.tape, coords, width, base, block)
-    return x.tape.record("rope2d", (x,), _rotate(x.tape, x.value, rot), rot=rot)
+    rot = _rope_tables(coords, width, base, block)
+    return x.tape.record("rope2d", (x,), _rotate(x.value, rot), rot=rot)
 
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -445,15 +328,16 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(x.shape[:-1] + (n_heads, -1)).swapaxes(-3, -2)
 
 
-def _merged_matmul(tape: Tape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _merged_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-head products ``a @ b`` with the heads' columns concatenated.
 
     The inverse of :func:`_heads` on the product, written by ``matmul``
     straight into the merged ``(..., n, n_heads * cols)`` layout, so no
     per-head result is materialised and copied.
     """
-    *lead, n_heads, n, cols = _product_shape(a, b)
-    out = _out(tape, (*lead, n, n_heads * cols))
+    *lead, n_heads, n, cols = (np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                               + (a.shape[-2], b.shape[-1]))
+    out = np.empty((*lead, n, n_heads * cols))
     np.matmul(a, b, out=out.reshape(*lead, n, n_heads, cols).swapaxes(-3, -2))
     return out
 
@@ -517,22 +401,21 @@ def multihead_attention(q: Var, k: Var, v: Var, n_heads: int,
 
     # 1/sqrt(hd) goes on the smaller operand rather than on the logits
     small = q if q.value.size <= k.value.size else k
-    scaled = _apply(tape, np.multiply, small.value, 1.0 / math.sqrt(hd))
+    scaled = small.value * (1.0 / math.sqrt(hd))
     qh = _heads(scaled if small is q else q.value, n_heads)
     kh = _heads(scaled if small is k else k.value, n_heads)
     keys_first = _keys_first(nq, L)
     if keys_first:
-        logits = _matmul(tape, kh, qh.swapaxes(-2, -1))
+        logits = kh @ qh.swapaxes(-2, -1)
     else:
-        logits = _matmul(tape, qh, kh.swapaxes(-2, -1))
-    tape.recycle(scaled)
+        logits = qh @ kh.swapaxes(-2, -1)
     if sq is not None:
         logits -= lam.value.reshape(-1, 1, 1) * (sq.swapaxes(-2, -1) if keys_first else sq)
     weights = _softmax(logits, axis=-2 if keys_first else -1)
-    # a read-only view: the backward rule only reads alpha, so the caller may share it
-    alpha = weights.swapaxes(-2, -1) if keys_first else weights[...]
+    alpha = weights.swapaxes(-2, -1) if keys_first else weights
+    # the backward rule only reads alpha, so the caller may share it
     alpha.setflags(write=False)
-    out = _merged_matmul(tape, alpha, _heads(v.value, n_heads))
+    out = _merged_matmul(alpha, _heads(v.value, n_heads))
 
     inputs = (q, k, v) if lam is None else (q, k, v, lam)
     out_var = tape.record(
@@ -547,51 +430,29 @@ def multihead_attention(q: Var, k: Var, v: Var, n_heads: int,
 # ---------------------------------------------------------------------------
 
 
-def _hold(tape, idx, grad):
-    """Let slot ``idx`` hold ``grad``, or nothing; a gradient buffer that no
-    slot holds any more goes back to the pool."""
-    old = tape.grads[idx]
-    tape.grads[idx] = grad
-    if grad is not None:
-        tape.holders[id(grad)] = tape.holders.get(id(grad), 0) + 1
-    if old is not None:
-        left = tape.holders.pop(id(old)) - 1
-        if left:
-            tape.holders[id(old)] = left
-        else:
-            tape.recycle(old)
-
-
 def _give(tape, idx, grad, borrowed=False):
     """Add one contribution ``grad`` to slot ``idx``'s gradient.
 
     The first contribution becomes the gradient.  ``borrowed`` marks it as
     another slot's buffer, passed through unchanged: the next contribution
     is then added out of place, once, into a buffer this slot owns.  Later
-    contributions are added in place, and a contribution made for this slot
-    alone goes back to the pool once added.
+    contributions are added in place.
     """
     cur = tape.grads[idx]
     if cur is None:
-        _hold(tape, idx, grad)
+        tape.grads[idx] = grad
         if borrowed:
             tape.borrowed.add(idx)
-        return
-    if idx in tape.borrowed:
+    elif idx in tape.borrowed:
         tape.borrowed.discard(idx)
-        _hold(tape, idx, _apply(tape, np.add, cur, grad))
+        tape.grads[idx] = cur + grad
     else:
         cur += grad
-    if not borrowed:
-        tape.recycle(grad)
 
 
 def _contribute(tape, idx, grad):
     """:func:`_give` a contribution made for slot ``idx`` alone, summed to its shape."""
-    part = _unbroadcast(grad, tape.values[idx].shape)
-    if part is not grad:
-        tape.recycle(grad)
-    _give(tape, idx, part)
+    _give(tape, idx, _unbroadcast(grad, tape.values[idx].shape))
 
 
 def _pass(tape, idx, g):
@@ -603,8 +464,8 @@ def _pass(tape, idx, g):
 def _bwd_matmul(tape, op):
     g = tape.grads[op.output]
     a, b = (tape.values[i] for i in op.inputs)
-    _contribute(tape, op.inputs[0], _matmul(tape, g, b.swapaxes(-1, -2)))
-    _contribute(tape, op.inputs[1], _matmul(tape, a.swapaxes(-1, -2), g))
+    _contribute(tape, op.inputs[0], g @ b.swapaxes(-1, -2))
+    _contribute(tape, op.inputs[1], a.swapaxes(-1, -2) @ g)
 
 
 def _bwd_add(tape, op):
@@ -617,16 +478,15 @@ def _bwd_sub(tape, op):
     g = tape.grads[op.output]
     a_idx, b_idx = op.inputs
     _pass(tape, a_idx, g)
-    part = _unbroadcast(g, tape.values[b_idx].shape)
-    _give(tape, b_idx, _apply(tape, np.negative, part))
+    _give(tape, b_idx, -_unbroadcast(g, tape.values[b_idx].shape))
 
 
 def _bwd_mul(tape, op):
     g = tape.grads[op.output]
     a_idx, b_idx = op.inputs
     a, b = tape.values[a_idx], tape.values[b_idx]
-    _contribute(tape, a_idx, _apply(tape, np.multiply, g, b))
-    _contribute(tape, b_idx, _apply(tape, np.multiply, g, a))
+    _contribute(tape, a_idx, g * b)
+    _contribute(tape, b_idx, g * a)
 
 
 def _bwd_add_const(tape, op):
@@ -634,20 +494,17 @@ def _bwd_add_const(tape, op):
 
 
 def _bwd_mul_const(tape, op):
-    g, c = tape.grads[op.output], op.aux["c"]
-    _contribute(tape, op.inputs[0], _apply(tape, np.multiply, g, c))
+    _contribute(tape, op.inputs[0], tape.grads[op.output] * op.aux["c"])
 
 
 def _bwd_slice_rows(tape, op):
     idx = op.inputs[0]
     cur = tape.grads[idx]
     if cur is None:
-        cur = _zeros(tape, tape.values[idx].shape)
-        _hold(tape, idx, cur)
+        cur = tape.grads[idx] = np.zeros_like(tape.values[idx])
     elif idx in tape.borrowed:
         tape.borrowed.discard(idx)
-        cur = _copy(tape, cur)
-        _hold(tape, idx, cur)
+        cur = tape.grads[idx] = cur.copy()
     cur[..., op.aux["start"]:op.aux["stop"], :] += tape.grads[op.output]
 
 
@@ -680,18 +537,7 @@ def _bwd_mean_all(tape, op):
 
 def _bwd_rope2d(tape, op):
     # the rotation is orthogonal: its adjoint turns by the opposite angles
-    rot = op.aux["rot"]
-    back = np.conjugate(rot, out=_out(tape, rot.shape, _COMPLEX))
-    _give(tape, op.inputs[0], _rotate(tape, tape.grads[op.output], back))
-    tape.recycle(back)
-
-
-def _weighted_sum(tape, x, w, axis):
-    """``(x * w).sum(axis, keepdims=True)``, the product made in scratch."""
-    product = _apply(tape, np.multiply, x, w)
-    total = product.sum(axis=axis, keepdims=True)
-    tape.recycle(product)
-    return total
+    _give(tape, op.inputs[0], _rotate(tape.grads[op.output], op.aux["rot"].conj()))
 
 
 def _bwd_multihead_attention(tape, op):
@@ -706,21 +552,21 @@ def _bwd_multihead_attention(tape, op):
 
     gh = _heads(g, n_heads)
     vh = _heads(v, n_heads)
-    _contribute(tape, op.inputs[2], _merged_matmul(tape, alpha.swapaxes(-2, -1), gh))
+    _contribute(tape, op.inputs[2], _merged_matmul(alpha.swapaxes(-2, -1), gh))
     # the softmax adjoint reduces over keys, in the layout the forward used
     if _keys_first(q.shape[-2], k.shape[-2]):
         weights = alpha.swapaxes(-2, -1)
-        dlogits = _matmul(tape, vh, gh.swapaxes(-2, -1))
-        dlogits -= _weighted_sum(tape, dlogits, weights, axis=-2)
+        dlogits = vh @ gh.swapaxes(-2, -1)
+        dlogits -= (dlogits * weights).sum(axis=-2, keepdims=True)
         dlogits *= weights
         dlogits = dlogits.swapaxes(-2, -1)
     else:
-        dlogits = _matmul(tape, gh, vh.swapaxes(-2, -1))
-        dlogits -= _weighted_sum(tape, dlogits, alpha, axis=-1)
+        dlogits = gh @ vh.swapaxes(-2, -1)
+        dlogits -= (dlogits * alpha).sum(axis=-1, keepdims=True)
         dlogits *= alpha
-    dq = _merged_matmul(tape, dlogits, _heads(k, n_heads))
+    dq = _merged_matmul(dlogits, _heads(k, n_heads))
     dq *= inv
-    dk = _merged_matmul(tape, dlogits.swapaxes(-2, -1), _heads(q, n_heads))
+    dk = _merged_matmul(dlogits.swapaxes(-2, -1), _heads(q, n_heads))
     dk *= inv
     _contribute(tape, op.inputs[0], dq)
     _contribute(tape, op.inputs[1], dk)
@@ -729,7 +575,6 @@ def _bwd_multihead_attention(tape, op):
         dlam = -(dlogits * sq).sum(axis=(-2, -1)).reshape(-1, n_heads).sum(axis=0)
         lam_idx = op.inputs[3]
         _give(tape, lam_idx, _unbroadcast(dlam.reshape(-1, 1), tape.values[lam_idx].shape))
-    tape.recycle(dlogits)
 
 
 _BACKWARD = {
@@ -766,17 +611,14 @@ def backward(tape: Tape, loss: Var) -> None:
         raise ContractError("backward needs a tape that records its ops")
     if loss.value.shape != (1, 1):
         raise ContractError(f"loss must be scalar, got shape {loss.value.shape}")
-    for g in tape.grads:  # of an earlier pass
-        if g is not None:
-            tape.recycle(g)
     grads = tape.grads = [None] * len(tape.values)
-    tape.borrowed, tape.holders = set(), {}
-    _hold(tape, loss.idx, np.ones((1, 1)))
+    tape.borrowed = set()
+    grads[loss.idx] = np.ones((1, 1))
     for op in reversed(tape.ops):
         if grads[op.output] is None:
             continue
         _BACKWARD[op.name](tape, op)
-        _hold(tape, op.output, None)
+        grads[op.output] = None
         tape.borrowed.discard(op.output)
     produced = {op.output for op in tape.ops}
     for idx, g in enumerate(grads):

@@ -15,11 +15,22 @@ half-and-half between the two mains so the four components still sum to the
 prediction.
 
 A coalition's value is a mean of model outputs over the background rows, so
-the coalition rows of a block of instances are gathered into one table and
-each distinct row is predicted once, in one predictor call per block: the
-full coalition is the instance itself, and the empty coalition is the same
-background rows for every instance.  Blocks hold at most ``_BLOCK_ROWS``
-rows (or one instance), so memory does not grow with the instance count.
+the coalition rows of a block are gathered into one table and each distinct
+row is predicted once, in one predictor call per block: the full coalition
+is the instance itself, and the empty coalition is the same background rows
+for every instance.  A block holds whole instances while one instance's
+coalitions fit in ``_BLOCK_ROWS`` rows, and otherwise a group of one
+instance's coalitions.
+
+Cost.  Explaining ``n`` instances with ``p`` covariates over ``n_bg``
+background rows builds ``n * 2**(p+1) * n_bg`` coalition rows, and the
+predictor sees nearly all of them: only the full coalition (one row repeated
+``n_bg`` times) and the empty one (the same rows for every instance of a
+block) repeat.  So time doubles with each covariate, and the Shapley sums
+add ``O(n * p * 2**(p+1))`` arithmetic.  A block holds at most
+``max(_BLOCK_ROWS, n_bg)`` rows of ``3 + p`` int64 columns, so the memory
+the explainer itself uses is bounded by one block and its deduplication at
+any ``n`` and ``p``; the predictor's memory for a block comes on top.
 
 For attention models whose input sequences come from neighbour lookups, the
 :func:`make_shap_predictor` wrapper keys every row by its original point id:
@@ -66,9 +77,9 @@ __all__ = [
 
 GEO_PLAYER = 0
 MAX_EXACT_PLAYERS = 20
-# coalition rows of a block of instances built, deduplicated and predicted
-# together; a block holds at least one instance, so memory stops growing with
-# the instance count
+# coalition rows built, deduplicated and predicted together; a block holds at
+# least one coalition of one instance, so memory grows with neither the
+# instance count nor the covariate count
 _BLOCK_ROWS = 8192
 
 
@@ -175,10 +186,11 @@ def interaction_index(values: np.ndarray, n_players: int, a: int, b: int) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _coalition_rows(instances: RowBatch, background: RowBatch, n_players: int):
-    """Every instance's coalition rows over the background, as one int64 table.
+def _coalition_rows(instances: RowBatch, background: RowBatch, masks: np.ndarray):
+    """Every instance's rows over the background for the coalitions ``masks``,
+    as one int64 table.
 
-    The table is ``(n, 2**n_players, n_bg, 3 + p)``; a row holds the point
+    The table is ``(n, len(masks), n_bg, 3 + p)``; a row holds the point
     id, then u, v and the covariates with their float64 bits read as int64,
     so equal rows are equal bytes.  Coalition ``mask`` takes player a's
     columns from the instance where bit a is set, and from the background
@@ -186,8 +198,8 @@ def _coalition_rows(instances: RowBatch, background: RowBatch, n_players: int):
     always match the row whose location is used.
     """
     p = background.x.shape[1]
-    # present[mask, a]: player a is in the coalition ``mask``
-    present = (np.arange(2 ** n_players)[:, None] >> np.arange(p + 1)) & 1 == 1
+    # present[i, a]: player a is in the coalition ``masks[i]``
+    present = (masks[:, None] >> np.arange(p + 1)) & 1 == 1
     owner = np.concatenate([[GEO_PLAYER] * 3, np.arange(1, p + 1)])
 
     def columns(rows: RowBatch) -> np.ndarray:
@@ -207,26 +219,31 @@ def _values(predictor, instances: RowBatch, background: RowBatch,
     instance i's coalition ``mask``.  A value is a mean of model outputs, so
     a row that recurs (the instance itself in the full coalition, the
     background rows in every instance's empty one) is predicted once per
-    block: instances go in blocks of at most ``_BLOCK_ROWS`` coalition rows,
-    and the predictor sees each block's distinct ``(id, u, v, x)`` rows, by
-    exact bytes, once, in one call.
+    block, and the predictor sees each block's distinct ``(id, u, v, x)``
+    rows, by exact bytes, once, in one call.  A block is as many instances
+    as fit in ``_BLOCK_ROWS`` coalition rows, or, where one instance does
+    not fit, a group of its coalitions that does (at least one coalition).
     """
     if len(background) == 0:
         raise ContractError("background must not be empty")
-    values = np.empty((len(instances), 2 ** n_players))
-    step = max(1, _BLOCK_ROWS // (2 ** n_players * len(background)))
+    n_masks = 2 ** n_players
+    values = np.empty((len(instances), n_masks))
+    group = min(n_masks, max(1, _BLOCK_ROWS // len(background)))
+    step = max(1, _BLOCK_ROWS // (group * len(background)))
     for start in range(0, len(instances), step):
         block = slice(start, start + step)
-        table = _coalition_rows(RowBatch(instances.ids[block], instances.coords[block],
-                                         instances.x[block]), background, n_players)
-        rows = np.ascontiguousarray(table.reshape(-1, table.shape[-1]))
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        distinct = rows[first]
-        preds = predictor(distinct[:, 0], distinct[:, 1:3].view(np.float64),
-                          distinct[:, 3:].view(np.float64))
-        values[block] = np.asarray(preds, dtype=np.float64)[inverse].reshape(
-            table.shape[:3]).mean(axis=2)
+        batch = RowBatch(instances.ids[block], instances.coords[block], instances.x[block])
+        for lo in range(0, n_masks, group):
+            masks = slice(lo, lo + group)
+            table = _coalition_rows(batch, background, np.arange(n_masks)[masks])
+            rows = np.ascontiguousarray(table.reshape(-1, table.shape[-1]))
+            keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            distinct = rows[first]
+            preds = predictor(distinct[:, 0], distinct[:, 1:3].view(np.float64),
+                              distinct[:, 3:].view(np.float64))
+            values[block, masks] = np.asarray(
+                preds, dtype=np.float64)[inverse].reshape(table.shape[:3]).mean(axis=2)
     return values
 
 
@@ -343,7 +360,9 @@ def geoshapley_explain(predictor, instances: RowBatch,
     """Exact location-aware Shapley decomposition for every instance row.
 
     Instances' coalitions are evaluated a block at a time: the predictor is
-    called once per block, on the distinct rows of its instances.
+    called once per block, on the block's distinct rows.  See the module
+    docstring for the cost: ``n * 2**(p+1) * n_bg`` coalition rows, in blocks
+    of at most ``max(_BLOCK_ROWS, n_bg)`` rows.
     """
     if instances.x.shape[1] != background.x.shape[1]:
         raise ContractError("instances and background must share the covariate schema")

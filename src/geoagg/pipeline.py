@@ -2,12 +2,13 @@
 
 Training precomputes each point's neighbourhood once, then rebuilds input
 sequences every epoch with fresh random removal of the surplus neighbours, and
-minimises mean squared error with Adam, recording one tape per minibatch; the
-tapes of one call write into one pool of buffers.
+minimises mean squared error with Adam, recording one tape per minibatch.
 Inference assembles ``members`` sequences per query (member k draws its
 context subsets from the stream seeded ``[seed, k]``) and reports the per-query
-mean and sample standard deviation, the latter being the epistemic
-uncertainty of the ensemble.  Context rows are drawn a batch at a time, one
+mean and sample standard deviation.  Members share one set of weights and
+differ only in the context rows they draw, so the standard deviation measures
+how sensitive a prediction is to the context draw; it is not a calibrated
+predictive spread.  Context rows are drawn a batch at a time, one
 :func:`~geoagg.spatial.subset_indices` call per training minibatch and per
 (member, chunk of queries) at inference.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import AdamState, BufferPool, ContractError, Tape, adam_step, backward
+from .autodiff import AdamState, ContractError, Tape, adam_step, backward
 from . import autodiff as ad
 from .datasets import GeoDataset, write_csv
 from .model import (
@@ -158,7 +159,6 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
     )
 
     state = AdamState()
-    pool = BufferPool()
     history: list[float] = []
     for epoch in range(tc.epochs):
         rng = np.random.default_rng([_SEED_EPOCH, tc.seed, epoch])
@@ -167,8 +167,7 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
         for start in range(0, len(order), tc.batch):
             chunk = order[start:start + tc.batch]
             batch = assemble_sequence(context.ids[chunk], cache, context, config.l_max, rng)
-            sse += _minibatch_step(params, config, batch, y[chunk], state, tc.lr,
-                                   pool) * len(chunk)
+            sse += _minibatch_step(params, config, batch, y[chunk], state, tc.lr) * len(chunk)
         mse = sse / len(context)
         if not np.isfinite(mse):
             raise ContractError(f"training diverged: epoch {epoch} has mean squared error {mse}")
@@ -177,22 +176,16 @@ def train(dataset: GeoDataset, config: ModelConfig, tc: TrainConfig):
 
 
 def _minibatch_step(params: ModelParams, config: ModelConfig, batch, targets,
-                    state: AdamState, lr: float, pool: BufferPool | None = None) -> float:
-    """One Adam step on a minibatch's mean squared error, which it returns.
-
-    The tape lives only inside this call, and its arrays go back to ``pool``
-    at the end, for the next minibatch to write into.
-    """
-    tape = Tape(pool=pool)
+                    state: AdamState, lr: float) -> float:
+    """One Adam step on a minibatch's mean squared error, which it returns."""
+    tape = Tape()
     bound = bind_params(tape, params)
     pred, _ = forward_on_tape(tape, bound, batch, config)
     resid = ad.sub(pred, targets.reshape(-1, 1, 1))
     loss = ad.mean_all(ad.mul(resid, resid))
     backward(tape, loss)
     adam_step(params.arrays, param_grads(tape, bound), state, lr)
-    mse = float(loss.value[0, 0])
-    tape.release()
-    return mse
+    return float(loss.value[0, 0])
 
 
 def _member_predictions(params: ModelParams, config: ModelConfig,
@@ -259,7 +252,7 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
 def predict_ensemble(params: ModelParams, config: ModelConfig,
                      queries: QueryPool, context: ContextPool,
                      members: int, expansion: float, seed: int) -> EnsemblePrediction:
-    """Randomised-context ensemble prediction with epistemic uncertainty.
+    """Randomised-context ensemble prediction, and its sensitivity to the context draw.
 
     Member k subsamples context from the stream seeded ``[seed, k]``.  With
     an expansion factor of 1.0 every member sees identical sequences and the

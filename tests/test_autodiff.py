@@ -8,7 +8,6 @@ import pytest
 from geoagg import autodiff as ad
 from geoagg.autodiff import (
     AdamState,
-    BufferPool,
     ContractError,
     ShapeError,
     Tape,
@@ -208,12 +207,11 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, first)
 
 
-def _training_tape(seed=0, pool=None, rows=32, batch_seed=None):
-    """``(tape, bound, loss)`` for one default-config minibatch of ``rows`` sequences.
+def _training_tape(seed=0):
+    """``(tape, bound, loss)`` for one default-config 32-sequence minibatch.
 
     The loss is the minibatch mean squared error, recorded as training
-    records it.  The parameters come from ``seed``, the batch from
-    ``batch_seed`` (``seed`` when None), and the tape draws from ``pool``.
+    records it.
     """
     config = ModelConfig()
     rng = np.random.default_rng(seed)
@@ -222,12 +220,10 @@ def _training_tape(seed=0, pool=None, rows=32, batch_seed=None):
     for name, arr in params.arrays.items():
         if not arr.any():
             params.arrays[name] = rng.normal(0.0, 0.3, size=arr.shape)
-    if batch_seed is not None:
-        rng = np.random.default_rng(batch_seed)
-    feats = rng.normal(size=(rows, config.l_max, p + 1))
-    coords = rng.random(size=(rows, config.l_max, 2))
-    targets = rng.normal(size=(rows, 1, 1))
-    tape = Tape(pool=pool)
+    feats = rng.normal(size=(32, config.l_max, p + 1))
+    coords = rng.random(size=(32, config.l_max, 2))
+    targets = rng.normal(size=(32, 1, 1))
+    tape = Tape()
     bound = bind_params(tape, params)
     pred, _ = forward_on_tape(tape, bound, (feats, coords), config)
     resid = ad.sub(pred, targets)
@@ -328,6 +324,19 @@ class TestLiveGradients:
         backward(t, f(x))
         np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-12)
 
+    def test_a_gradient_passed_on_then_read_by_its_new_holder(self):
+        """``x + t0`` hands its gradient on unchanged to ``t0 = z * e``, whose
+        rule then reads the shared buffer, and adds it into the gradient that
+        ``x`` already holds from ``x * d``."""
+        t = Tape()
+        z, e, x, c, d = (t.slot(np.arange(6.0).reshape(2, 3) + s) for s in (1, 2, 3, 4, 5))
+        # f = sum(c * (x + z * e) + x * d)
+        t1 = ad.add(x, ad.mul(z, e))
+        backward(t, ad.sum_all(ad.add(ad.mul(t1, c), ad.mul(x, d))))
+        np.testing.assert_array_equal(z.grad, c.value * e.value)
+        np.testing.assert_array_equal(e.grad, c.value * z.value)
+        np.testing.assert_array_equal(x.grad, c.value + d.value)
+
     def test_leaf_no_rule_reaches_gets_zeros(self):
         t = Tape()
         x = t.slot([[3.0]])
@@ -357,102 +366,6 @@ class TestLiveGradients:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * held, f"peak {peak / 2**20:.1f} MiB, held {held / 2**20:.1f} MiB"
-
-
-def _pooled_step(pool, rows=32, batch_seed=1):
-    """Parameter gradients of one minibatch on a tape drawing from ``pool``,
-    copied before the tape hands its arrays back."""
-    tape, bound, loss = _training_tape(pool=pool, rows=rows, batch_seed=batch_seed)
-    backward(tape, loss)
-    grads = {name: g.copy() for name, g in param_grads(tape, bound).items()}
-    tape.release()
-    return grads
-
-
-def _fresh_step(rows=32, batch_seed=1):
-    tape, bound, loss = _training_tape(rows=rows, batch_seed=batch_seed)
-    backward(tape, loss)
-    return param_grads(tape, bound)
-
-
-class TestBufferPool:
-    """Training tapes that write into the buffers of the step before."""
-
-    def test_later_minibatches_take_every_buffer_from_the_pool(self):
-        pool = BufferPool()
-        _pooled_step(pool, batch_seed=1)
-        made = pool.misses
-        assert made > 0
-        for batch_seed in (2, 3):
-            got = _pooled_step(pool, batch_seed=batch_seed)
-            assert pool.misses == made
-            want = _fresh_step(batch_seed=batch_seed)
-            assert got.keys() == want.keys()
-            for name in want:
-                assert np.array_equal(got[name], want[name]), name
-
-    def test_a_smaller_last_minibatch_takes_every_buffer_from_the_pool(self):
-        pool = BufferPool()
-        _pooled_step(pool, rows=32)
-        made = pool.misses
-        got = _pooled_step(pool, rows=22, batch_seed=4)
-        assert pool.misses == made
-        want = _fresh_step(rows=22, batch_seed=4)
-        for name in want:
-            assert np.array_equal(got[name], want[name]), name
-
-    def test_pool_holds_about_one_step_of_live_buffers(self):
-        """Buffers go back as soon as no slot holds them, so the pool ends a
-        step at most 1.5x the arrays the tape holds after the forward (15.2
-        against 11.6 MiB); the step asks for 32 MiB in all."""
-        pool = BufferPool()
-        tape, bound, loss = _training_tape(pool=pool)
-        arrays = tape.values + [a for op in tape.ops for a in op.aux.values()
-                                if isinstance(a, np.ndarray)]
-        bases = {id(a if a.base is None else a.base): a if a.base is None else a.base
-                 for a in arrays}
-        held = sum(a.nbytes for a in bases.values())
-        backward(tape, loss)
-        tape.release()
-        pooled = sum(buf.nbytes for buf in pool._made)
-        assert pooled <= 1.5 * held, f"pool {pooled / 2**20:.1f} MiB, held {held / 2**20:.1f} MiB"
-
-    def test_release_empties_the_tape_and_frees_buffers_once(self):
-        pool = BufferPool()
-        tape, bound, loss = _training_tape(pool=pool)
-        backward(tape, loss)
-        tape.release()
-        assert tape.values == [] and tape.grads == [] and tape.ops == []
-        free = [buf for bufs in pool._free.values() for buf in bufs]
-        assert len(free) == len(pool._made) == len({id(buf) for buf in free})
-
-    def test_a_gradient_passed_on_is_not_reused_while_held(self):
-        """``x + t0`` hands its gradient on unchanged to ``t0 = z * e``, whose
-        rule then reads it while taking buffers of the same shape."""
-        t = Tape(pool=BufferPool())
-        z, e, x, c, d = (t.slot(np.arange(6.0).reshape(2, 3) + s) for s in (1, 2, 3, 4, 5))
-        # f = sum(c * (x + z * e) + x * d)
-        t1 = ad.add(x, ad.mul(z, e))
-        backward(t, ad.sum_all(ad.add(ad.mul(t1, c), ad.mul(x, d))))
-        np.testing.assert_array_equal(z.grad, c.value * e.value)
-        np.testing.assert_array_equal(e.grad, c.value * z.value)
-        np.testing.assert_array_equal(x.grad, c.value + d.value)
-
-    def test_a_buffer_is_not_handed_out_twice(self):
-        pool = BufferPool()
-        a = pool.take((3, 4, 5))
-        pool.give(a)
-        pool.give(a[:2])  # the same buffer again, through a view
-        b = pool.take((3, 4, 5))
-        c = pool.take((2, 4, 5))
-        assert b is a and c.base is not a
-        assert pool.misses == 2
-
-    def test_arrays_the_pool_did_not_make_are_ignored(self):
-        pool = BufferPool()
-        pool.give(np.zeros((3, 4, 5)))
-        pool.take((3, 4, 5))
-        assert pool.misses == 1
 
 
 class TestGradCheck:

@@ -2,6 +2,7 @@
 interaction split, the id-keyed predictor wrapper, and slope recovery."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -221,7 +222,8 @@ class TestGeoShapleyDecomposition:
         assert calls == [n * ((2 ** (p + 1) - 2) * n_bg + 1) + n_bg]
 
     def test_blocks_bound_each_call_and_keep_the_bytes(self, monkeypatch):
-        """Instances go in blocks of at most ``_BLOCK_ROWS`` coalition rows;
+        """Instances go in blocks of at most ``_BLOCK_ROWS`` coalition rows,
+        and an instance that does not fit goes in groups of its coalitions;
         the decomposition is the bytes of one block holding them all."""
         ds = generate_gwr(100, 4)
         config = ModelConfig(d_model=8, n_heads=2, n_inducing=2, l_max=8, n_layers=1)
@@ -239,16 +241,43 @@ class TestGeoShapleyDecomposition:
 
         results = {}
         # 8 coalitions of 6 background rows per instance: all 30 instances at
-        # once, then 4 to a block
-        for bound, blocks in ((10**9, 1), (4 * 8 * 6, 8)):
+        # once, then 4 to a block, then 3 coalitions of one instance to a block
+        for bound, blocks in ((10**9, 1), (4 * 8 * 6, 8), (3 * 6, 30 * 3)):
             monkeypatch.setattr(explain, "_BLOCK_ROWS", bound)
             calls.clear()
             results[bound] = geoshapley_explain(counting, instances, background)
             assert len(calls) == blocks
             assert max(calls) <= bound
-        one, blocked = results.values()
-        for name in ("phi0", "phi_geo", "phi", "phi_geo_x"):
-            assert np.array_equal(getattr(one, name), getattr(blocked, name)), name
+        one, *blocked = results.values()
+        for other in blocked:
+            for name in ("phi0", "phi_geo", "phi", "phi_geo_x"):
+                assert np.array_equal(getattr(one, name), getattr(other, name)), name
+
+    def test_ten_covariates_stay_within_the_block_bound(self):
+        """At p = 10 one instance has 2^11 coalitions of 30 background rows,
+        61,440 rows, so its coalitions go in groups: every call stays within
+        ``_BLOCK_ROWS`` rows and the peak traced memory under 12 MiB (6.2 MiB
+        measured; one whole-instance block peaked at 32 MiB)."""
+        rng = np.random.default_rng(10)
+        p = 10
+        background = rows(np.arange(30), rng.random((30, 2)), rng.normal(size=(30, p)))
+        instance = rows([100], rng.random((1, 2)), rng.normal(size=(1, p)))
+        calls = []
+
+        def summing(ids, coords, x):
+            calls.append(len(ids))
+            return x.sum(axis=1) + coords[:, 0]
+
+        tracemalloc.start()
+        try:
+            res = geoshapley_explain(summing, instance, background)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 8 and max(calls) <= explain._BLOCK_ROWS
+        assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert res.reconstruct() == pytest.approx(summing(instance.ids, instance.coords,
+                                                          instance.x), abs=1e-9)
 
     def test_schema_mismatch_rejected(self):
         instances = rows([0], [[0.0, 0.0]], [[1.0, 2.0]])
