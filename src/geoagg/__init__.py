@@ -6,8 +6,7 @@ learnable per-head Gaussian distance factors, a data-loading layer that
 precomputes neighbourhoods once, from a grid index, and reuses them across
 epochs and ensemble members, randomised-context ensembles with per-query
 uncertainty, and an exact Shapley-style explainer that treats location as
-one joint player.  scipy is imported only by the spatial-lag generator,
-:func:`generate_sl`, for its sparse solve.
+one joint player.  It depends on numpy alone.
 """
 
 from .autodiff import (
@@ -22,7 +21,6 @@ from .autodiff import (
     matmul,
     multihead_attention,
     rope2d,
-    softmax_rows,
 )
 from .datasets import (
     CsvFormatError,

@@ -47,7 +47,6 @@ __all__ = [
     "add_const",
     "mul_const",
     "slice_rows",
-    "softmax_rows",
     "softplus",
     "softplus_inv",
     "tanh",
@@ -221,19 +220,12 @@ def slice_rows(a: Var, start: int, stop: int) -> Var:
                          start=start, stop=stop)
 
 
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     """Softmax along ``axis``, computed in place on ``x`` (a fresh buffer)."""
     x -= x.max(axis=axis, keepdims=True)
     np.exp(x, out=x)
     x /= x.sum(axis=axis, keepdims=True)
     return x
-
-
-def softmax_rows(x: Var) -> Var:
-    """Rowwise softmax with per-row max subtraction for stability."""
-    if not np.isfinite(x.value).all():
-        raise ContractError("softmax_rows requires finite inputs")
-    return x.tape.record("softmax_rows", (x,), _softmax(x.value.copy()))
 
 
 def softplus(x: Var) -> Var:
@@ -399,11 +391,14 @@ def multihead_attention(q: Var, k: Var, v: Var, n_heads: int,
             raise ContractError("attention bias factors must be nonnegative")
         sq = sq[..., None, :, :]  # broadcast over the head axis
 
-    # 1/sqrt(hd) goes on the smaller operand rather than on the logits
-    small = q if q.value.size <= k.value.size else k
-    scaled = small.value * (1.0 / math.sqrt(hd))
-    qh = _heads(scaled if small is q else q.value, n_heads)
-    kh = _heads(scaled if small is k else k.value, n_heads)
+    # 1/sqrt(hd) goes on the smaller operand rather than on the logits,
+    # and on one operand only, even when q and k are the same slot
+    qv, kv = q.value, k.value
+    if qv.size <= kv.size:
+        qv = qv * (1.0 / math.sqrt(hd))
+    else:
+        kv = kv * (1.0 / math.sqrt(hd))
+    qh, kh = _heads(qv, n_heads), _heads(kv, n_heads)
     keys_first = _keys_first(nq, L)
     if keys_first:
         logits = kh @ qh.swapaxes(-2, -1)
@@ -508,12 +503,6 @@ def _bwd_slice_rows(tape, op):
     cur[..., op.aux["start"]:op.aux["stop"], :] += tape.grads[op.output]
 
 
-def _bwd_softmax_rows(tape, op):
-    g = tape.grads[op.output]
-    s = tape.values[op.output]
-    _give(tape, op.inputs[0], s * (g - (g * s).sum(axis=-1, keepdims=True)))
-
-
 def _bwd_softplus(tape, op):
     x = tape.values[op.inputs[0]]
     sig = np.exp(-np.logaddexp(0.0, -x))
@@ -585,7 +574,6 @@ _BACKWARD = {
     "add_const": _bwd_add_const,
     "mul_const": _bwd_mul_const,
     "slice_rows": _bwd_slice_rows,
-    "softmax_rows": _bwd_softmax_rows,
     "softplus": _bwd_softplus,
     "tanh": _bwd_tanh,
     "sum_all": _bwd_sum_all,

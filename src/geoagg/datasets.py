@@ -10,7 +10,10 @@ linear ramp and a Gaussian bump), which plants real spatial heterogeneity in
 the target.  ``generate_sl`` draws points uniformly and mixes the target
 through a spatial-lag process ``y = (I - rho*W)^-1 (X beta + eps)`` over
 row-standardised 8-nearest-neighbour weights, which plants spatial
-autocorrelation.
+autocorrelation.  It solves that system in numpy alone, by iterating
+``y <- X beta + eps + rho * mean(y[neighbours])``: the map contracts by
+``|rho|`` in the max norm, so it converges for every ``|rho| < 1``, and
+its cost grows like ``1 / -log|rho|`` (see :func:`generate_sl`).
 
 All randomness comes from numpy's default PCG64 generator seeded explicitly,
 and the draw order is fixed (covariates first, then noise), so a dataset is a
@@ -178,27 +181,52 @@ def generate_gwr(n: int, seed: int) -> GeoDataset:
     return GeoDataset(np.arange(n), np.column_stack([u, v]), x, y, meta=meta)
 
 
-def _sl_weights(coords: np.ndarray):
-    """Row-standardised directed 8-nearest-neighbour adjacency.
-
-    scipy is imported here and in :func:`generate_sl` only, so that no other
-    code path loads it.
-    """
-    import scipy.sparse as sp
-
+def _sl_neighbours(coords: np.ndarray) -> np.ndarray:
+    """Rows ``(n, 8)`` of each point's 8 nearest other points."""
     n = coords.shape[0]
     hits, _ = KdTree(coords, np.arange(n)).search(coords, SL_N_NEIGHBORS + 1)
     # each point's own row, else its farthest hit, leaves its 8 neighbours
     keep = hits != np.arange(n)[:, None]
     keep[keep.all(axis=1), -1] = False
-    cols = hits[keep]
-    rows = np.repeat(np.arange(n), SL_N_NEIGHBORS)
-    vals = np.full(len(rows), 1.0 / SL_N_NEIGHBORS)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return hits[keep].reshape(n, SL_N_NEIGHBORS)
+
+
+def _sl_solve(nbrs: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
+    """The ``y`` with ``y = b + rho * mean(y[nbrs], axis=1)``, by fixed-point iteration.
+
+    The mean is a row-standardised weighting, so for ``|rho| < 1`` each step
+    shrinks the error by ``|rho|`` in the max norm.  The iteration stops on
+    rounding: once an iterate lies within 4 ulps of ``max|y|`` of the one two
+    steps before it, which holds at a fixed point and also in the two-cycle
+    that rounding settles into when rho is negative.
+    """
+    cols = np.ascontiguousarray(nbrs.T)
+    scale = rho / SL_N_NEIGHBORS
+    # the error falls a decade every -1/log10|rho| steps: 40 decades is past rounding
+    cap = 100 + int(40 / -math.log10(abs(rho))) if rho else 2
+    older = prev = None
+    y = b
+    for _ in range(cap):
+        older, prev, y = prev, y, b + scale * y[cols].sum(axis=0)
+        if older is not None and np.abs(y - older).max() <= 4 * np.spacing(np.abs(y).max()):
+            break
+    resid = np.abs(y - scale * y[cols].sum(axis=0) - b).max()
+    if not resid <= 1e-10:
+        raise ContractError(f"spatial-lag solve residual {resid:.3e} exceeds 1e-10")
+    return y
 
 
 def generate_sl(n: int, seed: int, rho: float = 0.6) -> GeoDataset:
-    """Uniform-coordinate dataset with a spatial-lag (autocorrelated) target."""
+    """Uniform-coordinate dataset with a spatial-lag (autocorrelated) target.
+
+    The target solves ``y = b + rho * W y`` for ``b = X beta + eps`` and
+    ``W`` the row-standardised 8-nearest-neighbour weights, by the
+    fixed-point iteration of :func:`_sl_solve`, whose cost grows like
+    ``1 / -log|rho|``.  At n = 2,500, one step costs about 40 us, and the
+    solve takes about 70 steps (3 ms) at |rho| = 0.6, 300 (10-20 ms) at 0.9,
+    3,000 (0.1-0.17 s) at 0.99 and 24,000-28,000 (1-1.4 s) at 0.999, on one
+    core of a shared 2-vCPU host.
+    """
     if n < 100:
         raise ContractError(f"need n >= 100, got {n}")
     if not abs(rho) < 1:
@@ -208,17 +236,7 @@ def generate_sl(n: int, seed: int, rho: float = 0.6) -> GeoDataset:
     coords = rng.random((n, 2))
     x = rng.standard_normal((n, 2))
     eps = SL_NOISE_SD * rng.standard_normal(n)
-
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import spsolve
-
-    b = x @ np.asarray(SL_BETA) + eps
-    w = _sl_weights(coords)
-    a = sp.identity(n, format="csr") - rho * w
-    y = spsolve(a.tocsc(), b)
-    resid = np.abs(a @ y - b).max()
-    if not resid <= 1e-10:
-        raise ContractError(f"spatial-lag solve residual {resid:.3e} exceeds 1e-10")
+    y = _sl_solve(_sl_neighbours(coords), x @ np.asarray(SL_BETA) + eps, rho)
 
     meta = {
         "generator": "sl-r",

@@ -93,11 +93,14 @@ class KdTree:
 
         Returns ``(rows, d2)``, both ``(n, min(k, size))``: row indices into
         the index's points and squared distances, each row ordered by
-        ``(squared distance, id)``.
+        ``(squared distance, id)``.  A non-finite query point is rejected
+        before any work, as the constructor rejects a non-finite point.
         """
         if k < 1:
             raise ContractError(f"k must be at least 1, got {k}")
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        if not np.isfinite(points).all():
+            raise ContractError("query coordinates must be finite")
         self.query_count += len(points)
         k = min(k, self.size)
         pos = np.empty((len(points), k), dtype=np.int64)

@@ -59,49 +59,60 @@ class TestMatmul:
             np.testing.assert_allclose(left, right, rtol=1e-9)
 
 
+def _attention_weights(logits):
+    """One head's attention weights when its scaled logits are ``logits`` ``(n_q, L)``."""
+    logits = np.asarray(logits, dtype=np.float64)
+    n_q = logits.shape[0]
+    t = Tape(record=False)
+    q = t.slot(np.eye(n_q) * np.sqrt(n_q))  # cancels the 1/sqrt(head width) scale
+    k = t.slot(logits.T)
+    return ad.multihead_attention(q, k, t.slot(np.zeros(k.value.shape)), 1)[1][0]
+
+
 class TestSoftmaxRows:
+    """Each row of attention weights is a softmax of that query's logits.
+
+    Shapes with more queries than keys run the keys-first layout (see
+    ``autodiff._keys_first``).
+    """
+
     def test_symmetric_pair(self):
-        t = Tape()
-        out = ad.softmax_rows(t.slot([[0.0, 0.0]]))
-        np.testing.assert_allclose(out.value, [[0.5, 0.5]], atol=1e-15)
+        np.testing.assert_allclose(_attention_weights([[0.0, 0.0]]), [[0.5, 0.5]],
+                                   atol=1e-15)
 
     def test_closed_form_pair(self):
-        t = Tape()
-        out = ad.softmax_rows(t.slot([[0.0, -1.0]]))
-        np.testing.assert_allclose(out.value, [[0.7311, 0.2689]], atol=1e-4)
+        np.testing.assert_allclose(_attention_weights([[0.0, -1.0]]), [[0.7311, 0.2689]],
+                                   atol=1e-4)
 
     def test_large_logit_does_not_overflow(self):
-        t = Tape()
-        out = ad.softmax_rows(t.slot([[1000.0, 0.0]]))
-        assert np.isfinite(out.value).all()
-        np.testing.assert_allclose(out.value, [[1.0, 0.0]], atol=1e-300)
+        for logits, want in [([[1000.0, 0.0]], [[1.0, 0.0]]),
+                             ([[1000.0, 0.0], [0.0, 1000.0], [-1000.0, 0.0]],
+                              [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])]:
+            alpha = _attention_weights(logits)
+            assert np.isfinite(alpha).all()
+            np.testing.assert_allclose(alpha, want, atol=1e-300)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            t = Tape()
-            out = ad.softmax_rows(t.slot(rng.normal(size=(5, 7)) * 3))
-            np.testing.assert_allclose(out.value.sum(axis=1), 1.0, atol=1e-12, rtol=0)
+        for shape in [(5, 7), (7, 5)] * 10:
+            alpha = _attention_weights(rng.normal(size=shape) * 3)
+            np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12, rtol=0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(4, 6))
-        t = Tape()
-        base = ad.softmax_rows(t.slot(x)).value
-        shifted = ad.softmax_rows(t.slot(x + 17.5)).value
-        np.testing.assert_allclose(base, shifted, atol=1e-12)
-
-    def test_rejects_non_finite(self):
-        t = Tape()
-        with pytest.raises(ContractError):
-            ad.softmax_rows(t.slot(np.array([[np.inf, 0.0]])))
+        for shape in [(4, 6), (6, 4)]:
+            x = rng.normal(size=shape)
+            np.testing.assert_allclose(_attention_weights(x), _attention_weights(x + 17.5),
+                                       atol=1e-12)
 
     def test_leaves_its_input_unchanged(self):
-        x = np.random.default_rng(8).normal(size=(2, 4, 6)) * 3
+        rng = np.random.default_rng(8)
+        q, k, v = (rng.normal(size=(2, n, 6)) * 3 for n in (4, 3, 3))
         t = Tape()
-        xv = t.slot(x.copy())
-        ad.softmax_rows(xv)
-        np.testing.assert_array_equal(xv.value, x)
+        slots = [t.slot(a.copy()) for a in (q, k, v)]
+        ad.multihead_attention(*slots, 2)
+        for slot, a in zip(slots, (q, k, v)):
+            np.testing.assert_array_equal(slot.value, a)
 
 
 def _naive_attention(q, k, v, n_heads, lam=None, sq_dist=None):
@@ -137,6 +148,16 @@ class TestMultiheadAttention:
         want_out, want_alpha = _naive_attention(q, k, v, 2, lam, sq)
         assert alpha.shape == (2, 2, n_q, n_keys)
         assert not alpha.flags.writeable
+        np.testing.assert_allclose(alpha, want_alpha, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(out.value, want_out, atol=1e-12, rtol=0)
+
+    def test_self_attention_matches_naive_reference(self):
+        """One slot as query, key and value is scaled by 1/sqrt(head width) once."""
+        x = np.random.default_rng(9).normal(size=(2, 5, 8))
+        t = Tape(record=False)
+        xv = t.slot(x)
+        out, alpha = ad.multihead_attention(xv, xv, xv, 2)
+        want_out, want_alpha = _naive_attention(x, x, x, 2)
         np.testing.assert_allclose(alpha, want_alpha, atol=1e-12, rtol=0)
         np.testing.assert_allclose(out.value, want_out, atol=1e-12, rtol=0)
 
@@ -187,7 +208,8 @@ class TestBackward:
 
         def f(x):
             t = x.tape
-            return ad.sum_all(ad.mul(ad.softmax_rows(ad.matmul(x, t.slot(w))), t.slot(c)))
+            h = ad.tanh(ad.matmul(x, t.slot(w)))
+            return ad.sum_all(ad.mul(ad.multihead_attention(h, x, x, 2)[0], t.slot(c)))
 
         assert grad_check(f, rng.normal(size=(4, 4))) < 1e-6
 
@@ -453,7 +475,8 @@ def _op_cases(seed):
         ("mul_const", a34, lambda x: ad.sum_all(ad.mul(ad.mul_const(x, row), x))),
         ("slice_rows", a34, lambda x: ad.sum_all(ad.mul(ad.slice_rows(x, 1, 3),
                                                         ad.slice_rows(x, 0, 2)))),
-        ("softmax_rows", a34, lambda x: ad.sum_all(ad.mul(ad.softmax_rows(x), s(x, a34)))),
+        ("mha_self", a34,
+         lambda x: ad.sum_all(ad.mul(ad.multihead_attention(x, x, x, 2)[0], s(x, a34)))),
         ("softplus", a34, lambda x: ad.sum_all(ad.mul(ad.softplus(x), s(x, a34)))),
         ("tanh", a34, lambda x: ad.sum_all(ad.mul(ad.tanh(x), s(x, a34)))),
         ("mean_all", a34, lambda x: ad.mean_all(ad.mul(x, x))),

@@ -429,16 +429,18 @@ class TestBadDataFiles:
 
 
 class TestLeanProcess:
-    """Only the spatial-lag generator loads scipy."""
+    """No command loads scipy, the spatial-lag generator and ``reproduce`` included."""
 
     def test_commands_load_no_scipy(self, tmp_path):
         data, model, cfg = tmp_path / "gwr.csv", tmp_path / "model.json", write_config(tmp_path)
         steps = [
+            ["gen", "--dataset", "sl-r", "--n", 144, "--seed", 6, "--out", tmp_path / "sl.csv"],
             ["gen", "--dataset", "gwr-r", "--n", 144, "--seed", 5, "--out", data],
             ["train", "--data", data, "--config", cfg, "--model-out", model],
             ["predict", "--model", model, "--data", data, "--out", tmp_path / "p.csv"],
             ["explain", "--model", model, "--data", data, "--background", 5,
              "--out", tmp_path / "e.csv"],
+            ["reproduce", "--config", cfg, "--outdir", tmp_path / "run"],
         ]
         script = (
             "import sys\n"

@@ -14,6 +14,7 @@ from geoagg.autodiff import ContractError
 from geoagg.datasets import (
     CsvFormatError,
     GeoDataset,
+    _sl_neighbours,
     generate_gwr,
     generate_sl,
     gwr_beta1,
@@ -32,15 +33,19 @@ from geoagg.pipeline import (
 from geoagg.spatial import PointRecord
 
 
+def brute_force_8nn(coords, k=8):
+    """Each point's k nearest other rows, by (squared distance, row), via a full sort."""
+    n = len(coords)
+    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
+    return np.array([[j for j in sorted(range(n), key=lambda j: (d2[i, j], j)) if j != i][:k]
+                     for i in range(n)])
+
+
 def brute_force_row_standardised_w(coords, k=8):
     """Independent 8-NN weight matrix via a full distance sort."""
     n = len(coords)
-    d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
     w = np.zeros((n, n))
-    for i in range(n):
-        order = sorted(range(n), key=lambda j: (d2[i, j], j))
-        neigh = [j for j in order if j != i][:k]
-        w[i, neigh] = 1.0 / k
+    w[np.arange(n)[:, None], brute_force_8nn(coords, k)] = 1.0 / k
     return w
 
 
@@ -113,18 +118,48 @@ class TestSlGenerator:
             generate_sl(400, 0, rho=1.0)
 
     @pytest.mark.parametrize("args, sha1", [
-        ((2500, 7, 0.6), "3eb3c8ed7b8e3b6ce10e319031271d8324f4b7eb"),
-        ((400, 3, 0.3), "181b059ff370c7a241ffb0873ae8196d61e020dc"),
-        ((101, 0, -0.5), "c4454d41964c9ddb1923074eeb8dc74891b7eec2"),
-    ])
-    def test_columns_keep_their_bytes(self, args, sha1):
-        """SHA-1 of the id, coordinate, covariate and target columns, pinned
-        from the cKDTree-based neighbour search the weights used to take."""
+        ((2500, 7, 0.6), "0649230ac6a4211aadd64cda1cac07cb7859d31d"),
+        ((400, 3, 0.3), "8c8b788eacecfd3fb86fa59365c873434e0675d8"),
+        ((101, 0, -0.5), "40db49224d8100bcc7f0612d36b1da732b9fe6d0"),
+    ], ids=["n2500", "n400", "n101"])
+    def test_inputs_keep_their_bytes(self, args, sha1):
+        """SHA-1 of the id, coordinate and covariate columns, pinned from the
+        sparse direct solve the targets used to take: the solve moves none of
+        them."""
         ds = generate_sl(*args)
         digest = hashlib.sha1()
-        for col in (ds.ids(), ds.coords(), ds.covariates(), ds.targets()):
+        for col in (ds.ids(), ds.coords(), ds.covariates()):
             digest.update(col.tobytes())
         assert digest.hexdigest() == sha1
+
+    @pytest.mark.parametrize("args, sha1", [
+        ((2500, 7, 0.6), "423f441ad9f8c8a37771c633de2fa78caf7e3f6e"),
+        ((400, 3, 0.3), "e3cfc19744f4ba96c088824d704303aadc00facb"),
+        ((101, 0, -0.5), "0e22d0556eaa0e728c890b2e77dcba7c8361e79a"),
+    ], ids=["n2500", "n400", "n101"])
+    def test_targets_keep_their_bytes(self, args, sha1):
+        """SHA-1 of the target column, pinned from the fixed-point solve."""
+        assert hashlib.sha1(generate_sl(*args).targets().tobytes()).hexdigest() == sha1
+
+    @pytest.mark.parametrize("n", [101, 400])
+    @pytest.mark.parametrize("rho", [-0.99, -0.5, 0.0, 0.3, 0.6, 0.9, 0.99])
+    def test_targets_match_dense_solve(self, n, rho):
+        """``(I - rho W)^-1 b`` by a dense solve, to 1e-12 of its largest target."""
+        ds = generate_sl(n, 11, rho)
+        rng = np.random.default_rng(11)
+        rng.random((n, 2))
+        b = rng.standard_normal((n, 2)) @ np.array([2.0, 3.0]) + 0.5 * rng.standard_normal(n)
+        w = brute_force_row_standardised_w(ds.coords())
+        want = np.linalg.solve(np.eye(n) - rho * w, b)
+        assert np.abs(ds.targets() - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_neighbours_are_the_brute_force_8nn(self):
+        """Ordered by distance, then row, past ties on a grid and ten
+        coincident points."""
+        rng = np.random.default_rng(5)
+        coords = np.concatenate([rng.random((150, 2)), np.round(rng.random((140, 2)), 1),
+                                 np.full((10, 2), 0.25)])
+        np.testing.assert_array_equal(_sl_neighbours(coords), brute_force_8nn(coords))
 
     def test_deterministic_csv_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

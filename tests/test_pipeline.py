@@ -76,13 +76,14 @@ class TestSplit:
 class TestTrain:
     @pytest.mark.parametrize("make, sha1", [
         (lambda: generate_gwr(625, 3), "91a9875595e2e293340f2a474dba39800f48ea3f"),
-        (lambda: generate_sl(600, 3, 0.6), "e02a307e5e33b560cec0ad8eedc9729682a46aca"),
+        (lambda: generate_sl(600, 3, 0.6), "a6aaf08c5ea0531998d433301714d567dcdbc76f"),
     ], ids=["gwr", "sl"])
     def test_trained_weights_and_losses_keep_their_bytes(self, make, sha1):
         """SHA-1 of every parameter array, by name, then the loss history,
         after 2 epochs at the default config in minibatches of 16 (each
         epoch ends in a smaller one), pinned from training steps that reused
-        one pool of buffers."""
+        one pool of buffers; ``sl`` re-pinned when its targets came from the
+        fixed-point solve."""
         params, history = train(make(), ModelConfig(), TrainConfig(epochs=2, batch=16, seed=0))
         digest = hashlib.sha1()
         for name in sorted(params.arrays):

@@ -67,6 +67,15 @@ class TestKdTree:
         with pytest.raises(ContractError):
             KdTree(np.zeros((0, 2)), [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected_before_work(self, bad):
+        tree = KdTree(np.random.default_rng(6).random((50, 2)), np.arange(50))
+        with pytest.raises(ContractError, match="^query coordinates must be finite$"):
+            tree.search([[0.2, 0.3], [bad, 0.5]], 5)
+        with pytest.raises(ContractError, match="^query coordinates must be finite$"):
+            tree.knn((0.5, bad), 1)
+        assert tree.query_count == 0
+
     def test_thousand_points_match_brute_force(self):
         rng = np.random.default_rng(3)
         coords = rng.random((1000, 2))
