@@ -33,12 +33,8 @@ the explainer itself uses is bounded by one block and its deduplication at
 any ``n`` and ``p``; the predictor's memory for a block comes on top.
 
 For attention models whose input sequences come from neighbour lookups, the
-:func:`make_shap_predictor` wrapper keys every row by its original point id:
-perturbing a row's coordinates or covariates changes what the model sees, but
-the context sequence is always rebuilt from the id's true neighbours.  Rows
-substituted from the background carry the background point's id, so the base
-value is the genuine mean prediction of the background points.  The wrapper
-keeps no caches that calls fill: it is immutable once built.
+:func:`make_shap_predictor` wrapper keys every row by its original point id
+(see :class:`ShapPredictor`).
 """
 
 from __future__ import annotations
@@ -51,14 +47,15 @@ import numpy as np
 
 from .autodiff import ContractError
 from .datasets import GeoDataset, write_csv
-from .model import _CHUNK_ROWS, ModelConfig, ModelParams, forward_batch
-from .spatial import (
+# forward_batch and subset_indices stay bound, unused, for perfbench/tracer.py to wrap
+from .model import ModelConfig, ModelParams, forward_batch  # noqa: F401
+from .pipeline import member_outputs
+from .spatial import (  # noqa: F401
     ContextPool,
     SequenceLookupError,
     neighbor_budget,
     precompute_neighbors,
     QueryPool,
-    sequences,
     subset_indices,
 )
 
@@ -68,7 +65,6 @@ __all__ = [
     "GeoShapleyResult",
     "shapley_exact",
     "interaction_index",
-    "coalition_values",
     "make_shap_predictor",
     "geoshapley_explain",
     "local_coefficients",
@@ -76,7 +72,9 @@ __all__ = [
 ]
 
 GEO_PLAYER = 0
-MAX_EXACT_PLAYERS = 20
+# location and ten covariates, the largest game a test covers; p = 19 would
+# take about an hour per instance
+MAX_EXACT_PLAYERS = 11
 # coalition rows built, deduplicated and predicted together; a block holds at
 # least one coalition of one instance, so memory grows with neither the
 # instance count nor the covariate count
@@ -122,9 +120,9 @@ def _check_player_count(n_players: int) -> None:
     if n_players < 1:
         raise ContractError("need at least one player")
     if n_players > MAX_EXACT_PLAYERS:
-        raise ContractError(
-            f"{n_players} players exceeds the exact-enumeration bound of {MAX_EXACT_PLAYERS}"
-        )
+        raise ContractError(f"{n_players} players exceeds the exact-enumeration bound of "
+                            f"{MAX_EXACT_PLAYERS}: n rows with p covariates over n_bg "
+                            f"background rows predict n * 2**(p+1) * n_bg coalition rows")
 
 
 def shapley_exact(values: np.ndarray, n_players: int) -> np.ndarray:
@@ -247,37 +245,24 @@ def _values(predictor, instances: RowBatch, background: RowBatch,
     return values
 
 
-def coalition_values(predictor, instance_row, background: RowBatch,
-                     n_players: int) -> np.ndarray:
-    """Values for every coalition bitmask of one instance row ``(id, coords, x)``.
-
-    ``values[mask]`` is the mean prediction over the background rows with the
-    coalition's players taken from the instance and the others from each row;
-    the predictor is called once, on the distinct rows.
-    """
-    inst_id, inst_coord, inst_x = instance_row
-    instance = RowBatch(ids=np.array([inst_id], dtype=np.int64),
-                        coords=np.asarray(inst_coord, dtype=np.float64).reshape(1, 2),
-                        x=np.asarray(inst_x, dtype=np.float64).reshape(1, -1))
-    return _values(predictor, instance, background, n_players)[0]
-
-
 class ShapPredictor:
     """Batched row predictor for the attention model, keyed by point id.
 
     Context sequences are always rebuilt from the true neighbours of each
     row's id; the row's possibly perturbed coordinates and covariates feed
-    only the model's own input channels.  By default one deterministic
-    member is used so Shapley identities are exact; set ``members > 1`` for
-    ensemble-mean explanations.
+    only the model's own input channels.  Rows substituted from the
+    background carry the background point's id, so the base value is the
+    genuine mean prediction of the background points.  By default one
+    deterministic member is used so Shapley identities are exact; set
+    ``members > 1`` for ensemble-mean explanations.
 
     The predictor is immutable after construction, which searches the
     neighbours of every id in ``queries``.  Each call searches the ids
     outside ``queries`` (background rows from the context pool) in one
-    batched tree search, and member m draws id i's context rows from the
-    stream seeded ``[seed, m, i]``.  So a row's output does not depend on
-    the order or grouping of the rows, and concurrent calls are safe.
-    Sequences are built and run in chunks of at most ``_CHUNK_ROWS`` rows.
+    batched tree search, then returns the member mean of the engine of
+    :func:`~geoagg.pipeline.predict_ensemble`.  So an unperturbed query row
+    gets the bytes of that ensemble's mean, a row's output does not depend
+    on the order or grouping of the rows, and concurrent calls are safe.
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig,
@@ -297,49 +282,24 @@ class ShapPredictor:
             queries, context, neighbor_budget(config.l_max, expansion)
         )
 
-    def neighbor_ids(self, pid: int, member: int = 0):
-        """Context ids one member's sequence would use for ``pid``."""
-        return self.context.ids[self._picks(np.array([pid]))[member, 0]].tolist()
-
-    def _picks(self, ids: np.ndarray) -> np.ndarray:
-        """``(members, len(ids), l_max - 1)`` context rows placed after each id."""
-        context, cache = self.context, self._cache
-        id_list = ids.tolist()
-        entries = np.empty((len(id_list), cache.rows.shape[1]), dtype=np.intp)
-        live = []
-        for i, pid in enumerate(id_list):
-            if pid in cache:
-                entries[i] = cache.entry(pid)
-            elif pid in context.row_of:
-                live.append(i)
-            else:
-                raise SequenceLookupError(f"unknown point id {pid}")
-        if live:
-            # rows substituted from the background carry context-pool ids
-            targets = [context.row_of[id_list[i]] for i in live]
-            entries[live] = context.tree.search(context.coords[targets], cache.k)[0]
-        picks = np.empty((self.members, len(id_list), self.config.l_max - 1), dtype=np.intp)
-        for i, pid in enumerate(id_list):
-            target = [context.row_of.get(pid, -1)]
-            for member in range(self.members):
-                rng = np.random.default_rng([self.seed, member, pid])
-                picks[member, i] = subset_indices(entries[i:i + 1], target, self.config.l_max, rng)
-        return picks
-
     def __call__(self, ids, coords, x) -> np.ndarray:
+        context, cache = self.context, self._cache
         ids = np.asarray(ids, dtype=np.int64).ravel()
         coords = np.asarray(coords, dtype=np.float64).reshape(len(ids), 2)
         x = np.asarray(x, dtype=np.float64).reshape(len(ids), -1)
         distinct, slot = np.unique(ids, return_inverse=True)
-        picks = self._picks(distinct)
-        out = np.zeros(len(ids))
-        for start in range(0, len(ids), _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            for member_picks in picks:
-                out[rows] += forward_batch(
-                    *sequences(self.context, x[rows], coords[rows], member_picks[slot[rows]]),
-                    self.params, self.config)
-        return out / self.members
+        id_list = distinct.tolist()
+        cached = np.array([pid in cache for pid in id_list], dtype=bool)
+        targets = np.array([context.row_of.get(pid, -1) for pid in id_list], np.intp)
+        unknown = ~cached & (targets < 0)
+        if unknown.any():
+            raise SequenceLookupError(f"unknown point id {distinct[unknown.argmax()]}")
+        entries = np.empty((len(distinct), cache.rows.shape[1]), dtype=np.intp)
+        entries[cached] = cache.entries(distinct[cached].tolist())
+        # rows substituted from the background carry context-pool ids
+        entries[~cached] = context.tree.search(context.coords[targets[~cached]], cache.k)[0]
+        return member_outputs(self.params, self.config, context, entries[slot], targets[slot],
+                              ids, x, coords, self.members, self.seed).mean(axis=0)
 
 
 def make_shap_predictor(params: ModelParams, config: ModelConfig,

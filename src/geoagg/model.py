@@ -88,12 +88,17 @@ class ModelConfig:
     legacy_single_abf: bool = False
 
     def __post_init__(self):
+        if self.d_model < 1:
+            raise ContractError(f"d_model must be at least 1, got {self.d_model}")
+        if self.n_heads < 1:
+            raise ContractError(f"n_heads must be at least 1, got {self.n_heads}")
         if self.d_model % self.n_heads != 0:
             raise ContractError(
                 f"d_model={self.d_model} must be divisible by n_heads={self.n_heads}"
             )
-        if self.head_dim % 2 != 0:
-            raise ContractError(f"head_dim={self.head_dim} must be even")
+        if self.head_dim % 4 != 0:
+            # the planar rotary encoding turns head_dim / 4 pairs per coordinate
+            raise ContractError(f"head_dim={self.head_dim} must be divisible by 4")
         if self.n_inducing < 1:
             raise ContractError("need at least one inducing point")
         if self.l_max < 2:

@@ -3,14 +3,14 @@
 Training precomputes each point's neighbourhood once, then rebuilds input
 sequences every epoch with fresh random removal of the surplus neighbours, and
 minimises mean squared error with Adam, recording one tape per minibatch.
-Inference assembles ``members`` sequences per query (member k draws its
-context subsets from the stream seeded ``[seed, k]``) and reports the per-query
-mean and sample standard deviation.  Members share one set of weights and
-differ only in the context rows they draw, so the standard deviation measures
-how sensitive a prediction is to the context draw; it is not a calibrated
-predictive spread.  Context rows are drawn a batch at a time, one
-:func:`~geoagg.spatial.subset_indices` call per training minibatch and per
-(member, chunk of queries) at inference.
+Inference assembles ``members`` sequences per query (member m keeps the
+context rows whose keys, hashed from (seed, m, query id, slot), are smallest)
+and reports the per-query mean and sample standard deviation.  Members share
+one set of weights and differ only in the context rows they draw, so the
+standard deviation measures how sensitive a prediction is to the context
+draw; it is not a calibrated predictive spread.  Context rows are drawn a
+batch at a time, one :func:`~geoagg.spatial.subset_indices` call per training
+minibatch and per chunk of queries at inference, in :func:`member_outputs`.
 
 Everything is a pure function of (data, config, seeds): fixed split, fixed
 parameter initialisation, fixed per-epoch shuffles.  The benchmark harness
@@ -45,6 +45,7 @@ from .spatial import (
     ContextPool,
     QueryPool,
     assemble_sequence,
+    context_keys,
     neighbor_budget,
     precompute_neighbors,
     sequences,
@@ -188,65 +189,73 @@ def _minibatch_step(params: ModelParams, config: ModelConfig, batch, targets,
     return float(loss.value[0, 0])
 
 
+def member_outputs(params: ModelParams, config: ModelConfig, context: ContextPool,
+                   entries: np.ndarray, targets, ids, x, coords,
+                   members: int, seed: int) -> np.ndarray:
+    """``(members, n)`` outputs for n target rows: the inference engine of
+    :func:`predict_ensemble` and the explainer's predictor.
+
+    Per row: ``entries`` ``(n, k)`` (or ``(members, n, k)``) its neighbour
+    rows, nearest first, ``targets`` its own context row (-1 if none),
+    ``ids`` its point id, ``x`` and ``coords`` its target row.  Each chunk of
+    rows takes one :func:`context_keys` block, one :func:`subset_indices`
+    call and one :func:`forward_batch` of at most ``_CHUNK_ROWS`` sequences.
+    The member axis is the contiguous one, so a mean over members adds a
+    row's outputs in one order whatever rows share the call.
+    """
+    l_max, k = config.l_max, entries.shape[-1]
+    entries = np.broadcast_to(entries, (members,) + entries.shape[-2:])
+    out = np.empty((len(ids), members))
+    step = max(1, _CHUNK_ROWS // members)
+    for start in range(0, len(ids), step):
+        chunk = slice(start, start + step)
+        keys = context_keys(seed, members, ids[chunk], k) if k > l_max else None
+        picks = subset_indices(entries[:, chunk], targets[chunk], l_max, keys)
+        feats, seq_coords = sequences(context, x[chunk], coords[chunk], picks)
+        out[chunk] = forward_batch(feats.reshape(-1, l_max, feats.shape[-1]),
+                                   seq_coords.reshape(-1, l_max, 2),
+                                   params, config).reshape(members, -1).T
+    return out.T
+
+
 def _member_predictions(params: ModelParams, config: ModelConfig,
                         queries: QueryPool, context: ContextPool,
                         members: int, expansion: float, seed: int,
                         l_max: int | None = None,
                         cache_mode: str = "precomputed") -> np.ndarray:
-    """(members, n_queries) raw member outputs; the shared inference engine.
+    """(members, n_queries) raw member outputs of :func:`member_outputs`.
 
     ``precomputed`` mode searches the tree once for all query points up
     front; ``on_the_fly`` searches it again for every member and query.  Both
-    feed identical rows through identical rng streams, so their predictions
-    match exactly.  Queries go in chunks: each member draws a chunk's context
-    rows in one :func:`subset_indices` call, and the chunk's sequences of
-    every member run as one batched forward pass.
+    feed identical rows to the engine, so their predictions match exactly.
     """
     if members < 1:
         raise ContractError("need at least one ensemble member")
     if cache_mode not in ("precomputed", "on_the_fly"):
         raise ContractError(f"unknown cache mode {cache_mode!r}")
-    if l_max is None:
-        l_max = config.l_max
-    elif l_max != config.l_max:
+    if l_max is not None:
         # benchmarking sweeps the sequence length past the training-time bound
         config = replace(config, l_max=l_max)
+    l_max = config.l_max
     k = neighbor_budget(l_max, expansion)
-    width = context.feats.shape[1]
-    if len(queries) and queries.x.shape[1] != width - 1:
-        raise ContractError(
-            f"query points carry {queries.x.shape[1]} covariates, "
-            f"context points carry {width - 1}"
-        )
+    if len(queries) and queries.x.shape[1] != context.x.shape[1]:
+        raise ContractError(f"query points carry {queries.x.shape[1]} covariates, "
+                            f"context points carry {context.x.shape[1]}")
     if len(context) < l_max:
         raise ContractError(f"only {len(context)} context points available, need {l_max}")
 
-    cache = (precompute_neighbors(queries, context, k)
-             if cache_mode == "precomputed" else None)
-    rngs = [np.random.default_rng([seed, member]) for member in range(members)]
-    targets = [context.row_of.get(qid, -1) for qid in queries.ids.tolist()]
-
-    def entries(chunk: slice) -> np.ndarray:
-        if cache is not None:
-            return cache.rows[chunk]
+    if cache_mode == "precomputed":
+        entries = precompute_neighbors(queries, context, k).rows
+    else:
         # the naive pipeline being modelled searches again for every member
         # and query; the repeated results are identical
-        return np.concatenate([context.tree.search(point, k)[0]
-                               for point in queries.coords[chunk]])
-
-    preds = np.empty((members, len(queries)))
-    step = max(1, _CHUNK_ROWS // members)
-    for start in range(0, len(queries), step):
-        chunk = slice(start, start + step)
-        picks = np.stack([subset_indices(entries(chunk), targets[chunk], l_max, rng)
-                          for rng in rngs], axis=1)
-        # each query's row serves all of its members' sequences
-        feats, coords = sequences(context, queries.x[chunk, None],
-                                  queries.coords[chunk, None], picks)
-        out = forward_batch(feats.reshape(-1, l_max, width), coords.reshape(-1, l_max, 2),
-                            params, config)
-        preds[:, chunk] = out.reshape(-1, members).T
-    return preds
+        entries = np.empty((members, len(queries), min(k, len(context))), dtype=np.intp)
+        for member in range(members):
+            for i, point in enumerate(queries.coords):
+                entries[member, i] = context.tree.search(point, k)[0]
+    targets = np.array([context.row_of.get(qid, -1) for qid in queries.ids.tolist()], np.intp)
+    return member_outputs(params, config, context, entries, targets, queries.ids,
+                          queries.x, queries.coords, members, seed)
 
 
 def predict_ensemble(params: ModelParams, config: ModelConfig,
@@ -254,9 +263,9 @@ def predict_ensemble(params: ModelParams, config: ModelConfig,
                      members: int, expansion: float, seed: int) -> EnsemblePrediction:
     """Randomised-context ensemble prediction, and its sensitivity to the context draw.
 
-    Member k subsamples context from the stream seeded ``[seed, k]``.  With
-    an expansion factor of 1.0 every member sees identical sequences and the
-    reported standard deviation is exactly zero.
+    A query's draws hash (seed, member, query id, slot), so its mean and std do
+    not depend on the other queries.  With an expansion factor of 1.0 every
+    member sees identical sequences and the reported std is exactly zero.
     """
     preds = _member_predictions(params, config, queries, context,
                                 members, expansion, seed)

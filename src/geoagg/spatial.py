@@ -21,8 +21,9 @@ itself: if the target appears in the cache (training-style pools) that slot is
 dropped by id, otherwise the farthest candidate is discarded.  Either way the
 sampling pool has exactly ``k' - 1`` entries, so an expansion factor of 1.0
 yields fully deterministic sequences.  A whole batch's surplus is removed in
-one draw: one block of uniform keys, one row per sequence, drawn in row
-order, of which each row keeps its ``l_max - 1`` smallest.
+one draw: one block of uniform keys, one row per sequence, of which each row
+keeps its ``l_max - 1`` smallest.  Training draws the keys in row order from
+a generator; inference hashes them with :func:`context_keys`.
 
 Pools, trees, and caches are immutable after construction and safe to share
 across concurrent readers.
@@ -50,6 +51,7 @@ __all__ = [
     "assemble_sequence",
     "sequences",
     "subset_indices",
+    "context_keys",
     "neighbor_budget",
 ]
 
@@ -142,13 +144,9 @@ class NeighborCache:
         except KeyError as err:
             raise SequenceLookupError(f"no cached neighbors for id {err.args[0]}") from None
 
-    def entry(self, qid: int) -> np.ndarray:
-        """Context rows of a query id's neighbours, nearest first."""
-        return self.entries([qid])[0]
-
     def __getitem__(self, qid: int) -> list[tuple[int, float]]:
         """The neighbours of a query id as ``(id, squared distance)`` pairs."""
-        rows = self.entry(qid)
+        rows = self.entries([qid])[0]
         return list(zip(self.ids[rows].tolist(), self.d2[self.row_of[qid]].tolist()))
 
     def __contains__(self, qid: int) -> bool:
@@ -173,30 +171,55 @@ def precompute_neighbors(queries: QueryPool, context: ContextPool, k: int) -> Ne
     return NeighborCache(rows, d2, queries.row_of, context.ids, k)
 
 
-def subset_indices(rows: np.ndarray, targets, l_max: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """``(n, l_max - 1)`` context rows for n sequences, one per cached entry.
+def subset_indices(rows: np.ndarray, targets, l_max: int, keys=None) -> np.ndarray:
+    """``(..., l_max - 1)`` context rows for a batch of sequences, one per cached entry.
 
-    ``rows`` ``(n, k)`` holds entries ascending in distance, ``targets``
-    ``(n,)`` each sequence's own context row (-1 when not a context point).
-    Each entry drops its target's slot, or else its last (farthest) one, and
-    keeps ``l_max - 1`` of the other ``k - 1``, in entry order: those with
-    the smallest of ``(n, k)`` uniform keys drawn from ``rng`` in row order,
-    a uniform sample without replacement.  So one call over n entries picks
-    what n one-entry calls in turn would; with no surplus nothing is drawn.
+    ``rows`` ``(..., k)`` holds entries ascending in distance, ``targets``
+    each sequence's own context row (-1 when not a context point), one per
+    entry.  Each entry drops its target's slot, or else its last (farthest)
+    one, and keeps ``l_max - 1`` of the other ``k - 1``, in entry order:
+    those with the smallest of its ``keys`` ``(..., k)``, uniform in [0, 1),
+    a uniform sample without replacement.  With no surplus (``k == l_max``)
+    nothing is sampled and ``keys`` is not read.
     """
-    n, k = rows.shape
+    k = rows.shape[-1]
     if k < l_max:
         raise ContractError(f"cache entries hold {k} neighbors, need at least l_max={l_max}")
-    dropped = rows == np.asarray(targets).reshape(n, 1)
-    dropped[:, -1] |= ~dropped.any(axis=1)
+    dropped = rows == np.asarray(targets)[..., None]
+    dropped[..., -1] |= ~dropped.any(axis=-1)
     if k == l_max:
-        return rows[~dropped].reshape(n, l_max - 1)
-    keys = rng.random((n, k))
-    keys[dropped] = np.inf
-    picked = np.argpartition(keys, l_max - 2, axis=1)[:, :l_max - 1]
-    picked.sort(axis=1)
-    return np.take_along_axis(rows, picked, axis=1)
+        return rows[~dropped].reshape(rows.shape[:-1] + (l_max - 1,))
+    picked = np.argpartition(np.where(dropped, np.inf, keys), l_max - 2, axis=-1)[..., :l_max - 1]
+    picked.sort(axis=-1)
+    return np.take_along_axis(rows, picked, axis=-1)
+
+
+# SplitMix64's increment (the 64-bit golden ratio) and finaliser multipliers
+_GOLDEN, _MIX1, _MIX2 = (np.uint64(c) for c in (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+
+
+def context_keys(seed: int, members: int, ids, k: int) -> np.ndarray:
+    """``(members, len(ids), k)`` uniform keys in [0, 1), one per (seed, member, id, slot).
+
+    A key hashes its own four words, a counter-based draw (Salmon et al.,
+    SC'11), so a query's keys are the same whatever queries share the call.
+    Each word is absorbed through SplitMix64's finaliser; ids are read as
+    int64 bits, so negative ids hash too.  The arithmetic stays on arrays,
+    where uint64 products wrap without a warning.
+    """
+    state = np.zeros(1, dtype=np.uint64)
+    for word in (np.array([seed], dtype=np.int64).view(np.uint64),
+                 np.arange(members, dtype=np.uint64)[:, None, None],
+                 np.asarray(ids, dtype=np.int64).view(np.uint64)[:, None],
+                 np.arange(k, dtype=np.uint64)):
+        state = (state ^ word) + _GOLDEN
+        state ^= state >> 30
+        state *= _MIX1
+        state ^= state >> 27
+        state *= _MIX2
+        state ^= state >> 31
+    return (state >> 11) * 2.0 ** -53
 
 
 def sequences(context: ContextPool, x, coords, picks):
@@ -221,8 +244,9 @@ def assemble_sequence(target_ids, cache: NeighborCache, context: ContextPool,
                       l_max: int, rng: np.random.Generator):
     """:func:`sequences` for context points, given by one id or an array of ids.
 
-    Every id's context rows come from one :func:`subset_indices` draw on
-    ``rng``, in flattened order.  The shape of ``target_ids`` leads the
+    Every id's context rows come from one :func:`subset_indices` call, on
+    keys drawn from ``rng`` in flattened id order (none when the cache holds
+    no surplus).  The shape of ``target_ids`` leads the
     sequence axes, so one id gives ``(l_max, p + 1)`` features and
     ``(l_max, 2)`` coordinates.
     """
@@ -233,7 +257,8 @@ def assemble_sequence(target_ids, cache: NeighborCache, context: ContextPool,
         targets = np.array([context.row_of[qid] for qid in flat], dtype=np.intp)
     except KeyError as err:
         raise SequenceLookupError(f"id {err.args[0]} is not in the context pool") from None
-    picks = subset_indices(entries, targets, l_max, rng)
+    keys = rng.random(entries.shape) if entries.shape[1] > l_max else None
+    picks = subset_indices(entries, targets, l_max, keys)
     targets = targets.reshape(ids.shape)
     return sequences(context, context.x[targets], context.coords[targets],
                      picks.reshape(ids.shape + (l_max - 1,)))

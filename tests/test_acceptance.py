@@ -18,7 +18,7 @@ from geoagg.cli import main as cli_main
 from geoagg.datasets import generate_gwr, generate_sl, gwr_beta1, gwr_beta2
 from geoagg.explain import (
     RowBatch,
-    coalition_values,
+    _values,
     geoshapley_explain,
     local_coefficients,
     make_shap_predictor,
@@ -312,9 +312,9 @@ def test_criterion_8_explainer_oracles(capsys):
     def linear(ids, coords, x):
         return 2.0 * x[:, 0] + 3.0 * x[:, 1]
 
-    inst = (0, np.zeros(2), np.array([1.0, 1.0]))
+    inst = RowBatch(ids=np.array([0]), coords=np.zeros((1, 2)), x=np.array([[1.0, 1.0]]))
     bg = RowBatch(ids=np.array([1]), coords=np.zeros((1, 2)), x=np.zeros((1, 2)))
-    phi = shapley_exact(coalition_values(linear, inst, bg, 3), 3)
+    phi = shapley_exact(_values(linear, inst, bg, 3)[0], 3)
     linear_gap = max(abs(phi[1] - 2.0), abs(phi[2] - 3.0), abs(phi[0]))
 
     def inter(ids, coords, x):

@@ -330,6 +330,32 @@ class TestTrainPredictExplainBench:
         assert err == f"geoagg: error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["config-file", "model-file"])
+    @pytest.mark.parametrize("heads, message", [
+        ({"n_heads": 0}, "n_heads must be at least 1, got 0"),
+        ({"n_heads": -4}, "n_heads must be at least 1, got -4"),
+        ({"d_model": 0}, "d_model must be at least 1, got 0"),
+        ({"d_model": 24, "n_heads": 4}, "head_dim=6 must be divisible by 4"),
+    ], ids=["zero-heads", "negative-heads", "zero-width", "head-width-6"])
+    def test_impossible_heads_are_runtime_errors(self, trained, capsys, source, heads, message):
+        """Each fails in one line as the model config is read, before any data."""
+        data, model, cfg, tmp_path = trained
+        if source == "config-file":
+            bad = write_config(tmp_path, {"model": {**SMALL_CONFIG["model"], **heads}})
+            out = tmp_path / "m.json"
+            argv = ["train", "--data", data, "--config", bad, "--model-out", out]
+        else:
+            doc = json.loads(model.read_text())
+            doc["model_config"].update(heads)
+            bad = tmp_path / "bad_model.json"
+            bad.write_text(json.dumps(doc))
+            out = tmp_path / "p.csv"
+            argv = ["predict", "--model", bad, "--data", data, "--out", out]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == f"geoagg: error: {message}\n"
+        assert not out.exists()
+
     def test_missing_model_file_is_runtime_error(self, tmp_path, capsys):
         code = run("predict", "--model", tmp_path / "absent.json",
                    "--data", tmp_path / "absent.csv", "--out", tmp_path / "o.csv")

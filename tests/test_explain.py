@@ -8,13 +8,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from geoagg import explain
+from geoagg import explain, pipeline
 from geoagg.autodiff import ContractError
 from geoagg.datasets import generate_gwr, gwr_beta1, gwr_beta2
 from geoagg.explain import (
     GEO_PLAYER,
     RowBatch,
-    coalition_values,
     geoshapley_explain,
     interaction_index,
     local_coefficients,
@@ -25,13 +24,21 @@ from geoagg.explain import (
 from geoagg.kdtree import KdTree
 from geoagg.model import ModelConfig, forward_batch
 from geoagg.pipeline import TrainConfig, predict_ensemble, split_dataset, train
-from geoagg.spatial import ContextPool, QueryPool, SequenceLookupError, sequences
+from geoagg.spatial import (ContextPool, QueryPool, SequenceLookupError, neighbor_budget,
+                            sequences)
 
 
 def rows(ids, coords, x):
     return RowBatch(ids=np.asarray(ids, dtype=np.int64),
                     coords=np.asarray(coords, dtype=np.float64),
                     x=np.asarray(x, dtype=np.float64))
+
+
+def coalition_values(predictor, instance_row, background, n_players):
+    """Every coalition's value for one instance row ``(id, coords, x)``."""
+    inst_id, inst_coords, inst_x = instance_row
+    instance = rows([inst_id], np.reshape(inst_coords, (1, 2)), np.reshape(inst_x, (1, -1)))
+    return explain._values(predictor, instance, background, n_players)[0]
 
 
 def linear_predictor(ids, coords, x):
@@ -73,7 +80,7 @@ class TestShapleyExact:
 
     def test_player_bound(self):
         with pytest.raises(ContractError, match="enumeration bound"):
-            shapley_exact(np.zeros(2), 21)
+            shapley_exact(np.zeros(2), 12)
 
     def test_wrong_value_count(self):
         with pytest.raises(ContractError, match="coalition values"):
@@ -345,6 +352,20 @@ def per_instance_reference(predictor, instances, background):
     return phi_geo, phi, phi_geo_x, phi0
 
 
+@pytest.fixture()
+def drawn(monkeypatch):
+    """The context rows the inference engine picks, one ``(members, rows,
+    l_max - 1)`` array per draw."""
+    draws = []
+
+    def recording(*args, _draw=pipeline.subset_indices):
+        draws.append(_draw(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(pipeline, "subset_indices", recording)
+    return draws
+
+
 class TestShapPredictorWrapper:
     def _fitted(self, epochs=0):
         ds = generate_gwr(100, 4)
@@ -353,37 +374,42 @@ class TestShapPredictorWrapper:
         tr, te = split_dataset(ds, 0.7, 0)
         return params, config, ContextPool(tr.points), te
 
-    def test_unperturbed_rows_match_single_member_prediction(self):
-        params, config, ctx, te = self._fitted()
-        queries = QueryPool(te.points)
-        predictor = make_shap_predictor(params, config, ctx, queries)
-        batch = RowBatch.from_records(te.points)
-        got = predictor(batch.ids, batch.coords, batch.x)
-        want = predict_ensemble(params, config, queries, ctx, 1, 1.0, 0).mean
-        np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+    @pytest.mark.parametrize("members, expansion, seed", [(1, 1.0, 0), (3, 1.5, 4), (8, 1.25, 9)])
+    def test_unperturbed_rows_match_the_ensemble_mean(self, members, expansion, seed):
+        """On the true query rows, in any order, the predictor gives the
+        bytes of ``predict_ensemble``'s mean: both run one engine."""
+        params, config, ctx, te = self._fitted(epochs=1)
+        queries = QueryPool(te)
+        predictor = make_shap_predictor(params, config, ctx, queries, members=members,
+                                        expansion=expansion, seed=seed)
+        batch = RowBatch.from_dataset(te)
+        want = predict_ensemble(params, config, queries, ctx, members, expansion, seed).mean
+        assert predictor(batch.ids, batch.coords, batch.x).tobytes() == want.tobytes()
+        backwards = predictor(batch.ids[::-1], batch.coords[::-1], batch.x[::-1])
+        assert backwards.tobytes() == want[::-1].tobytes()
 
-    def test_covariate_perturbation_keeps_neighbor_set(self):
+    def test_covariate_perturbation_keeps_neighbor_set(self, drawn):
         params, config, ctx, te = self._fitted()
-        predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points))
+        predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points),
+                                        members=2, expansion=1.5, seed=3)
         rec = te.points[0]
-        base_ids = predictor.neighbor_ids(rec.id)
         before = predictor(np.array([rec.id]), np.array([[rec.u, rec.v]]),
                            rec.x[None, :])
         after = predictor(np.array([rec.id]), np.array([[rec.u, rec.v]]),
                           rec.x[None, :] + 5.0)
-        assert predictor.neighbor_ids(rec.id) == base_ids
+        assert len(drawn) == 2 and np.array_equal(drawn[0], drawn[1])
         assert before[0] != after[0]
 
-    def test_coordinate_perturbation_changes_input_not_neighbors(self):
+    def test_coordinate_perturbation_changes_input_not_neighbors(self, drawn):
         params, config, ctx, te = self._fitted()
-        predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points))
+        predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points),
+                                        members=2, expansion=1.5, seed=3)
         rec = te.points[1]
-        base_ids = predictor.neighbor_ids(rec.id)
         moved = predictor(np.array([rec.id]), np.array([[rec.u + 0.4, rec.v - 0.3]]),
                           rec.x[None, :])
         stayed = predictor(np.array([rec.id]), np.array([[rec.u, rec.v]]),
                            rec.x[None, :])
-        assert predictor.neighbor_ids(rec.id) == base_ids
+        assert len(drawn) == 2 and np.array_equal(drawn[0], drawn[1])
         assert moved[0] != stayed[0]
 
     def test_background_ids_from_context_pool_are_accepted(self):
@@ -405,17 +431,24 @@ class TestShapPredictorWrapper:
         with pytest.raises(SequenceLookupError, match="99999"):
             predictor(np.array([99999]), np.zeros((1, 2)), np.zeros((1, 2)))
 
-    def test_memoised_context_rows_are_byte_identical_in_any_order(self):
+    def test_memoised_context_rows_are_byte_identical_in_any_order(self, drawn):
         params, config, ctx, te = self._fitted()
-        members = 3
+        members, expansion = 3, 1.5
         predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points),
-                                        members=members, expansion=1.5, seed=4)
+                                        members=members, expansion=expansion, seed=4)
         batch = RowBatch.from_records(list(te.points[:6]) + list(ctx.records[:4]))
         x = batch.x + 0.25  # perturbed covariates reach only the target rows
         n, p = batch.x.shape
+        got = predictor(batch.ids, batch.coords, x)
+        order = np.random.default_rng(0).permutation(n)
+        shuffled = predictor(batch.ids[order], batch.coords[order], x[order])
+        assert len(drawn) == 2 and np.array_equal(drawn[1], drawn[0][:, order])
 
-        # every sequence gathered afresh from its member's neighbour ids
+        # every sequence gathered afresh from its member's context ids, each
+        # among its own id's nearest neighbours
+        picked = ctx.ids[drawn[0]]
         by_id = {r.id: r for r in ctx.records}
+        k = neighbor_budget(config.l_max, expansion)
         want = np.zeros(n)
         for member in range(members):
             feats = np.zeros((n, config.l_max, p + 1))
@@ -423,18 +456,15 @@ class TestShapPredictorWrapper:
             feats[:, 0, :p] = x
             coords[:, 0] = batch.coords
             for i, pid in enumerate(batch.ids):
-                recs = [by_id[c] for c in predictor.neighbor_ids(int(pid), member)]
+                near = {c for c, _ in ctx.tree.knn(batch.coords[i], k)} - {pid}
+                assert set(picked[member, i]) <= near
+                recs = [by_id[c] for c in picked[member, i]]
                 feats[i, 1:] = [[*r.x, r.y] for r in recs]
                 coords[i, 1:] = [[r.u, r.v] for r in recs]
             want += forward_batch(feats, coords, params, config)
         want /= members
-
-        order = np.random.default_rng(0).permutation(n)
-        shuffled = predictor(batch.ids[order], batch.coords[order], x[order])
-        got = predictor(batch.ids, batch.coords, x)
         assert got.tobytes() == want.tobytes()
-        np.testing.assert_allclose(shuffled, want[order], atol=1e-12, rtol=0)
-
+        assert shuffled.tobytes() == want[order].tobytes()
 
     def test_distinct_rows_explain_byte_equal_to_full_tables(self):
         params, config, ctx, te = self._fitted(epochs=2)
@@ -449,7 +479,7 @@ class TestShapPredictorWrapper:
         assert res.phi_geo_x.tobytes() == phi_geo_x.tobytes()
         assert np.float64(res.phi0).tobytes() == np.float64(phi0).tobytes()
 
-    def test_calls_leave_the_predictor_unchanged_and_never_use_knn(self, monkeypatch):
+    def test_calls_leave_the_predictor_unchanged_and_never_use_knn(self, monkeypatch, drawn):
         params, config, ctx, te = self._fitted()
         predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points),
                                         members=2, expansion=1.5, seed=3)
@@ -462,12 +492,11 @@ class TestShapPredictorWrapper:
         # query ids read the cache; context ids (background rows) are searched
         batch = RowBatch.from_records(list(te.points[:5]) + list(ctx.records[:5]))
         first = predictor(batch.ids, batch.coords, batch.x)
-        neighbours = predictor.neighbor_ids(int(ctx.ids[0]), member=1)
         second = predictor(batch.ids, batch.coords, batch.x)
         assert vars(predictor).keys() == before.keys()
         assert all(vars(predictor)[key] is value for key, value in before.items())
         assert first.tobytes() == second.tobytes()
-        assert predictor.neighbor_ids(int(ctx.ids[0]), member=1) == neighbours
+        assert len(drawn) == 2 and np.array_equal(drawn[0], drawn[1])
 
     def test_concurrent_calls_match_serial_calls(self):
         params, config, ctx, te = self._fitted()
@@ -501,10 +530,10 @@ class TestShapPredictorWrapper:
         sizes = []
 
         def recording(context, x, coords, picks):
-            sizes.append(len(picks))
+            sizes.append(picks[..., 0].size)
             return sequences(context, x, coords, picks)
 
-        monkeypatch.setattr(explain, "sequences", recording)
+        monkeypatch.setattr(pipeline, "sequences", recording)
         pool = RowBatch.from_records(list(te.points) + list(ctx.records))
         rng = np.random.default_rng(1)
         take = rng.integers(len(pool), size=1000)
@@ -513,9 +542,8 @@ class TestShapPredictorWrapper:
         assert max(sizes) <= 256
         assert sum(sizes) == 2 * 1000
         tail = slice(990, 1000)
-        np.testing.assert_allclose(
-            got[tail], predictor(pool.ids[take][tail], coords[tail], pool.x[take][tail]),
-            atol=1e-12, rtol=0)
+        alone = predictor(pool.ids[take][tail], coords[tail], pool.x[take][tail])
+        assert got[tail].tobytes() == alone.tobytes()
 
 
 class TestExplanationsCsv:

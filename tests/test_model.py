@@ -519,8 +519,21 @@ class TestConfigValidation:
             ModelConfig(d_model=30, n_heads=4)
 
     def test_head_dim_must_be_even(self):
-        with pytest.raises(ContractError, match="even"):
+        with pytest.raises(ContractError, match="^head_dim=3 must be divisible by 4$"):
             ModelConfig(d_model=12, n_heads=4)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_heads": 0}, "n_heads must be at least 1, got 0"),
+        ({"n_heads": -4}, "n_heads must be at least 1, got -4"),
+        ({"d_model": 0}, "d_model must be at least 1, got 0"),
+        ({"d_model": -32}, "d_model must be at least 1, got -32"),
+        ({"d_model": 24, "n_heads": 4}, "head_dim=6 must be divisible by 4"),
+    ])
+    def test_impossible_heads_are_rejected_up_front(self, fields, message):
+        """Checked before the head width is computed, and as strictly as the
+        rotary encoding reads it."""
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            ModelConfig(**fields)
 
     def test_lambda_init_positive(self):
         with pytest.raises(ContractError):
@@ -550,7 +563,7 @@ def saved_models(draw):
     optional train-config dict."""
     n_heads = draw(st.sampled_from([1, 2, 4]))
     config = ModelConfig(
-        d_model=n_heads * draw(st.sampled_from([2, 4])),
+        d_model=n_heads * draw(st.sampled_from([4, 8])),
         n_heads=n_heads,
         n_inducing=draw(st.integers(1, 3)),
         l_max=draw(st.integers(2, 16)),

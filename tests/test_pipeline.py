@@ -34,6 +34,7 @@ from geoagg.spatial import (
     ContextPool,
     PointRecord,
     QueryPool,
+    context_keys,
     neighbor_budget,
     precompute_neighbors,
     subset_indices,
@@ -141,8 +142,9 @@ class TestTrain:
                 chunk = order[start:start + tc.batch]
                 seqs = []
                 for row in chunk:
-                    entry = cache.entry(context.ids[row])
-                    picked = subset_indices(entry[None], [row], config.l_max, rng)[0]
+                    entry = cache.entries([context.ids[row]])[0]
+                    picked = subset_indices(entry[None], [row], config.l_max,
+                                            rng.random((1, len(entry))))[0]
                     seqs.append((
                         np.vstack([np.append(context.x[row], 0.0), context.feats[picked]]),
                         np.vstack([context.coords[row], context.coords[picked]]),
@@ -205,6 +207,26 @@ class TestPredictEnsemble:
         params, config, ctx, q = self._fitted()
         pred = predict_ensemble(params, config, q, ctx, 6, 1.5, 3)
         assert pred.std.max() > 0
+
+    @pytest.mark.parametrize("members", [1, 8])
+    def test_any_subset_or_permutation_predicts_the_same_bytes(self, members):
+        """A query's mean and std are a function of its own row and the seed:
+        predicted alone, in a slice, or in any order, the ids predict the
+        bytes they predict inside the whole split."""
+        ds = generate_gwr(625, 3)
+        config = tiny_config(l_max=16)
+        params, _ = train(ds, config, TrainConfig(epochs=1, seed=0))
+        tr, te = split_dataset(ds, 0.7, 0)
+        ctx = ContextPool(tr)
+        whole = predict_ensemble(params, config, QueryPool(te), ctx, members, 1.25, 7)
+        rng = np.random.default_rng(1)
+        picks = [np.arange(5, 16), np.array([17]), rng.permutation(te.n),
+                 rng.choice(te.n, 40, replace=False), np.arange(te.n)[::-1][:70]]
+        for rows in picks:
+            part = predict_ensemble(params, config, QueryPool(te.take(rows)), ctx,
+                                    members, 1.25, 7)
+            assert part.mean.tobytes() == whole.mean[rows].tobytes()
+            assert part.std.tobytes() == whole.std[rows].tobytes()
 
     def test_member_streams_differ_across_neighbouring_seeds(self):
         """Member 1 at seed s and member 0 at seed s + 1 draw distinct contexts."""
@@ -287,18 +309,18 @@ def per_query_reference(params, config, queries, context, members, expansion, se
     """Member outputs with one ``forward_batch`` of ``members`` rows per query."""
     l_max = config.l_max
     cache = precompute_neighbors(queries, context, neighbor_budget(l_max, expansion))
-    rngs = [np.random.default_rng([seed, member]) for member in range(members)]
     out = np.empty((members, len(queries)))
     for qi, qid in enumerate(queries.ids.tolist()):
-        rows = cache.entry(qid)
+        rows = cache.entries([qid])[0]
         target = context.row_of.get(qid, -1)
+        keys = context_keys(seed, members, [qid], len(rows))
         feats = np.empty((members, l_max, context.feats.shape[1]))
         coords = np.empty((members, l_max, 2))
         feats[:, 0, :-1] = queries.x[qi]
         feats[:, 0, -1] = 0.0
         coords[:, 0] = queries.coords[qi]
         for member in range(members):
-            picked = subset_indices(rows[None], [target], l_max, rngs[member])[0]
+            picked = subset_indices(rows[None], [target], l_max, keys[member])[0]
             feats[member, 1:] = context.feats[picked]
             coords[member, 1:] = context.coords[picked]
         out[:, qi] = forward_batch(feats, coords, params, config)
@@ -354,25 +376,25 @@ class TestBenchmark:
 
 class TestDrawCounts:
     """Context rows are drawn a batch at a time: one ``subset_indices`` call
-    per training minibatch and per (member, chunk of queries)."""
+    per training minibatch and per chunk of queries, for all members."""
 
     @pytest.fixture()
     def draws(self, monkeypatch):
-        sizes = []
+        shapes = []
         for owner in (spatial, pipeline):
             def counted(rows, *args, _draw=owner.subset_indices):
-                sizes.append(len(rows))
+                shapes.append(rows.shape[:-1])
                 return _draw(rows, *args)
             monkeypatch.setattr(owner, "subset_indices", counted)
-        return sizes
+        return shapes
 
     def test_one_draw_per_minibatch(self, draws):
         ds = tiny_dataset(70)
         train(ds, tiny_config(), TrainConfig(epochs=2, seed=0, batch=16))
-        assert draws == [16, 16, 16, 16, 6] * 2
+        assert draws == [(16,), (16,), (16,), (16,), (6,)] * 2
 
     @pytest.mark.parametrize("mode", ["precomputed", "on_the_fly"])
-    def test_one_draw_per_member_and_chunk(self, draws, mode):
+    def test_one_draw_per_chunk(self, draws, mode):
         ds = tiny_dataset(400, seed=6)
         config = tiny_config()
         params, _ = train(ds, config, TrainConfig(epochs=0, seed=6))
@@ -382,8 +404,9 @@ class TestDrawCounts:
         per_chunk = _CHUNK_ROWS // members
         ctx.tree.reset_query_count()
         _member_predictions(params, config, q, ctx, members, 1.25, 0, cache_mode=mode)
-        assert len(draws) == members * math.ceil(len(q) / per_chunk) == 6
-        assert sum(draws) == members * len(q)
+        assert len(draws) == math.ceil(len(q) / per_chunk) == 2
+        assert [shape[0] for shape in draws] == [members] * 2
+        assert sum(shape[1] for shape in draws) == len(q)
         # the naive mode still searches the tree once per (member, query)
         assert ctx.tree.query_count == (members * len(q) if mode == "on_the_fly" else len(q))
 

@@ -17,6 +17,7 @@ from geoagg.spatial import (
     SequenceLookupError,
     assemble_sequence,
     build_tree,
+    context_keys,
     neighbor_budget,
     precompute_neighbors,
     subset_indices,
@@ -370,9 +371,10 @@ class TestAssembleSequence:
         l_max = 8
         probe = PointRecord(777, 0.5, 0.5, np.zeros(2), None)
         cache = precompute_neighbors(QueryPool([probe]), context, l_max)
-        entry = cache.entry(777)
+        entry = cache.entries([777])[0]
         target = context.row_of.get(777, -1)
-        a, b = (subset_indices(entry[None], [target], l_max, np.random.default_rng(seed))[0]
+        a, b = (subset_indices(entry[None], [target], l_max,
+                               np.random.default_rng(seed).random((1, l_max)))[0]
                 for seed in (1, 2))
         assert seq_ids((context.feats[a], context.coords[a]), recs) == \
             seq_ids((context.feats[b], context.coords[b]), recs)
@@ -502,7 +504,7 @@ class TestSubsetIndices:
     def test_picks_distinct_ascending_rows_never_the_dropped_slot(self, data, seed):
         rows, targets, slots, l_max = draw_case(data)
         n, k = rows.shape
-        picks = subset_indices(rows, targets, l_max, np.random.default_rng(seed))
+        picks = subset_indices(rows, targets, l_max, np.random.default_rng(seed).random((n, k)))
         assert picks.shape == (n, l_max - 1)
         for i in range(n):
             positions = [rows[i].tolist().index(row) for row in picks[i]]
@@ -512,12 +514,17 @@ class TestSubsetIndices:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_one_call_equals_one_row_calls_in_turn(self, data, seed):
+        """A batch, with or without a leading (member) axis, picks what each
+        entry picks alone from its own keys."""
         rows, targets, _, l_max = draw_case(data)
-        batched = subset_indices(rows, targets, l_max, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        for i in range(len(rows)):
-            assert np.array_equal(batched[i],
-                                  subset_indices(rows[i:i + 1], targets[i:i + 1], l_max, rng)[0])
+        keys = np.random.default_rng(seed).random((3,) + rows.shape)
+        stacked = subset_indices(np.broadcast_to(rows, keys.shape), targets, l_max, keys)
+        for m in range(3):
+            batched = subset_indices(rows, targets, l_max, keys[m])
+            assert np.array_equal(stacked[m], batched)
+            for i in range(len(rows)):
+                one = subset_indices(rows[i:i + 1], targets[i:i + 1], l_max, keys[m, i:i + 1])
+                assert np.array_equal(batched[i], one[0])
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2,
@@ -525,9 +532,11 @@ class TestSubsetIndices:
     def test_no_surplus_ignores_the_stream(self, data, seeds):
         rows, targets, _, _ = draw_case(data)
         l_max = rows.shape[1]
-        a, b = (subset_indices(rows, targets, l_max, np.random.default_rng(seed))
+        a, b = (subset_indices(rows, targets, l_max,
+                               np.random.default_rng(seed).random(rows.shape))
                 for seed in seeds)
         assert np.array_equal(a, b)
+        assert np.array_equal(a, subset_indices(rows, targets, l_max))
 
     @pytest.mark.parametrize("target_slot", [-1, 5])
     def test_each_candidate_is_picked_at_the_uniform_rate(self, target_slot):
@@ -537,7 +546,7 @@ class TestSubsetIndices:
         n, k, l_max = 10_000, 80, 64
         rows = np.tile(np.arange(k), (n, 1))
         targets = np.full(n, target_slot)
-        picks = subset_indices(rows, targets, l_max, np.random.default_rng(7))
+        picks = subset_indices(rows, targets, l_max, np.random.default_rng(7).random((n, k)))
         rate = np.bincount(picks.ravel(), minlength=k) / n
         dropped = target_slot if target_slot >= 0 else k - 1
         assert rate[dropped] == 0.0
@@ -546,4 +555,44 @@ class TestSubsetIndices:
     def test_short_entries_are_rejected(self):
         with pytest.raises(ContractError,
                            match="cache entries hold 7 neighbors, need at least l_max=8"):
-            subset_indices(np.arange(7)[None], [-1], 8, np.random.default_rng(0))
+            subset_indices(np.arange(7)[None], [-1], 8, np.zeros((1, 7)))
+
+
+class TestContextKeys:
+    def test_a_key_depends_on_its_own_words_alone(self):
+        """Each (member, id) row of keys is the same computed in any batch,
+        alone or in any order, and is unit-interval floats."""
+        ids = np.array([5, -3, 2**62, 0, 5, -(2**63)])
+        keys = context_keys(11, 4, ids, 9)
+        assert keys.shape == (4, 6, 9)
+        assert ((keys >= 0.0) & (keys < 1.0)).all()
+        np.testing.assert_array_equal(keys[:, 0], keys[:, 4])
+        order = np.random.default_rng(0).permutation(len(ids))
+        np.testing.assert_array_equal(context_keys(11, 4, ids[order], 9), keys[:, order])
+        for i, pid in enumerate(ids):
+            np.testing.assert_array_equal(context_keys(11, 4, [pid], 9)[:, 0], keys[:, i])
+        assert context_keys(11, 4, np.array([], dtype=np.int64), 9).shape == (4, 0, 9)
+
+    def test_every_word_moves_the_keys(self):
+        keys = context_keys(11, 2, [5, 6], 9)
+        assert len({row.tobytes() for row in keys.reshape(-1, 9)}) == 4
+        # neighbouring seeds do not share members' streams
+        assert not np.array_equal(context_keys(100, 2, [5], 9)[1], context_keys(101, 1, [5], 9)[0])
+        assert len(np.unique(keys)) == keys.size
+
+    @pytest.mark.parametrize("target_slot", [-1, 5])
+    def test_each_slot_is_picked_at_the_uniform_rate(self, target_slot):
+        """The default cache shape, 63 of 79 candidates per draw, over 2
+        members of 2,000 ids: every candidate slot's pick rate lies within 4
+        binomial standard deviations of 63/79, and the dropped slot's is 0."""
+        members, n, k, l_max = 2, 2000, 80, 64
+        rows = np.broadcast_to(np.arange(k), (members, n, k))
+        keys = context_keys(3, members, np.arange(n) * 7 - 5000, k)
+        picks = subset_indices(rows, np.full(n, target_slot), l_max, keys)
+        draws = members * n
+        rate = np.bincount(picks.ravel(), minlength=k) / draws
+        dropped = target_slot if target_slot >= 0 else k - 1
+        assert rate[dropped] == 0.0
+        p = (l_max - 1) / (k - 1)
+        band = 4 * np.sqrt(p * (1 - p) / draws)
+        assert np.abs(np.delete(rate, dropped) - p).max() <= band
