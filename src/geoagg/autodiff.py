@@ -50,7 +50,6 @@ __all__ = [
     "softplus",
     "softplus_inv",
     "tanh",
-    "sum_all",
     "mean_all",
     "rope2d",
     "multihead_attention",
@@ -248,10 +247,6 @@ def softplus_inv(y: float) -> float:
 
 def tanh(x: Var) -> Var:
     return x.tape.record("tanh", (x,), np.tanh(x.value))
-
-
-def sum_all(x: Var) -> Var:
-    return x.tape.record("sum_all", (x,), np.array([[x.value.sum()]]))
 
 
 def mean_all(x: Var) -> Var:
@@ -514,11 +509,6 @@ def _bwd_tanh(tape, op):
     _give(tape, op.inputs[0], tape.grads[op.output] * (1.0 - y * y))
 
 
-def _bwd_sum_all(tape, op):
-    x = tape.values[op.inputs[0]]
-    _give(tape, op.inputs[0], np.full(x.shape, tape.grads[op.output][0, 0]))
-
-
 def _bwd_mean_all(tape, op):
     x = tape.values[op.inputs[0]]
     _give(tape, op.inputs[0], np.full(x.shape, tape.grads[op.output][0, 0] / x.size))
@@ -576,7 +566,6 @@ _BACKWARD = {
     "slice_rows": _bwd_slice_rows,
     "softplus": _bwd_softplus,
     "tanh": _bwd_tanh,
-    "sum_all": _bwd_sum_all,
     "mean_all": _bwd_mean_all,
     "rope2d": _bwd_rope2d,
     "multihead_attention": _bwd_multihead_attention,

@@ -79,10 +79,23 @@ def load_config(path=None) -> dict:
     if not isinstance(user, dict):
         raise ContractError("config file must hold a JSON object")
     merged = _merge_strict(DEFAULT_CONFIG, user)
+    # sections are checked whichever command reads them, with the messages of
+    # the steps that would reject them; train and data wait for their seeds
+    model_cfg = ModelConfig(**merged["model"])
     for key in ("background", "instances"):
         if merged["explain"][key] < 1:
             raise ContractError(f"config key 'explain.{key}' must be at least 1, "
                                 f"got {merged['explain'][key]}")
+    if min(merged["predict"]["members"], merged["bench"]["members"]) < 1:
+        raise ContractError("need at least one ensemble member")
+    neighbor_budget(model_cfg.l_max, merged["predict"]["expansion"])
+    lengths = merged["bench"]["lengths"]
+    if not lengths:
+        raise ContractError("config key 'bench.lengths' must hold at least one length")
+    if lengths != sorted(lengths):
+        raise ContractError("lengths must be ascending")
+    for length in lengths:
+        replace(model_cfg, l_max=length)
     return merged
 
 
@@ -214,29 +227,20 @@ def _cmd_bench(args) -> int:
 def _cmd_reproduce(args) -> int:
     cfg = _settings(args, *DEFAULT_CONFIG)
     model_cfg, tc = ModelConfig(**cfg["model"]), TrainConfig(**cfg["train"])
-    # settings the predict and bench steps would reject fail now, with their messages
-    if min(cfg["predict"]["members"], cfg["bench"]["members"]) < 1:
-        raise ContractError("need at least one ensemble member")
-    neighbor_budget(model_cfg.l_max, cfg["predict"]["expansion"])
-    lengths = cfg["bench"]["lengths"]
-    if not lengths:
-        raise ContractError("config key 'bench.lengths' must hold at least one length")
-    if lengths != sorted(lengths):
-        raise ContractError("lengths must be ascending")
-    for length in lengths:
-        replace(model_cfg, l_max=length)
+    # the generators judge data.n before the split sizes below are read from it
+    data = cfg["data"]
+    runs = {"gwr": generate_gwr(data["n"], data["gwr_seed"]),
+            "sl": generate_sl(data["n"], data["sl_seed"], data["rho"])}
     # the train split is the context pool of every step
-    n_context = int(round(tc.split * cfg["data"]["n"]))
+    n_context = int(round(tc.split * data["n"]))
     if n_context < model_cfg.l_max:
         raise ContractError(f"dataset has {n_context} points, need at least "
                             f"l_max={model_cfg.l_max}")
+    lengths = cfg["bench"]["lengths"]
     if n_context < lengths[-1]:
         raise ContractError(f"only {n_context} context points available, need {lengths[-1]}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    data = cfg["data"]
-    runs = {"gwr": generate_gwr(data["n"], data["gwr_seed"]),
-            "sl": generate_sl(data["n"], data["sl_seed"], data["rho"])}
     for tag, ds in runs.items():
         data_path, model_path = outdir / f"{tag}_r.csv", outdir / f"model_{tag}.json"
         save_csv(ds, data_path)

@@ -18,19 +18,23 @@ A coalition's value is a mean of model outputs over the background rows, so
 the coalition rows of a block are gathered into one table and each distinct
 row is predicted once, in one predictor call per block: the full coalition
 is the instance itself, and the empty coalition is the same background rows
-for every instance.  A block holds whole instances while one instance's
-coalitions fit in ``_BLOCK_ROWS`` rows, and otherwise a group of one
-instance's coalitions.
+for every instance.  The (instance, coalition) pairs are cut, in order, into
+blocks of ``_BLOCK_ROWS // n_bg`` pairs (at least one), so a block may split
+one instance's coalitions or span several instances.
 
 Cost.  Explaining ``n`` instances with ``p`` covariates over ``n_bg``
 background rows builds ``n * 2**(p+1) * n_bg`` coalition rows, and the
 predictor sees nearly all of them: only the full coalition (one row repeated
 ``n_bg`` times) and the empty one (the same rows for every instance of a
-block) repeat.  So time doubles with each covariate, and the Shapley sums
-add ``O(n * p * 2**(p+1))`` arithmetic.  A block holds at most
-``max(_BLOCK_ROWS, n_bg)`` rows of ``3 + p`` int64 columns, so the memory
-the explainer itself uses is bounded by one block and its deduplication at
-any ``n`` and ``p``; the predictor's memory for a block comes on top.
+block) repeat.  So time doubles with each covariate.  Each part of the
+decomposition is a fixed linear combination of an instance's coalition
+values, so the solve is numpy arithmetic over the whole ``(n, 2**(p+1))``
+value table, with no interpreter loop per coalition, player or instance:
+``O(n * p * 2**(p+1))`` multiply-adds, holding at most
+``n * (p + 1) * 2**(p+1)`` float64 products at once.  A block holds at most
+``max(_BLOCK_ROWS, n_bg)`` rows of ``3 + p`` int64 columns, so the memory of
+coalition evaluation is bounded by one block and its deduplication at any
+``n`` and ``p``; the predictor's memory for a block comes on top.
 
 For attention models whose input sequences come from neighbour lookups, the
 :func:`make_shap_predictor` wrapper keys every row by its original point id
@@ -39,7 +43,6 @@ For attention models whose input sequences come from neighbour lookups, the
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -125,58 +128,69 @@ def _check_player_count(n_players: int) -> None:
                             f"background rows predict n * 2**(p+1) * n_bg coalition rows")
 
 
+def _present(n_players: int) -> np.ndarray:
+    """``(2**n_players, n_players)``: 1 where coalition ``mask`` holds player a."""
+    return np.arange(2 ** n_players)[:, None] >> np.arange(n_players) & 1
+
+
+def _apply(values, n_players: int, columns: np.ndarray) -> np.ndarray:
+    """Weight ``columns`` ``(c, 2**n_players)`` applied to the last axis of ``values``.
+
+    Each product is summed along the contiguous coalition axis, which numpy
+    adds in one order per row whatever rows or columns share the call; a
+    BLAS product, or a sum over a strided axis, would not.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[-1] != 2 ** n_players:
+        raise ContractError(
+            f"expected {2 ** n_players} coalition values, got {values.shape[-1]}"
+        )
+    return (values[..., None, :] * columns).sum(axis=-1)
+
+
 def shapley_exact(values: np.ndarray, n_players: int) -> np.ndarray:
     """Classic Shapley values from all ``2**n_players`` coalition values.
 
-    ``values[mask]`` is the coalition value for the bitmask ``mask`` (bit a set
-    means player a present).  phi_a is the factorial-weighted sum of marginal
-    contributions over all coalitions not containing a.
+    ``values[..., mask]`` is the coalition value for the bitmask ``mask``
+    (bit a set means player a present); leading axes are a batch of games.
+    phi_a is the factorial-weighted sum of marginal contributions over all
+    coalitions S not containing a: ``v(S+{a})`` gets ``+w(|S|)`` and
+    ``v(S)`` gets ``-w(|S|)``, one linear map over the coalition values.
     """
     _check_player_count(n_players)
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if values.size != 2 ** n_players:
-        raise ContractError(
-            f"expected {2 ** n_players} coalition values, got {values.size}"
-        )
     fact = [math.factorial(i) for i in range(n_players + 1)]
-    denom = fact[n_players]
-    weights = [fact[s] * fact[n_players - s - 1] / denom for s in range(n_players)]
-
-    phi = np.zeros(n_players)
-    for mask in range(2 ** n_players):
-        size = bin(mask).count("1")
-        for a in range(n_players):
-            if not mask & (1 << a):
-                phi[a] += weights[size] * (values[mask | (1 << a)] - values[mask])
-    return phi
+    weight = np.array([fact[s] * fact[n_players - s - 1] / fact[n_players]
+                       for s in range(n_players)])
+    present = _present(n_players)
+    # |S| is the coalition's size without player a
+    size = present.sum(axis=1, keepdims=True) - present
+    return _apply(values, n_players, (np.where(present, 1.0, -1.0) * weight[size]).T)
 
 
-def interaction_index(values: np.ndarray, n_players: int, a: int, b: int) -> float:
-    """Shapley interaction index between players ``a`` and ``b``.
+def interaction_index(values: np.ndarray, n_players: int, a: int, b) -> np.ndarray:
+    """Shapley interaction index between player ``a`` and player ``b``.
 
     The coalition-weighted mixed difference
-    ``v(S+{a,b}) - v(S+{a}) - v(S+{b}) + v(S)`` over all S excluding a and b.
+    ``v(S+{a,b}) - v(S+{a}) - v(S+{b}) + v(S)`` over all S excluding a and b,
+    one linear map over the coalition values.  Leading axes of ``values``
+    are a batch of games; ``b`` may be an array of players, which adds its
+    shape to the result's.
     """
     _check_player_count(n_players)
-    if a == b:
+    b = np.asarray(b)
+    if np.any(b == a):
         raise ContractError("interaction index needs two distinct players")
-    values = np.asarray(values, dtype=np.float64).ravel()
+    if not (0 <= a < n_players and np.all((0 <= b) & (b < n_players))):
+        raise ContractError(f"players must lie in [0, {n_players})")
     fact = [math.factorial(i) for i in range(n_players)]
-    denom = fact[n_players - 1]
-    others = [i for i in range(n_players) if i not in (a, b)]
-    total = 0.0
-    for r in range(len(others) + 1):
-        weight = fact[r] * fact[n_players - r - 2] / denom
-        for combo in itertools.combinations(others, r):
-            mask = sum(1 << i for i in combo)
-            mixed = (
-                values[mask | (1 << a) | (1 << b)]
-                - values[mask | (1 << a)]
-                - values[mask | (1 << b)]
-                + values[mask]
-            )
-            total += weight * mixed
-    return total
+    weight = np.array([fact[s] * fact[n_players - s - 2] / fact[n_players - 1]
+                       for s in range(n_players - 1)])
+    present = _present(n_players)
+    in_a, in_b = present[:, [a]], present[:, b.ravel()]
+    # |S| leaves out a and b; the sign is + where both or neither are present
+    size = present.sum(axis=1, keepdims=True) - in_a - in_b
+    sii = _apply(values, n_players, (np.where(in_a == in_b, 1.0, -1.0) * weight[size]).T)
+    return sii.reshape(sii.shape[:-1] + b.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -184,64 +198,48 @@ def interaction_index(values: np.ndarray, n_players: int, a: int, b: int) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _coalition_rows(instances: RowBatch, background: RowBatch, masks: np.ndarray):
-    """Every instance's rows over the background for the coalitions ``masks``,
-    as one int64 table.
-
-    The table is ``(n, len(masks), n_bg, 3 + p)``; a row holds the point
-    id, then u, v and the covariates with their float64 bits read as int64,
-    so equal rows are equal bytes.  Coalition ``mask`` takes player a's
-    columns from the instance where bit a is set, and from the background
-    row otherwise.  The location player owns the id, u and v columns, so ids
-    always match the row whose location is used.
-    """
-    p = background.x.shape[1]
-    # present[i, a]: player a is in the coalition ``masks[i]``
-    present = (masks[:, None] >> np.arange(p + 1)) & 1 == 1
-    owner = np.concatenate([[GEO_PLAYER] * 3, np.arange(1, p + 1)])
-
-    def columns(rows: RowBatch) -> np.ndarray:
-        return np.column_stack([np.asarray(rows.ids, dtype=np.int64),
-                                np.asarray(rows.coords, dtype=np.float64).view(np.int64),
-                                np.asarray(rows.x, dtype=np.float64).view(np.int64)])
-
-    return np.where(present[:, None, owner], columns(instances)[:, None, None],
-                    columns(background))
+def _columns(rows: RowBatch) -> np.ndarray:
+    """Rows as int64 columns: the point id, then u, v and the covariates with
+    their float64 bits read as int64, so equal rows are equal bytes."""
+    return np.column_stack([np.asarray(rows.ids, dtype=np.int64),
+                            np.asarray(rows.coords, dtype=np.float64).view(np.int64),
+                            np.asarray(rows.x, dtype=np.float64).view(np.int64)])
 
 
 def _values(predictor, instances: RowBatch, background: RowBatch,
             n_players: int) -> np.ndarray:
     """``(n, 2**n_players)`` coalition values of every instance.
 
-    ``values[i, mask]`` is the mean prediction over the background rows of
-    instance i's coalition ``mask``.  A value is a mean of model outputs, so
-    a row that recurs (the instance itself in the full coalition, the
-    background rows in every instance's empty one) is predicted once per
-    block, and the predictor sees each block's distinct ``(id, u, v, x)``
-    rows, by exact bytes, once, in one call.  A block is as many instances
-    as fit in ``_BLOCK_ROWS`` coalition rows, or, where one instance does
-    not fit, a group of its coalitions that does (at least one coalition).
+    ``values[i, mask]`` is the mean prediction over the background rows,
+    each with player a's columns taken from instance i where bit a of
+    ``mask`` is set; the location player owns the id, u and v columns, so
+    ids always match the row whose location is used.  Each flat block of
+    (instance, coalition) pairs makes one predictor call on its distinct
+    ``(id, u, v, x)`` rows, by exact bytes: a row that recurs (the instance
+    itself in the full coalition, the background rows in every instance's
+    empty one) is predicted once per block.
     """
     if len(background) == 0:
         raise ContractError("background must not be empty")
-    n_masks = 2 ** n_players
+    n_masks, n_bg = 2 ** n_players, len(background)
     values = np.empty((len(instances), n_masks))
-    group = min(n_masks, max(1, _BLOCK_ROWS // len(background)))
-    step = max(1, _BLOCK_ROWS // (group * len(background)))
-    for start in range(0, len(instances), step):
-        block = slice(start, start + step)
-        batch = RowBatch(instances.ids[block], instances.coords[block], instances.x[block])
-        for lo in range(0, n_masks, group):
-            masks = slice(lo, lo + group)
-            table = _coalition_rows(batch, background, np.arange(n_masks)[masks])
-            rows = np.ascontiguousarray(table.reshape(-1, table.shape[-1]))
-            keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            distinct = rows[first]
-            preds = predictor(distinct[:, 0], distinct[:, 1:3].view(np.float64),
-                              distinct[:, 3:].view(np.float64))
-            values[block, masks] = np.asarray(
-                preds, dtype=np.float64)[inverse].reshape(table.shape[:3]).mean(axis=2)
+    owner = np.concatenate([[GEO_PLAYER] * 3, np.arange(1, n_players)])
+    # takes[mask, c]: coalition ``mask`` takes column c from the instance
+    takes = _present(n_players)[:, owner] == 1
+    inst, bg = _columns(instances), _columns(background)
+    flat = values.reshape(-1)
+    step = max(1, _BLOCK_ROWS // n_bg)
+    for start in range(0, flat.size, step):
+        pairs = np.arange(start, min(start + step, flat.size))
+        table = np.where(takes[pairs % n_masks, None], inst[pairs // n_masks, None], bg)
+        rows = table.reshape(-1, table.shape[-1])
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        distinct = rows[first]
+        preds = predictor(distinct[:, 0], distinct[:, 1:3].view(np.float64),
+                          distinct[:, 3:].view(np.float64))
+        flat[start:start + step] = np.asarray(
+            preds, dtype=np.float64)[inverse].reshape(len(pairs), n_bg).mean(axis=1)
     return values
 
 
@@ -298,8 +296,8 @@ class ShapPredictor:
         entries[cached] = cache.entries(distinct[cached].tolist())
         # rows substituted from the background carry context-pool ids
         entries[~cached] = context.tree.search(context.coords[targets[~cached]], cache.k)[0]
-        return member_outputs(self.params, self.config, context, entries[slot], targets[slot],
-                              ids, x, coords, self.members, self.seed).mean(axis=0)
+        return member_outputs(self.params, self.config, context, entries, targets, ids, x,
+                              coords, self.members, self.seed, index=slot).mean(axis=0)
 
 
 def make_shap_predictor(params: ModelParams, config: ModelConfig,
@@ -320,9 +318,10 @@ def geoshapley_explain(predictor, instances: RowBatch,
     """Exact location-aware Shapley decomposition for every instance row.
 
     Instances' coalitions are evaluated a block at a time: the predictor is
-    called once per block, on the block's distinct rows.  See the module
-    docstring for the cost: ``n * 2**(p+1) * n_bg`` coalition rows, in blocks
-    of at most ``max(_BLOCK_ROWS, n_bg)`` rows.
+    called once per block, on the block's distinct rows.  Then one
+    :func:`shapley_exact` and one :func:`interaction_index` call solve every
+    instance.  See the module docstring for the cost: ``n * 2**(p+1) * n_bg``
+    coalition rows, in blocks of at most ``max(_BLOCK_ROWS, n_bg)`` rows.
     """
     if instances.x.shape[1] != background.x.shape[1]:
         raise ContractError("instances and background must share the covariate schema")
@@ -330,23 +329,14 @@ def geoshapley_explain(predictor, instances: RowBatch,
     n_players = p + 1
     _check_player_count(n_players)
 
-    n = len(instances)
-    all_values = _values(predictor, instances, background, n_players)
-    phi_geo = np.zeros(n)
-    phi = np.zeros((n, p))
-    phi_geo_x = np.zeros((n, p))
-    for i, values in enumerate(all_values):
-        raw = shapley_exact(values, n_players)
-        sii = np.array([
-            interaction_index(values, n_players, GEO_PLAYER, j + 1) for j in range(p)
-        ])
-        phi_geo_x[i] = sii
-        phi[i] = raw[1:] - sii / 2.0
-        phi_geo[i] = raw[GEO_PLAYER] - sii.sum() / 2.0
+    values = _values(predictor, instances, background, n_players)
+    raw = shapley_exact(values, n_players)
+    sii = interaction_index(values, n_players, GEO_PLAYER, np.arange(1, n_players))
     # the empty coalition is the same background rows for every instance
-    phi0 = float(all_values[0, 0]) if n else 0.0
+    phi0 = float(values[0, 0]) if len(values) else 0.0
     return GeoShapleyResult(ids=instances.ids.copy(), phi0=phi0,
-                            phi_geo=phi_geo, phi=phi, phi_geo_x=phi_geo_x)
+                            phi_geo=raw[:, GEO_PLAYER] - sii.sum(axis=1) / 2.0,
+                            phi=raw[:, 1:] - sii / 2.0, phi_geo_x=sii)
 
 
 def local_coefficients(result: GeoShapleyResult, instances: RowBatch,

@@ -191,17 +191,20 @@ def _minibatch_step(params: ModelParams, config: ModelConfig, batch, targets,
 
 def member_outputs(params: ModelParams, config: ModelConfig, context: ContextPool,
                    entries: np.ndarray, targets, ids, x, coords,
-                   members: int, seed: int) -> np.ndarray:
+                   members: int, seed: int, index=None) -> np.ndarray:
     """``(members, n)`` outputs for n target rows: the inference engine of
     :func:`predict_ensemble` and the explainer's predictor.
 
     Per row: ``entries`` ``(n, k)`` (or ``(members, n, k)``) its neighbour
     rows, nearest first, ``targets`` its own context row (-1 if none),
-    ``ids`` its point id, ``x`` and ``coords`` its target row.  Each chunk of
-    rows takes one :func:`context_keys` block, one :func:`subset_indices`
-    call and one :func:`forward_batch` of at most ``_CHUNK_ROWS`` sequences.
-    The member axis is the contiguous one, so a mean over members adds a
-    row's outputs in one order whatever rows share the call.
+    ``ids`` its point id, ``x`` and ``coords`` its target row.  Rows that
+    share a point may share its ``entries`` and ``targets`` row instead:
+    then ``index`` ``(n,)`` gives each row's position in them, and each
+    chunk gathers its own.  Each chunk of rows takes one
+    :func:`context_keys` block, one :func:`subset_indices` call and one
+    :func:`forward_batch` of at most ``_CHUNK_ROWS`` sequences.  The member
+    axis is the contiguous one, so a mean over members adds a row's outputs
+    in one order whatever rows share the call.
     """
     l_max, k = config.l_max, entries.shape[-1]
     entries = np.broadcast_to(entries, (members,) + entries.shape[-2:])
@@ -209,8 +212,9 @@ def member_outputs(params: ModelParams, config: ModelConfig, context: ContextPoo
     step = max(1, _CHUNK_ROWS // members)
     for start in range(0, len(ids), step):
         chunk = slice(start, start + step)
+        at = chunk if index is None else index[chunk]
         keys = context_keys(seed, members, ids[chunk], k) if k > l_max else None
-        picks = subset_indices(entries[:, chunk], targets[chunk], l_max, keys)
+        picks = subset_indices(entries[:, at], targets[at], l_max, keys)
         feats, seq_coords = sequences(context, x[chunk], coords[chunk], picks)
         out[chunk] = forward_batch(feats.reshape(-1, l_max, feats.shape[-1]),
                                    seq_coords.reshape(-1, l_max, 2),

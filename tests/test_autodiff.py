@@ -191,13 +191,13 @@ class TestBackward:
     def test_sum_of_squares(self):
         t = Tape()
         x = t.slot([[3.0]])
-        backward(t, ad.sum_all(ad.mul(x, x)))
+        backward(t, ad.mean_all(ad.mul(x, x)))
         np.testing.assert_array_equal(x.grad, [[6.0]])
 
     def test_constant_loss_gives_zero_grads(self):
         t = Tape()
         x = t.slot(np.arange(6.0).reshape(2, 3))
-        loss = ad.sum_all(ad.mul_const(x, np.zeros((2, 3))))
+        loss = ad.mean_all(ad.mul_const(x, np.zeros((2, 3))))
         backward(t, loss)
         np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
 
@@ -209,7 +209,7 @@ class TestBackward:
         def f(x):
             t = x.tape
             h = ad.tanh(ad.matmul(x, t.slot(w)))
-            return ad.sum_all(ad.mul(ad.multihead_attention(h, x, x, 2)[0], t.slot(c)))
+            return ad.mean_all(ad.mul(ad.multihead_attention(h, x, x, 2)[0], t.slot(c)))
 
         assert grad_check(f, rng.normal(size=(4, 4))) < 1e-6
 
@@ -222,7 +222,7 @@ class TestBackward:
     def test_accumulators_reset_between_calls(self):
         t = Tape()
         x = t.slot([[2.0]])
-        loss = ad.sum_all(ad.mul(x, x))
+        loss = ad.mean_all(ad.mul(x, x))
         backward(t, loss)
         first = x.grad.copy()
         backward(t, loss)
@@ -295,18 +295,20 @@ class TestLiveGradients:
         t = Tape()
         x = t.slot([[1.0, -2.0, 3.0]])
         c = t.slot([[0.5, 4.0, -1.0]])
-        backward(t, ad.sum_all(ad.mul(ad.add(x, x), c)))
-        np.testing.assert_array_equal(x.grad, 2.0 * c.value)
-        np.testing.assert_array_equal(c.grad, 2.0 * x.value)
+        backward(t, ad.mean_all(ad.mul(ad.add(x, x), c)))
+        w = 1.0 / 3  # the mean's weight on each entry
+        np.testing.assert_array_equal(x.grad, 2.0 * (w * c.value))
+        np.testing.assert_array_equal(c.grad, 2.0 * (w * x.value))
 
     def test_sub_of_a_value_from_itself(self):
         t = Tape()
         x = t.slot([[1.0, -2.0, 3.0]])
         c = t.slot([[0.5, 4.0, -1.0]])
-        # f = sum(c * ((x - x) + x)) = sum(c * x)
-        backward(t, ad.sum_all(ad.mul(ad.add(ad.sub(x, x), x), c)))
-        np.testing.assert_array_equal(x.grad, c.value)
-        np.testing.assert_array_equal(c.grad, x.value)
+        # f = mean(c * ((x - x) + x)) = mean(c * x)
+        backward(t, ad.mean_all(ad.mul(ad.add(ad.sub(x, x), x), c)))
+        w = 1.0 / 3
+        np.testing.assert_array_equal(x.grad, w * c.value)
+        np.testing.assert_array_equal(c.grad, w * x.value)
 
     def test_one_value_through_two_adds_that_meet_again(self):
         t = Tape()
@@ -314,11 +316,11 @@ class TestLiveGradients:
         a = t.slot([[0.1, 0.2], [0.3, 0.4]])
         b = t.slot([[-1.0, 0.5], [2.0, -3.0]])
         c = t.slot([[2.0, -1.0], [0.5, 3.0]])
-        # f = sum(c * ((x + a) + (x + b)))
-        backward(t, ad.sum_all(ad.mul(ad.add(ad.add(x, a), ad.add(x, b)), c)))
-        np.testing.assert_array_equal(x.grad, 2.0 * c.value)
-        np.testing.assert_array_equal(a.grad, c.value)
-        np.testing.assert_array_equal(b.grad, c.value)
+        # f = mean(c * ((x + a) + (x + b)))
+        backward(t, ad.mean_all(ad.mul(ad.add(ad.add(x, a), ad.add(x, b)), c)))
+        np.testing.assert_array_equal(x.grad, 0.5 * c.value)
+        np.testing.assert_array_equal(a.grad, 0.25 * c.value)
+        np.testing.assert_array_equal(b.grad, 0.25 * c.value)
 
     def test_slice_of_a_value_that_also_feeds_a_matmul(self):
         rng = np.random.default_rng(9)
@@ -334,13 +336,13 @@ class TestLiveGradients:
             s = ad.slice_rows(h, 1, 2)
             # replayed first, so h's first gradient is r's, passed through
             r = ad.add(h, m)
-            return ad.add(ad.sum_all(ad.mul(r, t.slot(c))), ad.sum_all(ad.mul(s, t.slot(e))))
+            return ad.add(ad.mean_all(ad.mul(r, t.slot(c))), ad.mean_all(ad.mul(s, t.slot(e))))
 
         x0 = rng.normal(size=(2, 4, 3))
         assert grad_check(f, x0) < 1e-6
-        # closed form: c + c @ w.T, plus e on row 1 of every matrix
-        want = c + c @ w.T
-        want[:, 1:2, :] += e
+        # closed form: (c + c @ w.T) / 24, plus e / 6 on row 1 of every matrix
+        want = (c + c @ w.T) / 24
+        want[:, 1:2, :] += e / 6
         t = Tape()
         x = t.slot(x0)
         backward(t, f(x))
@@ -352,12 +354,13 @@ class TestLiveGradients:
         ``x`` already holds from ``x * d``."""
         t = Tape()
         z, e, x, c, d = (t.slot(np.arange(6.0).reshape(2, 3) + s) for s in (1, 2, 3, 4, 5))
-        # f = sum(c * (x + z * e) + x * d)
+        # f = mean(c * (x + z * e) + x * d)
         t1 = ad.add(x, ad.mul(z, e))
-        backward(t, ad.sum_all(ad.add(ad.mul(t1, c), ad.mul(x, d))))
-        np.testing.assert_array_equal(z.grad, c.value * e.value)
-        np.testing.assert_array_equal(e.grad, c.value * z.value)
-        np.testing.assert_array_equal(x.grad, c.value + d.value)
+        backward(t, ad.mean_all(ad.add(ad.mul(t1, c), ad.mul(x, d))))
+        w = 1.0 / 6
+        np.testing.assert_array_equal(z.grad, (w * c.value) * e.value)
+        np.testing.assert_array_equal(e.grad, (w * c.value) * z.value)
+        np.testing.assert_array_equal(x.grad, w * c.value + w * d.value)
 
     def test_leaf_no_rule_reaches_gets_zeros(self):
         t = Tape()
@@ -365,7 +368,7 @@ class TestLiveGradients:
         unused = t.slot(np.ones((2, 3)))
         dead_end = t.slot(np.ones((4, 1)))
         ad.mul(dead_end, dead_end)  # recorded, but its output never reaches the loss
-        backward(t, ad.sum_all(ad.mul(x, x)))
+        backward(t, ad.mean_all(ad.mul(x, x)))
         np.testing.assert_array_equal(unused.grad, np.zeros((2, 3)))
         np.testing.assert_array_equal(dead_end.grad, np.zeros((4, 1)))
         np.testing.assert_array_equal(x.grad, [[6.0]])
@@ -393,17 +396,17 @@ class TestLiveGradients:
 class TestGradCheck:
     def test_quadratic_is_tight(self):
         rng = np.random.default_rng(6)
-        err = grad_check(lambda v: ad.sum_all(ad.mul(v, v)), rng.normal(size=(2, 3)))
+        err = grad_check(lambda v: ad.mean_all(ad.mul(v, v)), rng.normal(size=(2, 3)))
         assert err < 1e-7
 
     def test_constant_function_is_exact(self):
-        err = grad_check(lambda v: ad.sum_all(ad.mul_const(v, np.zeros((2, 2)))),
+        err = grad_check(lambda v: ad.mean_all(ad.mul_const(v, np.zeros((2, 2)))),
                          np.ones((2, 2)))
         assert err == 0.0
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ContractError):
-            grad_check(lambda v: ad.sum_all(v), np.ones((1, 1)), eps=0.0)
+            grad_check(lambda v: ad.mean_all(v), np.ones((1, 1)), eps=0.0)
 
 
 def _op_cases(seed):
@@ -450,7 +453,7 @@ def _op_cases(seed):
             arg = {name: x if name == wrt else s(x, arr) for name, arr in operands.items()}
             bias = {} if d2 is None else {"lam": arg["lam"], "sq_dist": d2}
             out = ad.multihead_attention(arg["q"], arg["k"], arg["v"], 2, **bias)[0]
-            return ad.sum_all(ad.mul(out, s(x, w)))
+            return ad.mean_all(ad.mul(out, s(x, w)))
 
         return operands[wrt], f
 
@@ -463,63 +466,63 @@ def _op_cases(seed):
     ]
 
     return [
-        ("matmul_left", a34, lambda x: ad.sum_all(ad.mul(ad.matmul(x, s(x, a43)),
+        ("matmul_left", a34, lambda x: ad.mean_all(ad.mul(ad.matmul(x, s(x, a43)),
                                                          ad.matmul(x, s(x, a43))))),
-        ("matmul_right", a43, lambda x: ad.sum_all(ad.mul(ad.matmul(s(x, a34), x),
+        ("matmul_right", a43, lambda x: ad.mean_all(ad.mul(ad.matmul(s(x, a34), x),
                                                           ad.matmul(s(x, a34), x)))),
-        ("add_broadcast", a34, lambda x: ad.sum_all(ad.mul(ad.add(x, s(x, row)),
+        ("add_broadcast", a34, lambda x: ad.mean_all(ad.mul(ad.add(x, s(x, row)),
                                                            ad.add(x, s(x, row))))),
-        ("sub", a34, lambda x: ad.sum_all(ad.mul(ad.sub(x, s(x, row)), x))),
-        ("mul_broadcast", row, lambda x: ad.sum_all(ad.mul(s(x, a34), x))),
-        ("add_const", a34, lambda x: ad.sum_all(ad.mul(ad.add_const(x, row), x))),
-        ("mul_const", a34, lambda x: ad.sum_all(ad.mul(ad.mul_const(x, row), x))),
-        ("slice_rows", a34, lambda x: ad.sum_all(ad.mul(ad.slice_rows(x, 1, 3),
+        ("sub", a34, lambda x: ad.mean_all(ad.mul(ad.sub(x, s(x, row)), x))),
+        ("mul_broadcast", row, lambda x: ad.mean_all(ad.mul(s(x, a34), x))),
+        ("add_const", a34, lambda x: ad.mean_all(ad.mul(ad.add_const(x, row), x))),
+        ("mul_const", a34, lambda x: ad.mean_all(ad.mul(ad.mul_const(x, row), x))),
+        ("slice_rows", a34, lambda x: ad.mean_all(ad.mul(ad.slice_rows(x, 1, 3),
                                                         ad.slice_rows(x, 0, 2)))),
         ("mha_self", a34,
-         lambda x: ad.sum_all(ad.mul(ad.multihead_attention(x, x, x, 2)[0], s(x, a34)))),
-        ("softplus", a34, lambda x: ad.sum_all(ad.mul(ad.softplus(x), s(x, a34)))),
-        ("tanh", a34, lambda x: ad.sum_all(ad.mul(ad.tanh(x), s(x, a34)))),
+         lambda x: ad.mean_all(ad.mul(ad.multihead_attention(x, x, x, 2)[0], s(x, a34)))),
+        ("softplus", a34, lambda x: ad.mean_all(ad.mul(ad.softplus(x), s(x, a34)))),
+        ("tanh", a34, lambda x: ad.mean_all(ad.mul(ad.tanh(x), s(x, a34)))),
         ("mean_all", a34, lambda x: ad.mean_all(ad.mul(x, x))),
         ("rope2d", q8,
-         lambda x: ad.sum_all(ad.mul(ad.rope2d(x, coords, 100.0), s(x, w8)))),
+         lambda x: ad.mean_all(ad.mul(ad.rope2d(x, coords, 100.0), s(x, w8)))),
         ("mha_q", q8,
-         lambda x: ad.sum_all(ad.mul(*2 * (ad.multihead_attention(x, s(x, k8), s(x, v8), 2)[0],)))),
+         lambda x: ad.mean_all(ad.mul(*2 * (ad.multihead_attention(x, s(x, k8), s(x, v8), 2)[0],)))),
         ("mha_k", k8,
-         lambda x: ad.sum_all(ad.mul(ad.multihead_attention(s(x, q8), x, s(x, v8), 2)[0],
+         lambda x: ad.mean_all(ad.mul(ad.multihead_attention(s(x, q8), x, s(x, v8), 2)[0],
                                      s(x, w8)))),
         ("mha_v", v8,
-         lambda x: ad.sum_all(ad.mul(*2 * (ad.multihead_attention(s(x, q8), s(x, k8),
+         lambda x: ad.mean_all(ad.mul(*2 * (ad.multihead_attention(s(x, q8), s(x, k8),
                                                                   x, 2)[0],)))),
         ("mha_biased_q", q8,
-         lambda x: ad.sum_all(ad.mul(ad.multihead_attention(x, s(x, k8), s(x, v8), 2,
+         lambda x: ad.mean_all(ad.mul(ad.multihead_attention(x, s(x, k8), s(x, v8), 2,
                                                             lam=s(x, lam), sq_dist=d2)[0],
                               s(x, w8)))),
         ("mha_lam", lam,
-         lambda x: ad.sum_all(ad.mul(ad.multihead_attention(s(x, q8), s(x, k8),
+         lambda x: ad.mean_all(ad.mul(ad.multihead_attention(s(x, q8), s(x, k8),
                                                             s(x, v8), 2, lam=x,
                                                             sq_dist=d2)[0], s(x, w8)))),
         ("matmul_batched_left", b34,
-         lambda x: ad.sum_all(ad.mul(ad.matmul(x, s(x, a43)), ad.matmul(x, s(x, a43))))),
+         lambda x: ad.mean_all(ad.mul(ad.matmul(x, s(x, a43)), ad.matmul(x, s(x, a43))))),
         ("matmul_batched_param", a43,
-         lambda x: ad.sum_all(ad.mul(ad.matmul(s(x, b34), x), ad.matmul(s(x, b34), x)))),
+         lambda x: ad.mean_all(ad.mul(ad.matmul(s(x, b34), x), ad.matmul(s(x, b34), x)))),
         ("add_batched_bias", row,
-         lambda x: ad.sum_all(ad.mul(ad.add(s(x, b34), x), ad.add(s(x, b34), x)))),
+         lambda x: ad.mean_all(ad.mul(ad.add(s(x, b34), x), ad.add(s(x, b34), x)))),
         ("slice_rows_batched", b34,
-         lambda x: ad.sum_all(ad.mul(ad.slice_rows(x, 1, 3), ad.slice_rows(x, 0, 2)))),
+         lambda x: ad.mean_all(ad.mul(ad.slice_rows(x, 1, 3), ad.slice_rows(x, 0, 2)))),
         ("rope2d_batched", wb,
-         lambda x: ad.sum_all(ad.mul(ad.rope2d(x, coords_b, 100.0, 4), s(x, wb)))),
+         lambda x: ad.mean_all(ad.mul(ad.rope2d(x, coords_b, 100.0, 4), s(x, wb)))),
         ("mha_batched_kv_q", q8,
-         lambda x: ad.sum_all(ad.mul(ad.multihead_attention(x, s(x, kb), s(x, vb), 2)[0],
+         lambda x: ad.mean_all(ad.mul(ad.multihead_attention(x, s(x, kb), s(x, vb), 2)[0],
                                      s(x, wb)))),
         ("mha_batched_kv_k", kb,
-         lambda x: ad.sum_all(ad.mul(ad.multihead_attention(s(x, q8), x, s(x, vb), 2)[0],
+         lambda x: ad.mean_all(ad.mul(ad.multihead_attention(s(x, q8), x, s(x, vb), 2)[0],
                                      s(x, wb)))),
         ("mha_batched_kv_biased_q", q8,
-         lambda x: ad.sum_all(ad.mul(ad.multihead_attention(x, s(x, kb), s(x, vb), 2,
+         lambda x: ad.mean_all(ad.mul(ad.multihead_attention(x, s(x, kb), s(x, vb), 2,
                                                             lam=s(x, lam), sq_dist=d2b)[0],
                                      s(x, wb)))),
         ("mha_batched_kv_lam", lam,
-         lambda x: ad.sum_all(ad.mul(ad.multihead_attention(s(x, q8), s(x, kb), s(x, vb), 2,
+         lambda x: ad.mean_all(ad.mul(ad.multihead_attention(s(x, q8), s(x, kb), s(x, vb), 2,
                                                             lam=x, sq_dist=d2b)[0],
                                      s(x, wb)))),
     ] + long_q_cases
@@ -532,7 +535,8 @@ class TestPrimitiveGradients:
     |f| * 1e-11 absolute, so an instance whose gradient has an entry near zero
     cannot be judged at 1e-6 relative by this oracle at all; such draws are
     skipped and replaced (the analytic side is never consulted for the
-    verdict, only for conditioning).
+    verdict, only for conditioning).  Each loss is a mean over n entries, so
+    conditioning reads the gradient times n, the gradient of their sum.
     """
 
     @pytest.mark.parametrize("case", range(len(_op_cases(0))),
@@ -547,7 +551,8 @@ class TestPrimitiveGradients:
             t = Tape()
             xv = t.slot(x0.copy())
             backward(t, f(xv))
-            if np.abs(xv.grad).min() < 1e-3:
+            n = t.values[t.ops[-1].inputs[0]].size
+            if n * np.abs(xv.grad).min() < 1e-3:
                 continue
             err = grad_check(f, x0)
             assert err < 1e-6, f"{name} seed {seed - 1}: max rel err {err:.3e}"

@@ -25,6 +25,18 @@ SMALL_CONFIG = {
 }
 
 
+# settings the predict and bench steps would reject, and their messages
+BAD_INFERENCE_SETTINGS = pytest.mark.parametrize("section, key, value, message", [
+    ("predict", "members", 0, "need at least one ensemble member"),
+    ("predict", "expansion", 0.5, "expansion factor must be finite and >= 1, got 0.5"),
+    ("bench", "members", 0, "need at least one ensemble member"),
+    ("bench", "lengths", [8, 4], "lengths must be ascending"),
+    ("bench", "lengths", [1], "l_max must be at least 2"),
+    ("bench", "lengths", [], "config key 'bench.lengths' must hold at least one length"),
+], ids=["predict-members", "predict-expansion", "bench-members", "bench-descending",
+        "bench-length-1", "bench-no-lengths"])
+
+
 def write_config(tmp_path, overrides=None):
     cfg = json.loads(json.dumps(SMALL_CONFIG))
     if overrides:
@@ -539,6 +551,26 @@ class TestRunConfig:
         assert "config key 'train.epochs' must be an integer, got '3'" in err
         assert len(err.strip().splitlines()) == 1
 
+    @BAD_INFERENCE_SETTINGS
+    def test_train_rejects_bad_inference_settings_at_load(self, tmp_path, capsys,
+                                                          section, key, value, message):
+        """A config file is checked whole, whichever command reads it: the
+        error comes before the data file is read."""
+        cfg = write_config(tmp_path, {section: {**SMALL_CONFIG[section], key: value}})
+        model = tmp_path / "m.json"
+        assert run("train", "--data", tmp_path / "missing.csv", "--config", cfg,
+                   "--model-out", model) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"geoagg: error: {message}\n"
+        assert captured.out == ""
+        assert not model.exists()
+
+    def test_readme_documents_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Run config", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == DEFAULT_CONFIG
+
 
 def _typed_value(default):
     """Values of the type a config field with this default takes."""
@@ -641,10 +673,24 @@ class TestReproduce:
         ("bench", {"lengths": [16, 32, 64, 128]}, "only 101 context points available, need 128"),
         ("model", {"l_max": 128}, "dataset has 101 points, need at least l_max=128"),
     ], ids=["bench-length", "l_max"])
-    def test_lengths_past_the_train_split_fail_before_generating(self, tmp_path, capsys,
-                                                                 section, value, message):
+    def test_lengths_past_the_train_split_fail_before_writing(self, tmp_path, capsys,
+                                                              section, value, message):
         # 144 points split 70/30 leave 101 context points
         cfg = write_config(tmp_path, {section: {**SMALL_CONFIG[section], **value}})
+        outdir = tmp_path / "run"
+        assert run("reproduce", "--config", cfg, "--outdir", outdir) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"geoagg: error: {message}\n"
+        assert captured.out == ""
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("n, message", [
+        (401, "n must be a perfect square for the grid layout, got 401"),
+        (-5, "need n >= 100, got -5"),
+    ], ids=["not-square", "negative"])
+    def test_bad_data_size_fails_with_the_generator_message(self, tmp_path, capsys, n,
+                                                           message):
+        cfg = write_config(tmp_path, {"data": {**SMALL_CONFIG["data"], "n": n}})
         outdir = tmp_path / "run"
         assert run("reproduce", "--config", cfg, "--outdir", outdir) == 1
         captured = capsys.readouterr()
@@ -661,15 +707,7 @@ class TestReproduce:
                      "predictions_sl.csv", "explanations_gwr.csv", "bench_sl.csv"):
             assert (outdir / name).exists(), name
 
-    @pytest.mark.parametrize("section, key, value, message", [
-        ("predict", "members", 0, "need at least one ensemble member"),
-        ("predict", "expansion", 0.5, "expansion factor must be finite and >= 1, got 0.5"),
-        ("bench", "members", 0, "need at least one ensemble member"),
-        ("bench", "lengths", [8, 4], "lengths must be ascending"),
-        ("bench", "lengths", [1], "l_max must be at least 2"),
-        ("bench", "lengths", [], "config key 'bench.lengths' must hold at least one length"),
-    ], ids=["predict-members", "predict-expansion", "bench-members", "bench-descending",
-            "bench-length-1", "bench-no-lengths"])
+    @BAD_INFERENCE_SETTINGS
     def test_bad_inference_settings_fail_before_training(self, tmp_path, capsys,
                                                          section, key, value, message):
         cfg = write_config(tmp_path, {section: {**SMALL_CONFIG[section], key: value}})

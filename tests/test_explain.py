@@ -1,6 +1,7 @@
 """Explainer tests: exact Shapley values, the joint location player, the
 interaction split, the id-keyed predictor wrapper, and slope recovery."""
 
+import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -110,6 +111,64 @@ class TestInteractionIndex:
     def test_distinct_players_required(self):
         with pytest.raises(ContractError):
             interaction_index(np.zeros(4), 2, 1, 1)
+
+    @pytest.mark.parametrize("a, b", [(0, 2), (0, -1), (2, 0), (0, [1, 2])])
+    def test_players_outside_the_game_rejected(self, a, b):
+        with pytest.raises(ContractError, match=r"players must lie in \[0, 2\)"):
+            interaction_index(np.zeros(4), 2, a, b)
+
+
+def loop_shapley(values, n_players):
+    """Shapley values by a loop over coalitions and players, as a reference."""
+    fact = [math.factorial(i) for i in range(n_players + 1)]
+    phi = np.zeros(n_players)
+    for mask in range(2 ** n_players):
+        size = bin(mask).count("1")
+        for a in range(n_players):
+            if not mask & (1 << a):
+                weight = fact[size] * fact[n_players - size - 1] / fact[n_players]
+                phi[a] += weight * (values[mask | (1 << a)] - values[mask])
+    return phi
+
+
+def loop_interaction(values, n_players, a, b):
+    """The interaction index by a loop over coalitions, as a reference."""
+    fact = [math.factorial(i) for i in range(n_players)]
+    total = 0.0
+    for mask in range(2 ** n_players):
+        if not mask & ((1 << a) | (1 << b)):
+            size = bin(mask).count("1")
+            weight = fact[size] * fact[n_players - size - 2] / fact[n_players - 1]
+            total += weight * (values[mask | (1 << a) | (1 << b)] - values[mask | (1 << a)]
+                               - values[mask | (1 << b)] + values[mask])
+    return total
+
+
+class TestLinearMap:
+    @pytest.mark.parametrize("n_players", range(2, 12))
+    def test_a_batch_gives_the_bytes_of_row_by_row_calls(self, n_players):
+        """Every row of an ``(n, 2**P)`` batch, and every player of a
+        player array, solves to the bytes of its own call, and agrees with
+        the coalition loop to a few units of float64 rounding per term."""
+        rng = np.random.default_rng(n_players)
+        shape = (6, 2 ** n_players)
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        others = np.arange(1, n_players)
+        phi = shapley_exact(values, n_players)
+        sii = interaction_index(values, n_players, GEO_PLAYER, others)
+        assert phi.shape == (6, n_players) and sii.shape == (6, n_players - 1)
+        tol = 4 * 2 ** n_players * np.finfo(np.float64).eps * np.abs(values).max()
+        for i, row in enumerate(values):
+            assert phi[i].tobytes() == shapley_exact(row, n_players).tobytes()
+            for j, b in enumerate(others):
+                one = interaction_index(row, n_players, GEO_PLAYER, b)
+                assert np.float64(one).tobytes() == sii[i, j].tobytes()
+            if i < 2:
+                np.testing.assert_allclose(phi[i], loop_shapley(row, n_players),
+                                           rtol=0, atol=tol)
+                np.testing.assert_allclose(
+                    sii[i], [loop_interaction(row, n_players, GEO_PLAYER, b) for b in others],
+                    rtol=0, atol=tol)
 
 
 class TestCoalitionValue:
@@ -229,9 +288,10 @@ class TestGeoShapleyDecomposition:
         assert calls == [n * ((2 ** (p + 1) - 2) * n_bg + 1) + n_bg]
 
     def test_blocks_bound_each_call_and_keep_the_bytes(self, monkeypatch):
-        """Instances go in blocks of at most ``_BLOCK_ROWS`` coalition rows,
-        and an instance that does not fit goes in groups of its coalitions;
-        the decomposition is the bytes of one block holding them all."""
+        """(instance, coalition) pairs go in flat blocks of at most
+        ``_BLOCK_ROWS`` coalition rows, which may split an instance's
+        coalitions or span two instances; the decomposition is the bytes of
+        one block holding them all."""
         ds = generate_gwr(100, 4)
         config = ModelConfig(d_model=8, n_heads=2, n_inducing=2, l_max=8, n_layers=1)
         params, _ = train(ds, config, TrainConfig(epochs=1, seed=0))
@@ -248,8 +308,8 @@ class TestGeoShapleyDecomposition:
 
         results = {}
         # 8 coalitions of 6 background rows per instance: all 30 instances at
-        # once, then 4 to a block, then 3 coalitions of one instance to a block
-        for bound, blocks in ((10**9, 1), (4 * 8 * 6, 8), (3 * 6, 30 * 3)):
+        # once, then 4 to a block, then 3 of the 240 pairs to a block
+        for bound, blocks in ((10**9, 1), (4 * 8 * 6, 8), (3 * 6, 80)):
             monkeypatch.setattr(explain, "_BLOCK_ROWS", bound)
             calls.clear()
             results[bound] = geoshapley_explain(counting, instances, background)

@@ -502,7 +502,7 @@ class TestForwardBatch:
         assert alpha.shape == (3, 4, 1, 10)
         assert tape.values == [] and tape.ops == [] and tape.grads == []
         with pytest.raises(ContractError, match="records"):
-            ad.backward(tape, ad.sum_all(out))
+            ad.backward(tape, ad.mean_all(out))
 
     def test_shape_validation(self):
         config = toy_config()
