@@ -110,6 +110,8 @@ def _resolve_seed(flag_value, config_value):
     seed = int(config_value if seed is None else seed)
     if seed < 0:
         raise ContractError(f"seed must be nonnegative, got {seed}")
+    if seed >= 2 ** 63:
+        raise ContractError(f"seed must be below 2**63, got {seed}")
     return seed
 
 

@@ -1,15 +1,17 @@
 """Planar nearest-neighbour index with exact, batched k-nearest-neighbour queries.
 
-The index is numpy alone: a uniform grid of square cells over the bounding
-box of the points, which are stored in cell order, so that one row of cells
-is one contiguous run of points.  A search gives each query the smallest
-square window of cells around its own cell that holds enough points (read
-off a summed-area table of cell counts), ranks the window's points, and
-accepts the answer once its k-th distance lies clear of the window's edges.
-A query that fails that test is searched again in a window wide enough for
-the distance it found.  A window that reaches every edge of the grid holds
-the whole pool and is always accepted, so the search is exact.  Every
-batch, down to one query, takes this one route.
+The index is numpy alone: a uniform grid of square cells, about one point
+each, over the bounding box of the points, which are stored in cell order,
+so that one row of cells is one contiguous run of points.  Every window is
+the square of cells within an integer ring of a query's own cell, the
+nearest edge cell for a query outside the box.  A search gives each query
+the least ring whose window holds enough points (read off a summed-area
+table of cell counts), ranks the window's points, and accepts the answer
+once its k-th distance lies clear of the window's edges.  A query that
+fails that test is ranked again in a ring at least one cell wider and wide
+enough for the distance it found.  A ring as wide as the grid holds the
+whole pool and is always accepted, so the search is exact.  Every batch,
+down to one query, takes this one route.
 
 Squared distances are ``du*du + dv*dv``, and every neighbour list is
 ordered by ``(squared distance, id)``, so distance ties break towards the
@@ -35,12 +37,8 @@ __all__ = ["KdTree"]
 
 # queries ranked at a time
 _BLOCK = 256
-# mean points per grid cell
-_POINTS_PER_CELL = 1
 # circles hold this many times k points, at the mean density
 _SLACK = 1.2
-# window reaches tried at once, half a cell apart
-_LADDER = 4
 # relative margin on the window test: far above float rounding
 _MARGIN = 1e-9
 
@@ -59,17 +57,14 @@ class KdTree:
             raise ContractError("coordinates must be finite")
         self.size = n = coords.shape[0]
         self.query_count = 0
-        self._lo, self._hi = coords.min(axis=0), coords.max(axis=0)
-        extent = self._hi - self._lo
-        cells = max(1, n // _POINTS_PER_CELL)
-        # square cells, at most `cells` along either axis (any side when all coincide)
-        side = max(np.sqrt(extent[0] * extent[1] / cells), extent.max() / cells)
+        self._lo = coords.min(axis=0)
+        extent = coords.max(axis=0) - self._lo
+        # square cells, about one point each, at most n a side (any side when all coincide)
+        side = max(np.sqrt(extent[0] * extent[1] / n), extent.max() / n)
         self._side = side = side if side > 0 else 1.0
-        self._shape = (extent // side).astype(np.int64) + 1  # cells along u, v
-        self._last = self._shape - 1
-        self._steps = np.arange(_LADDER) * (side / 2.0)
-        nu, nv = self._shape
-        cell = np.minimum(((coords - self._lo) // side).astype(np.int64), self._shape - 1)
+        self._last = (extent // side).astype(np.int64)  # last cell along u, v
+        nu, nv = self._last + 1
+        cell = self._cell(coords)
         flat = cell[:, 1] * nu + cell[:, 0]
         self._order = np.argsort(flat, kind="stable")  # storage position -> row
         counts = np.bincount(flat, minlength=nu * nv)
@@ -105,81 +100,65 @@ class KdTree:
         k = min(k, self.size)
         pos = np.empty((len(points), k), dtype=np.int64)
         d2 = np.empty((len(points), k))
-        reach, held = self._fitting_reach(points, k)
+        cell = self._cell(points)
+        ring, held = self._fitting_ring(cell, k)
         # blocks of queries with like windows, so that little padding is ranked
         todo = np.argsort(held, kind="stable")
         while len(todo):
             now, todo = todo[:_BLOCK], todo[_BLOCK:]
-            cand, bound = self._window(points[now], reach[now])
+            cand, bound = self._window(points[now], cell[now], ring[now])
             got, got_d2 = self._ranked(points[now], cand, k)
             done = got_d2[:, -1] * (1.0 + _MARGIN) < bound * bound
             if done.all():
                 pos[now], d2[now] = got, got_d2
                 continue
             pos[now[done]], d2[now[done]] = got[done], got_d2[done]
-            # again, in a window wide enough for the k-th distance found
+            # again, wide enough for the k-th distance found and at least one ring wider
             now = now[~done]
-            reach[now] = np.maximum(np.sqrt(got_d2[~done, -1]) * (1.0 + _MARGIN)
-                                    + 2.0 * self._tol, reach[now] + self._side)
+            reach = np.sqrt(got_d2[~done, -1]) * (1.0 + _MARGIN) + 2.0 * self._tol
+            ring[now] = np.clip(np.ceil(reach / self._side), ring[now] + 1, self._last.max())
             todo = np.concatenate([todo, now])
         return self._order[pos], d2
 
-    def _cells(self, offset, reach):
-        """The first and last grid cells ``(..., 2)`` within ``reach`` of each point.
+    def _cell(self, points):
+        """The grid cell ``(m, 2)`` of each point, clipped to the grid."""
+        return np.clip((points - self._lo) // self._side, 0, self._last).astype(np.int64)
 
-        ``offset`` is ``(..., 2)`` points less the grid's corner, and
-        ``reach`` broadcasts against ``offset[..., 0]``.
+    def _span(self, cell, ring):
+        """The first and last cells ``(m, 2)`` of each window, clipped to the grid."""
+        return np.maximum(cell - ring[:, None], 0), np.minimum(cell + ring[:, None], self._last)
+
+    def _fitting_ring(self, cell, k: int):
+        """Per query, the least ring whose window holds enough points, and its count.
+
+        Enough is what a square needs, at the pool's mean density, for its
+        inscribed circle to hold ``_SLACK`` times k points.
         """
-        reach = reach[..., None]
-        lo = np.maximum((offset - reach) // self._side, 0.0)
-        hi = np.minimum((offset + reach) // self._side, self._last)
-        return np.minimum(lo, self._last).astype(np.int64), np.maximum(hi, 0.0).astype(np.int64)
-
-    def _fitting_reach(self, points, k: int):
-        """Per query, the least reach, in half cells, whose window holds enough
-        points, and the count its window holds.
-
-        Enough is what a window needs, at the pool's mean density, for the
-        circle of that reach to hold ``_SLACK`` times k points.  A query
-        outside the bounding box starts that far beyond its distance to it.
-        """
-        fill = math.sqrt(_POINTS_PER_CELL)
-        need = min(self.size, (2.0 * math.sqrt(_SLACK * k / math.pi) + fill) ** 2)
-        outside = np.maximum(self._lo - points, points - self._hi).max(axis=1)
-        start = (self._side * max(0.0, math.sqrt(need) - fill) / (2.0 * fill)
-                 + np.maximum(outside, 0.0))
-        offset = points - self._lo
-        reach = np.empty(len(points))
-        held = np.empty(len(points), dtype=np.int64)
-        short = np.arange(len(points))
+        need = min(self.size, (2.0 * math.sqrt(_SLACK * k / math.pi) + 1.0) ** 2)
+        ring = np.full(len(cell), int((math.sqrt(need) - 1.0) // 2))
+        held = np.empty(len(cell), dtype=np.int64)
+        short = np.arange(len(cell))
         sat = self._sat
         while len(short):
-            # `_LADDER` reaches per query, one summed-area lookup for them all
-            tried = start[short, None] + self._steps
-            lo, hi = self._cells(offset[short, None], tried)
+            lo, hi = self._span(cell[short], ring[short])
             hi += 1
-            count = (sat[hi[..., 1], hi[..., 0]] - sat[lo[..., 1], hi[..., 0]]
-                     - sat[hi[..., 1], lo[..., 0]] + sat[lo[..., 1], lo[..., 0]])
-            enough = count >= need
-            fits = enough.any(axis=1)
-            first = enough.argmax(axis=1)[fits]
-            reach[short[fits]] = tried[fits, first]
-            held[short[fits]] = count[fits, first]
-            short = short[~fits]
-            start[short] += _LADDER * self._side / 2.0
-        return reach, held
+            held[short] = (sat[hi[:, 1], hi[:, 0]] - sat[lo[:, 1], hi[:, 0]]
+                           - sat[hi[:, 1], lo[:, 0]] + sat[lo[:, 1], lo[:, 0]])
+            short = short[held[short] < need]
+            ring[short] += 1
+        return ring, held
 
-    def _window(self, points, reach):
+    def _window(self, points, cell, ring):
         """Storage positions of the points in each query's window, and its bound.
 
-        The window is the cells within ``reach`` of the query.  Returns
+        The window is the cells within ``ring`` of the query's cell.  Returns
         ``(cand, bound)``: ``cand`` ``(m, width)`` positions, padded with the
         sentinel, and ``bound`` the distance below which no point outside the
         window can lie (infinite where the window holds the pool).
         """
-        nu, nv = self._shape
+        nu = self._last[0] + 1
         offset = points - self._lo
-        lo, hi = self._cells(offset, reach)
+        lo, hi = self._span(cell, ring)
         below = np.where(lo > 0, offset - lo * self._side, np.inf)
         above = np.where(hi < self._last, (hi + 1) * self._side - offset, np.inf)
         bound = np.minimum(below.min(axis=1), above.min(axis=1)) - self._tol

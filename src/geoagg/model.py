@@ -154,10 +154,6 @@ class ModelParams:
     arrays: dict[str, np.ndarray]
     norm: dict[str, np.ndarray] = field(default_factory=dict)
 
-    @property
-    def p(self) -> int:
-        return self.arrays["embed_w"].shape[0] - 1
-
     def copy(self) -> "ModelParams":
         return ModelParams(
             arrays={k: v.copy() for k, v in self.arrays.items()},

@@ -208,6 +208,8 @@ def context_keys(seed: int, members: int, ids, k: int) -> np.ndarray:
     int64 bits, so negative ids hash too.  The arithmetic stays on arrays,
     where uint64 products wrap without a warning.
     """
+    if not -2 ** 63 <= seed < 2 ** 63:
+        raise ContractError(f"seed must lie in [-2**63, 2**63), got {seed}")
     state = np.zeros(1, dtype=np.uint64)
     for word in (np.array([seed], dtype=np.int64).view(np.uint64),
                  np.arange(members, dtype=np.uint64)[:, None, None],

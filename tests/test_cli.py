@@ -308,6 +308,30 @@ class TestTrainPredictExplainBench:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, seed", [
+        ("predict-flag", 2 ** 63), ("predict-flag", 99999999999999999999999),
+        ("env", 2 ** 63), ("reproduce-config", 2 ** 63),
+    ], ids=["predict-flag", "predict-flag-huge", "env", "reproduce-config"])
+    def test_seed_past_int64_is_runtime_error(self, trained, capsys, monkeypatch,
+                                              source, seed):
+        data, model, cfg, tmp_path = trained
+        out = tmp_path / "o.csv"
+        if source == "predict-flag":
+            argv = ["predict", "--model", model, "--data", data, "--seed", seed, "--out", out]
+        elif source == "env":
+            monkeypatch.setenv("GA_SEED", str(seed))
+            argv = ["predict", "--model", model, "--data", data, "--out", out]
+        else:
+            bad = write_config(tmp_path, {"predict": {**SMALL_CONFIG["predict"], "seed": seed}})
+            out = tmp_path / "run"
+            argv = ["reproduce", "--config", bad, "--outdir", out]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"geoagg: error: seed must be below 2**63, got {seed}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("source, key, value, message", [
         ("predict-flag", "expansion", "nan", "expansion factor must be finite and >= 1, got nan"),
         ("predict-flag", "expansion", "inf", "expansion factor must be finite and >= 1, got inf"),

@@ -247,6 +247,12 @@ class TestPredictEnsemble:
         with pytest.raises(ContractError, match="3 covariate channels, model expects 2"):
             predict_ensemble(params, config, wide, wide_ctx, 2, 1.25, 0)
 
+    @pytest.mark.parametrize("seed", [2 ** 63, -2 ** 63 - 1])
+    def test_seed_past_64_bits_is_contract_error(self, seed):
+        params, config, ctx, q = self._fitted()
+        with pytest.raises(ContractError, match=r"^seed must lie in \[-2\*\*63, 2\*\*63\)"):
+            predict_ensemble(params, config, q, ctx, 2, 1.25, seed)
+
     def test_statistics_invariant_to_member_relabeling(self):
         params, config, ctx, q = self._fitted()
         preds = _member_predictions(params, config, q, ctx, 5, 1.5, 3)

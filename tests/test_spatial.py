@@ -119,6 +119,29 @@ class TestKdTree:
             d2s = [d2 for _, d2 in tree.knn(q, 30)]
             assert d2s == sorted(d2s)
 
+    @pytest.mark.parametrize("k", [9, 80])
+    @pytest.mark.parametrize("pool", ["uniform", "gwr-train"])
+    def test_search_work_per_query(self, monkeypatch, pool, k):
+        """A pool searched for its own points ranks about one window per query,
+        of at most 2.5 k + 20 candidates, sentinel padding included."""
+        if pool == "uniform":
+            coords = np.random.default_rng(8).random((1750, 2))
+        else:
+            coords = split_dataset(generate_gwr(2500, 42), 0.7, 0)[0].coords()
+        work = {"rows": 0, "candidates": 0}
+        window = KdTree._window
+
+        def counted(self, points, *args):
+            cand, bound = window(self, points, *args)
+            work["rows"] += len(points)
+            work["candidates"] += cand.size
+            return cand, bound
+
+        monkeypatch.setattr(KdTree, "_window", counted)
+        KdTree(coords, np.arange(len(coords))).search(coords, k)
+        assert work["rows"] <= 1.01 * len(coords)
+        assert work["candidates"] <= (2.5 * k + 20) * len(coords)
+
     def test_query_counter(self):
         tree = KdTree([[0.1, 0.1], [0.2, 0.9]], [0, 1])
         assert tree.query_count == 0
