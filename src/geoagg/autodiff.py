@@ -6,11 +6,12 @@ Operands broadcast over those axes as in numpy, so a 2-D parameter meets a
 ``(B, L, d)`` batch of sequences directly, and its gradient is summed back
 over the batch.  Each primitive records which slots it read and which slot it
 wrote; :func:`backward` replays the records in exact reverse execution order.
-A slot's gradient exists only while it is live: its first contribution
-becomes the gradient, later ones are added in place into a buffer the pass
-owns, and an op output's gradient is freed once its producer's rule has read
-it.  Backward rules live in a flat registry keyed by op name rather than in
-per-op closures, so the whole engine stays easy to inspect and to port.
+No two slots ever hold one gradient buffer.  A slot's gradient exists only
+while it is live: its first contribution becomes the gradient, later ones
+are added into it in place, and an op output's gradient is freed once its
+producer's rule has read it.  Backward rules live in a flat registry keyed
+by op name rather than in per-op closures, so the whole engine stays easy
+to inspect and to port.
 
 A tape built with ``record=False`` runs the same primitives but keeps no
 values and no op records: each result lives only in the :class:`Var` that
@@ -119,8 +120,6 @@ class Tape:
     def __init__(self, record: bool = True):
         self.values: list[np.ndarray] = []
         self.grads: list[np.ndarray | None] = []
-        # slots whose gradient is another slot's buffer, passed through unchanged
-        self.borrowed: set[int] = set()
         self.ops: list[_Op] = []
         self.recording = record
 
@@ -420,35 +419,18 @@ def multihead_attention(q: Var, k: Var, v: Var, n_heads: int,
 # ---------------------------------------------------------------------------
 
 
-def _give(tape, idx, grad, borrowed=False):
-    """Add one contribution ``grad`` to slot ``idx``'s gradient.
+def _contribute(tape, idx, grad):
+    """Add one contribution ``grad`` to slot ``idx``'s gradient, summed to its shape.
 
-    The first contribution becomes the gradient.  ``borrowed`` marks it as
-    another slot's buffer, passed through unchanged: the next contribution
-    is then added out of place, once, into a buffer this slot owns.  Later
-    contributions are added in place.
+    The first contribution becomes the gradient, so a rule hands over only a
+    buffer that no other slot will hold; later ones are added into it in place.
     """
+    grad = _unbroadcast(grad, tape.values[idx].shape)
     cur = tape.grads[idx]
     if cur is None:
         tape.grads[idx] = grad
-        if borrowed:
-            tape.borrowed.add(idx)
-    elif idx in tape.borrowed:
-        tape.borrowed.discard(idx)
-        tape.grads[idx] = cur + grad
     else:
         cur += grad
-
-
-def _contribute(tape, idx, grad):
-    """:func:`_give` a contribution made for slot ``idx`` alone, summed to its shape."""
-    _give(tape, idx, _unbroadcast(grad, tape.values[idx].shape))
-
-
-def _pass(tape, idx, g):
-    """Pass the output gradient ``g`` on to slot ``idx``, summed to its shape."""
-    grad = _unbroadcast(g, tape.values[idx].shape)
-    _give(tape, idx, grad, borrowed=grad is g)
 
 
 def _bwd_matmul(tape, op):
@@ -460,15 +442,18 @@ def _bwd_matmul(tape, op):
 
 def _bwd_add(tape, op):
     g = tape.grads[op.output]
-    for idx in op.inputs:
-        _pass(tape, idx, g)
+    a_idx, b_idx = op.inputs
+    _contribute(tape, a_idx, g)
+    if tape.grads[a_idx] is g and tape.values[b_idx].shape == g.shape:
+        g = g.copy()  # the first operand keeps g, as in a residual add
+    _contribute(tape, b_idx, g)
 
 
 def _bwd_sub(tape, op):
     g = tape.grads[op.output]
     a_idx, b_idx = op.inputs
-    _pass(tape, a_idx, g)
-    _give(tape, b_idx, -_unbroadcast(g, tape.values[b_idx].shape))
+    _contribute(tape, a_idx, g)
+    _contribute(tape, b_idx, -_unbroadcast(g, tape.values[b_idx].shape))
 
 
 def _bwd_mul(tape, op):
@@ -480,7 +465,7 @@ def _bwd_mul(tape, op):
 
 
 def _bwd_add_const(tape, op):
-    _pass(tape, op.inputs[0], tape.grads[op.output])
+    _contribute(tape, op.inputs[0], tape.grads[op.output])
 
 
 def _bwd_mul_const(tape, op):
@@ -489,34 +474,30 @@ def _bwd_mul_const(tape, op):
 
 def _bwd_slice_rows(tape, op):
     idx = op.inputs[0]
-    cur = tape.grads[idx]
-    if cur is None:
-        cur = tape.grads[idx] = np.zeros_like(tape.values[idx])
-    elif idx in tape.borrowed:
-        tape.borrowed.discard(idx)
-        cur = tape.grads[idx] = cur.copy()
-    cur[..., op.aux["start"]:op.aux["stop"], :] += tape.grads[op.output]
+    if tape.grads[idx] is None:
+        tape.grads[idx] = np.zeros_like(tape.values[idx])
+    tape.grads[idx][..., op.aux["start"]:op.aux["stop"], :] += tape.grads[op.output]
 
 
 def _bwd_softplus(tape, op):
     x = tape.values[op.inputs[0]]
     sig = np.exp(-np.logaddexp(0.0, -x))
-    _give(tape, op.inputs[0], tape.grads[op.output] * sig)
+    _contribute(tape, op.inputs[0], tape.grads[op.output] * sig)
 
 
 def _bwd_tanh(tape, op):
     y = tape.values[op.output]
-    _give(tape, op.inputs[0], tape.grads[op.output] * (1.0 - y * y))
+    _contribute(tape, op.inputs[0], tape.grads[op.output] * (1.0 - y * y))
 
 
 def _bwd_mean_all(tape, op):
     x = tape.values[op.inputs[0]]
-    _give(tape, op.inputs[0], np.full(x.shape, tape.grads[op.output][0, 0] / x.size))
+    _contribute(tape, op.inputs[0], np.full(x.shape, tape.grads[op.output][0, 0] / x.size))
 
 
 def _bwd_rope2d(tape, op):
     # the rotation is orthogonal: its adjoint turns by the opposite angles
-    _give(tape, op.inputs[0], _rotate(tape.grads[op.output], op.aux["rot"].conj()))
+    _contribute(tape, op.inputs[0], _rotate(tape.grads[op.output], op.aux["rot"].conj()))
 
 
 def _bwd_multihead_attention(tape, op):
@@ -552,8 +533,7 @@ def _bwd_multihead_attention(tape, op):
     if sq is not None:
         # per-head sums over every batch, query and key position
         dlam = -(dlogits * sq).sum(axis=(-2, -1)).reshape(-1, n_heads).sum(axis=0)
-        lam_idx = op.inputs[3]
-        _give(tape, lam_idx, _unbroadcast(dlam.reshape(-1, 1), tape.values[lam_idx].shape))
+        _contribute(tape, op.inputs[3], dlam.reshape(-1, 1))
 
 
 _BACKWARD = {
@@ -578,9 +558,10 @@ def backward(tape: Tape, loss: Var) -> None:
     The loss slot must hold a scalar.  The op records are replayed in reverse
     execution order; an op whose output received no gradient is skipped, and
     an op output's gradient is freed once its producer's rule has run.  Leaves
-    that received nothing get zeros of their shape.  Leaf gradients are
-    read-only: one buffer may serve several leaves.  The values stay
-    recorded, so the pass may run again on the same tape.
+    that received nothing get zeros of their shape.  Every gradient is a
+    buffer that no other slot holds, so writing into one leaf's gradient
+    leaves every other unchanged.  The values stay recorded, so the pass may
+    run again on the same tape.
     """
     if loss.tape is not tape:
         raise ContractError("loss does not belong to this tape")
@@ -589,14 +570,12 @@ def backward(tape: Tape, loss: Var) -> None:
     if loss.value.shape != (1, 1):
         raise ContractError(f"loss must be scalar, got shape {loss.value.shape}")
     grads = tape.grads = [None] * len(tape.values)
-    tape.borrowed = set()
     grads[loss.idx] = np.ones((1, 1))
     for op in reversed(tape.ops):
         if grads[op.output] is None:
             continue
         _BACKWARD[op.name](tape, op)
         grads[op.output] = None
-        tape.borrowed.discard(op.output)
     produced = {op.output for op in tape.ops}
     for idx, g in enumerate(grads):
         if g is None and idx not in produced:

@@ -184,8 +184,9 @@ def _bench(model, data, settings, out):
 
 
 def _cmd_gen(args) -> int:
-    seed = _resolve_seed(args.seed, DEFAULT_CONFIG["data"]["gwr_seed"])  # for either dataset
-    if args.dataset == "gwr-r":
+    gwr = args.dataset == "gwr-r"
+    seed = _resolve_seed(args.seed, DEFAULT_CONFIG["data"]["gwr_seed" if gwr else "sl_seed"])
+    if gwr:
         ds = generate_gwr(args.n, seed)
     else:
         ds = generate_sl(args.n, seed, args.rho)

@@ -41,6 +41,8 @@ _BLOCK = 256
 _SLACK = 1.2
 # relative margin on the window test: far above float rounding
 _MARGIN = 1e-9
+# per-axis span below which a squared distance stays finite in float64
+_REACH = 2.0 ** 510
 
 
 class KdTree:
@@ -55,10 +57,12 @@ class KdTree:
             raise ContractError("coords and ids disagree in length")
         if not np.isfinite(coords).all():
             raise ContractError("coordinates must be finite")
+        self._lo, self._hi = coords.min(axis=0), coords.max(axis=0)
+        if (self._hi > self._lo + _REACH).any():
+            raise ContractError("coordinates must span at most 2**510 along each axis")
         self.size = n = coords.shape[0]
         self.query_count = 0
-        self._lo = coords.min(axis=0)
-        extent = coords.max(axis=0) - self._lo
+        extent = self._hi - self._lo
         # square cells, about one point each, at most n a side (any side when all coincide)
         side = max(np.sqrt(extent[0] * extent[1] / n), extent.max() / n)
         self._side = side = side if side > 0 else 1.0
@@ -88,14 +92,19 @@ class KdTree:
 
         Returns ``(rows, d2)``, both ``(n, min(k, size))``: row indices into
         the index's points and squared distances, each row ordered by
-        ``(squared distance, id)``.  A non-finite query point is rejected
-        before any work, as the constructor rejects a non-finite point.
+        ``(squared distance, id)``.  A non-finite query point, or one more
+        than 2**510 outside the points' bounding box along an axis, is
+        rejected before any work, as the constructor rejects a pool that is
+        non-finite or spans more than that: squared distances stay finite.
         """
         if k < 1:
             raise ContractError(f"k must be at least 1, got {k}")
         points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         if not np.isfinite(points).all():
             raise ContractError("query coordinates must be finite")
+        if ((points < self._lo - _REACH) | (points > self._hi + _REACH)).any():
+            raise ContractError("query coordinates must lie within 2**510 of the pool "
+                                "along each axis")
         self.query_count += len(points)
         k = min(k, self.size)
         pos = np.empty((len(points), k), dtype=np.int64)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoagg import autodiff as ad
 from geoagg.autodiff import (
@@ -261,7 +262,6 @@ def _zero_filled_replay(tape, loss):
     formulas are the module's own; the finite-difference tests check those.
     """
     tape.grads = [np.zeros_like(val) for val in tape.values]
-    tape.borrowed = set()
     tape.grads[loss.idx][0, 0] = 1.0
     for op in reversed(tape.ops):
         ad._BACKWARD[op.name](tape, op)
@@ -391,6 +391,76 @@ class TestLiveGradients:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * held, f"peak {peak / 2**20:.1f} MiB, held {held / 2**20:.1f} MiB"
+
+
+def _broadcasts(x, y):
+    try:
+        np.broadcast_shapes(x, y)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def shared_tapes(draw):
+    """``(tape, loss)`` for a random tape of add, sub, add_const, mul,
+    slice_rows and matmul over a few leaves.
+
+    Operands are drawn from every value recorded so far, so one value feeds
+    several ops and an op may read the same slot twice.  The loss sums a
+    random weighting of every op output.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shapes = [(3, 3)] + draw(st.lists(st.sampled_from([(3, 3), (1, 3), (2, 3, 3), (2, 1, 3)]),
+                                      min_size=1, max_size=3))
+    tape = Tape()
+    vals = [tape.slot(rng.normal(size=shape)) for shape in shapes]
+    outputs = []
+    for _ in range(draw(st.integers(1, 8))):
+        a = draw(st.sampled_from(vals))
+        name = draw(st.sampled_from(["add", "sub", "add_const", "mul", "slice_rows", "matmul"]))
+        shape = a.value.shape
+        if name == "slice_rows" and shape[-2] > 1:
+            stop = draw(st.integers(1, shape[-2]))
+            out = ad.slice_rows(a, draw(st.integers(0, stop - 1)), stop)
+        elif name == "matmul":
+            b = draw(st.sampled_from([v for v in vals if v.value.shape[-2] == shape[-1]
+                                      and _broadcasts(shape[:-2], v.value.shape[:-2])]))
+            out = ad.matmul(a, b)
+        elif name in ("add", "sub", "mul"):
+            b = draw(st.sampled_from([v for v in vals if _broadcasts(shape, v.value.shape)]))
+            out = getattr(ad, name)(a, b)
+        else:
+            out = ad.add_const(a, rng.normal(size=(1, 3)))
+        vals.append(out)
+        outputs.append(out)
+    loss = None
+    for out in outputs:
+        term = ad.mean_all(ad.mul(out, tape.slot(rng.normal(size=out.value.shape))))
+        loss = term if loss is None else ad.add(loss, term)
+    return tape, loss
+
+
+class TestGradientOwnership:
+    """Every gradient a slot holds is a buffer that no other slot holds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_tapes())
+    def test_random_shared_tapes(self, case):
+        tape, loss = case
+        backward(tape, loss)
+        held = [(idx, g) for idx, g in enumerate(tape.grads) if g is not None]
+        got = [(idx, g.copy()) for idx, g in held]
+        for i, (_, g) in enumerate(held):
+            assert not any(np.shares_memory(g, h) for _, h in held[i + 1:])
+        # writing into one gradient leaves every other as it was
+        for i, (_, g) in enumerate(held):
+            g.fill(np.nan)
+            for (_, h), (_, want) in zip(held[i + 1:], got[i + 1:]):
+                assert np.array_equal(h, want)
+        want = _zero_filled_replay(tape, loss)
+        for idx, g in got:
+            assert np.array_equal(g, want[idx]), idx
 
 
 class TestGradCheck:

@@ -71,6 +71,14 @@ class TestGen:
         assert code == 1
         assert "square" in capsys.readouterr().err
 
+    def test_sl_default_seed_is_the_config_sl_seed(self, tmp_path):
+        """Without ``--seed``, ``gen`` writes the dataset ``reproduce`` writes."""
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("gen", "--dataset", "sl-r", "--n", 144, "--out", a) == 0
+        assert run("gen", "--dataset", "sl-r", "--n", 144, "--seed", 7, "--out", b) == 0
+        assert DEFAULT_CONFIG["data"]["sl_seed"] == 7
+        assert a.read_bytes() == b.read_bytes()
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("gen", "--dataset", "gwr-r", "--n", 144, "--nope", 1)
@@ -479,6 +487,26 @@ class TestBadDataFiles:
         err = capsys.readouterr().err
         assert err == (f"geoagg: error: {sidecar}: not valid JSON (Expecting property name "
                        f"enclosed in double quotes at line 1 column 2)\n")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_coordinates_too_far_apart(self, tmp_path, capsys, time_limit):
+        """Squared distances that would overflow once hung the neighbour search."""
+        data = tmp_path / "d.csv"
+        run("gen", "--dataset", "gwr-r", "--n", 144, "--seed", 1, "--out", data)
+        lines = data.read_text().splitlines()
+        assert lines[0].split(",")[1] == "u"
+        # every other row far out along u, so the train split holds some of them
+        for i in range(1, len(lines), 2):
+            cells = lines[i].split(",")
+            cells[1] = "1e200"
+            lines[i] = ",".join(cells)
+        data.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with time_limit(60):
+            code = self._train(tmp_path, data)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "geoagg: error: coordinates must span at most 2**510 along each axis\n")
         assert not (tmp_path / "m.json").exists()
 
     def test_data_path_that_is_a_directory(self, tmp_path, capsys):

@@ -77,6 +77,27 @@ class TestKdTree:
             tree.knn((0.5, bad), 1)
         assert tree.query_count == 0
 
+    @pytest.mark.parametrize("pool, query, message", [
+        ([[0, 0], [1, 1], [2, 0.5]], [1e200, 0.0],
+         "query coordinates must lie within 2**510 of the pool along each axis"),
+        ([[0, 0], [1e200, 0]], [0.0, 0.0],
+         "coordinates must span at most 2**510 along each axis"),
+    ], ids=["far-query", "wide-pool"])
+    def test_overflowing_distances_rejected_in_one_line(self, pool, query, message,
+                                                        time_limit):
+        """Squared distances that would overflow float64 are refused before
+        any arithmetic; they once made the search loop forever."""
+        with time_limit(10), pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            KdTree(pool, np.arange(len(pool))).search([query], 2)
+
+    def test_distances_just_inside_the_bound_stay_finite(self, time_limit):
+        reach = 2.0 ** 510
+        tree = KdTree([[0.0, 0.0], [reach, 1.0]], [0, 1])
+        with time_limit(10):
+            rows, d2 = tree.search([[-reach, reach + 1.0], [0.5 * reach, 0.0]], 2)
+        assert np.isfinite(d2).all()
+        assert rows.tolist() == [[0, 1], [0, 1]]
+
     def test_thousand_points_match_brute_force(self):
         rng = np.random.default_rng(3)
         coords = rng.random((1000, 2))
