@@ -2,12 +2,13 @@
 
 Every command is a pure function of its flags and input files.  Settings
 resolve in :func:`_settings`: ``DEFAULT_CONFIG``, then ``--config``, then
-flags; each seed comes from its flag, then ``GA_SEED``, then the config.  The
-train, predict, explain and bench steps are each written once, and
-``reproduce`` runs them on the datasets it generates.  Model files embed both
-the architecture and the training configuration, so ``predict``, ``explain``
-and ``bench`` re-derive the exact train/test split from the model file and
-the dataset alone.
+flags; each seed comes from its flag, then ``GA_SEED``, then the config.  One
+check, :func:`_check_settings`, then judges them against the model the step
+runs, the config's or the model file's, before any dataset is read.  The
+steps are each written once, and ``reproduce`` runs them on the datasets it
+generates.  Model files embed the architecture and the training config, so
+``predict``, ``explain`` and ``bench`` re-derive the exact train/test split
+from the model file and the dataset alone.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
@@ -32,8 +33,7 @@ from .explain import (
     make_shap_predictor,
     write_explanations_csv,
 )
-from .model import (ModelConfig, check_config_section, check_config_value, load_params,
-                    save_params)
+from .model import ModelConfig, build_config, check_config_value, load_params, save_params
 from .pipeline import (
     TrainConfig,
     benchmark_inference,
@@ -64,7 +64,7 @@ def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
         here = f"{path}{key}"
         if key not in defaults:
             raise ContractError(f"unknown config key {here!r}")
-        check_config_value(f"config key {here!r}", defaults[key], value)
+        value = check_config_value(f"config key {here!r}", defaults[key], value)
         if isinstance(value, dict):
             value = _merge_strict(defaults[key], value, here + ".")
         merged[key] = value
@@ -78,25 +78,7 @@ def load_config(path=None) -> dict:
     user = read_json(path, ContractError)
     if not isinstance(user, dict):
         raise ContractError("config file must hold a JSON object")
-    merged = _merge_strict(DEFAULT_CONFIG, user)
-    # sections are checked whichever command reads them, with the messages of
-    # the steps that would reject them; train and data wait for their seeds
-    model_cfg = ModelConfig(**merged["model"])
-    for key in ("background", "instances"):
-        if merged["explain"][key] < 1:
-            raise ContractError(f"config key 'explain.{key}' must be at least 1, "
-                                f"got {merged['explain'][key]}")
-    if min(merged["predict"]["members"], merged["bench"]["members"]) < 1:
-        raise ContractError("need at least one ensemble member")
-    neighbor_budget(model_cfg.l_max, merged["predict"]["expansion"])
-    lengths = merged["bench"]["lengths"]
-    if not lengths:
-        raise ContractError("config key 'bench.lengths' must hold at least one length")
-    if lengths != sorted(lengths):
-        raise ContractError("lengths must be ascending")
-    for length in lengths:
-        replace(model_cfg, l_max=length)
-    return merged
+    return _merge_strict(DEFAULT_CONFIG, user)
 
 
 def _resolve_seed(flag_value, config_value):
@@ -129,12 +111,28 @@ def _settings(args, *sections) -> dict:
     return cfg
 
 
-def _load_run(model, data):
-    """A model file's parameters and configs, and the split it was trained on."""
-    params, model_cfg, train_dict = load_params(model)
-    train_dict = train_dict or {}
-    check_config_section("model file", "train_config", train_dict, asdict(TrainConfig()))
-    tc = TrainConfig(**train_dict)
+def _check_settings(cfg: dict, model_cfg: ModelConfig) -> None:
+    """Reject explain, predict and bench settings that their steps would, running ``model_cfg``."""
+    for key in ("background", "instances"):
+        if (size := cfg["explain"][key]) < 1:
+            raise ContractError(f"config key 'explain.{key}' must be at least 1, got {size}")
+    if min(cfg["predict"]["members"], cfg["bench"]["members"]) < 1:
+        raise ContractError("need at least one ensemble member")
+    neighbor_budget(model_cfg.l_max, cfg["predict"]["expansion"])
+    lengths = cfg["bench"]["lengths"]
+    if not lengths:
+        raise ContractError("config key 'bench.lengths' must hold at least one length")
+    if lengths != sorted(lengths):
+        raise ContractError("lengths must be ascending")
+    for length in lengths:
+        replace(model_cfg, l_max=length)
+
+
+def _load_run(model, data, cfg):
+    """A model file's parameters, configs and split; ``cfg`` is checked before the data."""
+    params, model_cfg, tc_doc = load_params(model)
+    tc = build_config(TrainConfig, "model file", "train_config", {} if tc_doc is None else tc_doc)
+    _check_settings(cfg, model_cfg)
     return (params, model_cfg, tc, *split_dataset(load_csv(data), tc.split, tc.seed))
 
 
@@ -146,34 +144,34 @@ def _train(data, model_cfg, tc, model_out, loss_out):
     return train_ds.n, history
 
 
-def _predict(model, data, settings, out):
-    params, model_cfg, _, train_ds, test_ds = _load_run(model, data)
+def _predict(model, data, cfg, out):
+    params, model_cfg, _, train_ds, test_ds = _load_run(model, data, cfg)
     pred = predict_ensemble(params, model_cfg, QueryPool(test_ds), ContextPool(train_ds),
-                            **settings)
+                            **cfg["predict"])
     write_predictions_csv(out, pred)
     return len(pred.ids)
 
 
-def _explain(model, data, settings, out, instances=None):
+def _explain(model, data, cfg, out, instances=None):
     """Explains the whole test split, or ``instances`` rows drawn from it."""
-    params, model_cfg, _, train_ds, test_ds = _load_run(model, data)
-    rng = np.random.default_rng([4, settings["seed"]])
-    bg_idx = rng.choice(train_ds.n, min(settings["background"], train_ds.n), replace=False)
+    params, model_cfg, _, train_ds, test_ds = _load_run(model, data, cfg)
+    rng = np.random.default_rng([4, cfg["explain"]["seed"]])
+    bg_idx = rng.choice(train_ds.n, min(cfg["explain"]["background"], train_ds.n), replace=False)
     background = RowBatch.from_dataset(train_ds.take(np.sort(bg_idx)))
     if instances is not None and instances < test_ds.n:
         test_ds = test_ds.take(np.sort(rng.choice(test_ds.n, size=instances, replace=False)))
     rows = RowBatch.from_dataset(test_ds)
     predictor = make_shap_predictor(params, model_cfg, ContextPool(train_ds), QueryPool(test_ds),
-                                    seed=settings["seed"])
+                                    seed=cfg["explain"]["seed"])
     result = geoshapley_explain(predictor, rows, background)
     write_explanations_csv(out, result, local_coefficients(result, rows, background))
     return len(result.ids)
 
 
-def _bench(model, data, settings, out):
-    params, model_cfg, tc, train_ds, test_ds = _load_run(model, data)
+def _bench(model, data, cfg, out):
+    params, model_cfg, tc, train_ds, test_ds = _load_run(model, data, cfg)
     records = benchmark_inference(params, model_cfg, QueryPool(test_ds), ContextPool(train_ds),
-                                  **settings, expansion=tc.expansion_factor)
+                                  **cfg["bench"], expansion=tc.expansion_factor)
     write_bench_csv(out, records)
     return len(records)
 
@@ -198,6 +196,7 @@ def _cmd_gen(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _settings(args, "model", "train")
     model_cfg, tc = ModelConfig(**cfg["model"]), TrainConfig(**cfg["train"])
+    _check_settings(cfg, model_cfg)
     loss_path = Path(args.model_out).with_suffix(".loss.csv")
     n, history = _train(args.data, model_cfg, tc, args.model_out, loss_path)
     final = history[-1] if history else float("nan")
@@ -207,14 +206,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    settings = _settings(args, "predict")["predict"]
-    n = _predict(args.model, args.data, settings, args.out)
-    print(f"wrote {n} predictions ({settings['members']} members) to {args.out}")
+    cfg = _settings(args, "predict")
+    n = _predict(args.model, args.data, cfg, args.out)
+    print(f"wrote {n} predictions ({cfg['predict']['members']} members) to {args.out}")
     return 0
 
 
 def _cmd_explain(args) -> int:
-    n = _explain(args.model, args.data, _settings(args, "explain")["explain"], args.out)
+    n = _explain(args.model, args.data, _settings(args, "explain"), args.out)
     print(f"wrote explanations for {n} rows to {args.out}")
     return 0
 
@@ -222,7 +221,7 @@ def _cmd_explain(args) -> int:
 def _cmd_bench(args) -> int:
     if args.threads != 1:
         raise ContractError("only --threads 1 (serial benchmarking) is supported")
-    n = _bench(args.model, args.data, _settings(args, "bench")["bench"], args.out)
+    n = _bench(args.model, args.data, _settings(args, "bench"), args.out)
     print(f"wrote {n} timing rows to {args.out}")
     return 0
 
@@ -230,6 +229,7 @@ def _cmd_bench(args) -> int:
 def _cmd_reproduce(args) -> int:
     cfg = _settings(args, *DEFAULT_CONFIG)
     model_cfg, tc = ModelConfig(**cfg["model"]), TrainConfig(**cfg["train"])
+    _check_settings(cfg, model_cfg)
     # the generators judge data.n before the split sizes below are read from it
     data = cfg["data"]
     runs = {"gwr": generate_gwr(data["n"], data["gwr_seed"]),
@@ -248,14 +248,14 @@ def _cmd_reproduce(args) -> int:
         data_path, model_path = outdir / f"{tag}_r.csv", outdir / f"model_{tag}.json"
         save_csv(ds, data_path)
         _train(data_path, model_cfg, tc, model_path, outdir / f"loss_{tag}.csv")
-        n = _predict(model_path, data_path, cfg["predict"], outdir / f"predictions_{tag}.csv")
+        n = _predict(model_path, data_path, cfg, outdir / f"predictions_{tag}.csv")
         print(f"[{tag}] trained and predicted {n} rows")
         if tag == "gwr":
-            n = _explain(model_path, data_path, cfg["explain"],
+            n = _explain(model_path, data_path, cfg,
                          outdir / "explanations_gwr.csv", cfg["explain"]["instances"])
             print(f"[gwr] explained {n} rows")
         else:
-            _bench(model_path, data_path, cfg["bench"], outdir / "bench_sl.csv")
+            _bench(model_path, data_path, cfg, outdir / "bench_sl.csv")
             print("[sl] benchmark written")
     print(f"reproduction artifacts in {outdir}")
     return 0

@@ -130,8 +130,8 @@ class KdTree:
         return self._order[pos], d2
 
     def _cell(self, points):
-        """The grid cell ``(m, 2)`` of each point, clipped to the grid."""
-        return np.clip((points - self._lo) // self._side, 0, self._last).astype(np.int64)
+        """The grid cell ``(m, 2)`` of each point, its offset clipped to the box first."""
+        return (np.clip(points - self._lo, 0, self._hi - self._lo) // self._side).astype(np.int64)
 
     def _span(self, cell, ring):
         """The first and last cells ``(m, 2)`` of each window, clipped to the grid."""

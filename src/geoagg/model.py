@@ -55,7 +55,7 @@ __all__ = [
     "save_params",
     "load_params",
     "check_config_value",
-    "check_config_section",
+    "build_config",
 ]
 
 PARAMS_FORMAT = "geoagg-params-v1"
@@ -119,32 +119,36 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                list: "a list of integers", dict: "an object"}
 
 
-def check_config_value(where: str, default, value) -> None:
-    """Raise a one-line ContractError unless ``value`` fits its default's type.
+def check_config_value(where: str, default, value):
+    """``value`` as its field reads it, or a one-line ContractError if it does not fit.
 
-    An int field takes an int, a float field an int or a float, an object
-    field an object, and a bool is never a number.  The one list field,
-    ``bench.lengths``, takes ints.
+    An int field takes an int, an object field an object, ``bench.lengths``
+    ints, and a float field a float or an int, which is read as its float past
+    int64 (numpy's limit) and does not fit past float64's.  A bool is no number.
     """
     kind = type(default)
+    if kind is float and type(value) is int and 2 ** 63 <= abs(value) < 2 ** 1024 - 2 ** 970:
+        value = float(value)  # numpy holds such an int as an object; this float is finite
     if kind is float:
-        fits = type(value) in (int, float)
+        fits = type(value) is float or type(value) is int and abs(value) < 2 ** 63
     elif kind is list:
         fits = type(value) is list and all(type(item) is int for item in value)
     else:
         fits = type(value) is kind
     if not fits:
         raise ContractError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
-def check_config_section(owner: str, section: str, doc: dict, defaults: dict) -> None:
-    """Reject a non-object ``doc``, keys that ``defaults`` lacks, and mistyped values."""
+def build_config(cls, owner: str, section: str, doc):
+    """``cls(**doc)``, once ``doc`` is an object of ``cls``'s fields, each of its default's type."""
+    defaults = asdict(cls())
     check_config_value(f"{owner}'s {section}", defaults, doc)
     unknown = sorted(set(doc) - set(defaults))
     if unknown:
         raise ContractError(f"{owner} has unknown {section} key {unknown[0]!r}")
-    for key, value in doc.items():
-        check_config_value(f"{owner}'s {section} key {key!r}", defaults[key], value)
+    return cls(**{key: check_config_value(f"{owner}'s {section} key {key!r}", defaults[key], value)
+                  for key, value in doc.items()})
 
 
 @dataclass
@@ -413,9 +417,7 @@ def load_params(path):
         raise ContractError(
             f"unsupported parameter file format {found!r}, expected {PARAMS_FORMAT!r}"
         )
-    config_doc = doc.get("model_config")
-    check_config_section("parameter file", "model_config", config_doc, asdict(ModelConfig()))
-    config = ModelConfig(**config_doc)
+    config = build_config(ModelConfig, "parameter file", "model_config", doc.get("model_config"))
     try:
         arrays = {k: np.array(v, dtype=np.float64) for k, v in doc["arrays"].items()}
         norm = {k: np.array(v, dtype=np.float64) for k, v in doc["constants"].items()}

@@ -225,7 +225,6 @@ def member_outputs(params: ModelParams, config: ModelConfig, context: ContextPoo
 def _member_predictions(params: ModelParams, config: ModelConfig,
                         queries: QueryPool, context: ContextPool,
                         members: int, expansion: float, seed: int,
-                        l_max: int | None = None,
                         cache_mode: str = "precomputed") -> np.ndarray:
     """(members, n_queries) raw member outputs of :func:`member_outputs`.
 
@@ -237,9 +236,6 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
         raise ContractError("need at least one ensemble member")
     if cache_mode not in ("precomputed", "on_the_fly"):
         raise ContractError(f"unknown cache mode {cache_mode!r}")
-    if l_max is not None:
-        # benchmarking sweeps the sequence length past the training-time bound
-        config = replace(config, l_max=l_max)
     l_max = config.l_max
     k = neighbor_budget(l_max, expansion)
     if len(queries) and queries.x.shape[1] != context.x.shape[1]:
@@ -333,8 +329,9 @@ def benchmark_inference(params: ModelParams, config: ModelConfig,
         for mode in ("on_the_fly", "precomputed"):
             context.tree.reset_query_count()
             t0 = time.perf_counter()
-            _member_predictions(params, config, queries, context, members,
-                                expansion, seed, l_max=length, cache_mode=mode)
+            # the sweep runs lengths past the training-time bound
+            _member_predictions(params, replace(config, l_max=length), queries, context,
+                                members, expansion, seed, cache_mode=mode)
             elapsed = time.perf_counter() - t0
             records.append(BenchRecord(length=length, mode=mode, seconds=elapsed,
                                        tree_queries=context.tree.query_count))

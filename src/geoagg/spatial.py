@@ -160,9 +160,11 @@ def neighbor_budget(l_max: int, expansion: float) -> int:
     """Cache depth k' for a given max sequence length and expansion factor."""
     if not 1.0 <= expansion < math.inf:
         raise ContractError(f"expansion factor must be finite and >= 1, got {expansion}")
-    if not math.isfinite(expansion * l_max):
-        raise ContractError(f"expansion factor {expansion} times l_max={l_max} is not finite")
-    return int(math.ceil(expansion * l_max))
+    try:
+        return math.ceil(expansion * l_max)
+    except OverflowError:  # the product is infinite, or l_max has no float value
+        raise ContractError(f"expansion factor {expansion} times l_max={l_max} "
+                            "is not finite") from None
 
 
 def precompute_neighbors(queries: QueryPool, context: ContextPool, k: int) -> NeighborCache:

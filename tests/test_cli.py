@@ -1,18 +1,24 @@
 """Command-line interface tests (run in-process through main())."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoagg.autodiff import ContractError
 from geoagg.cli import DEFAULT_CONFIG, _merge_strict, load_config, main
 from geoagg.datasets import load_csv
-from geoagg.pipeline import split_dataset
+from geoagg.model import ModelConfig, build_config, init_params, load_params, save_params
+from geoagg.pipeline import TrainConfig, split_dataset
+from geoagg.spatial import neighbor_budget
 
 
 SMALL_CONFIG = {
@@ -48,6 +54,31 @@ def write_config(tmp_path, overrides=None):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_captured(*argv):
+    """``main``'s exit code, a usage error's included, and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = run(*argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def save_small_model(path):
+    """An untrained model file of SMALL_CONFIG's model and train sections, for
+    checks that end before any data is read."""
+    config = ModelConfig(**SMALL_CONFIG["model"])
+    params = init_params(config, 2, np.random.default_rng(0))
+    save_params(path, params, config, asdict(TrainConfig(**SMALL_CONFIG["train"])))
+    return path
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    return save_small_model(tmp_path_factory.mktemp("small_model") / "model.json")
 
 
 class TestGen:
@@ -623,6 +654,83 @@ class TestRunConfig:
         block = section.split("```json\n", 1)[1].split("```", 1)[0]
         assert json.loads(block) == DEFAULT_CONFIG
 
+    def test_integer_past_int64_is_read_as_its_float(self, tmp_path):
+        cfg = load_config(write_config(
+            tmp_path, {"model": {**SMALL_CONFIG["model"], "lambda_init": 10 ** 19}}))
+        assert type(cfg["model"]["lambda_init"]) is float
+        assert cfg["model"]["lambda_init"] == 1e19
+        params = init_params(ModelConfig(**cfg["model"]), 2, np.random.default_rng(0))
+        assert params.arrays["agg.lam_raw"].tolist() == [[1e19], [1e19]]
+
+
+class TestChecksBeforeData:
+    """A setting fails with its step's one-line message before the dataset is
+    read, whether it comes from a flag, a config file or a model file."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["predict", "--members", "0"], "need at least one ensemble member"),
+        (["predict", "--expansion", "0.5"], "expansion factor must be finite and >= 1, got 0.5"),
+        (["predict", "--expansion", "1e308"],
+         "expansion factor 1e+308 times l_max=8 is not finite"),
+        (["bench", "--members", "0"], "need at least one ensemble member"),
+        (["bench", "--lengths", "8,4"], "lengths must be ascending"),
+        (["bench", "--lengths", "1"], "l_max must be at least 2"),
+    ], ids=["predict-members", "predict-expansion", "predict-expansion-times-l_max",
+            "bench-members", "bench-descending", "bench-length-1"])
+    def test_bad_flag(self, small_model, tmp_path, capsys, argv, message):
+        out = tmp_path / "o.csv"
+        assert run(*argv, "--model", small_model, "--data", tmp_path / "missing.csv",
+                   "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"geoagg: error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, message", [
+        ("model", "lambda_init", "config key 'model.lambda_init' must be a number, got {}"),
+        ("train", "lr", "config key 'train.lr' must be a number, got {}"),
+        ("model", "rope_base", "config key 'model.rope_base' must be a number, got {}"),
+        ("predict", "expansion", "config key 'predict.expansion' must be a number, got {}"),
+        ("model", "l_max", "expansion factor 1.25 times l_max={} is not finite"),
+    ], ids=["lambda_init", "lr", "rope_base", "predict-expansion", "l_max"])
+    def test_integer_without_a_float_value_in_a_config_file(self, tmp_path, capsys,
+                                                            section, key, message):
+        huge = 10 ** 400
+        cfg = write_config(tmp_path, {section: {**SMALL_CONFIG[section], key: huge}})
+        model = tmp_path / "m.json"
+        assert run("train", "--data", tmp_path / "missing.csv", "--config", cfg,
+                   "--model-out", model) == 1
+        assert capsys.readouterr().err == f"geoagg: error: {message.format(huge)}\n"
+        assert not model.exists()
+
+    def test_integer_without_a_float_value_in_a_model_file(self, small_model, tmp_path, capsys):
+        doc = json.loads(small_model.read_text())
+        doc["model_config"]["rope_base"] = 10 ** 400
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        assert run("predict", "--model", bad, "--data", tmp_path / "missing.csv",
+                   "--out", tmp_path / "p.csv") == 1
+        assert capsys.readouterr().err == ("geoagg: error: parameter file's model_config key "
+                                           f"'rope_base' must be a number, got {10 ** 400}\n")
+
+    @pytest.mark.parametrize("value", [0, False, "", []], ids=["0", "false", "empty-string",
+                                                              "empty-list"])
+    def test_train_config_that_is_not_an_object(self, small_model, tmp_path, capsys, value):
+        """Only ``null``, which a model file saved without one holds, reads as the defaults."""
+        doc, missing = json.loads(small_model.read_text()), tmp_path / "missing.csv"
+
+        def predict(train_config):
+            doc["train_config"] = train_config
+            bad = tmp_path / "bad_model.json"
+            bad.write_text(json.dumps(doc))
+            assert run("predict", "--model", bad, "--data", missing,
+                       "--out", tmp_path / "p.csv") == 1
+            return capsys.readouterr().err
+
+        assert predict(None).endswith(f"{missing}'\n")  # the defaults, then the data
+        assert predict(value) == ("geoagg: error: model file's train_config must be an "
+                                  f"object, got {value!r}\n")
+
 
 def _typed_value(default):
     """Values of the type a config field with this default takes."""
@@ -829,3 +937,111 @@ class TestOnePath:
                 assert {int(r[0]) for r in rows_a[1:-1]} == set(bench["lengths"])
             else:
                 assert a.read_bytes() == b.read_bytes(), command
+
+
+# integers, floats, booleans and lists of integers, with the edges of each
+BOUNDARY_VALUES = (
+    st.sampled_from([0, -1, 2 ** 63, -2 ** 63, 10 ** 19, 10 ** 400, -10 ** 400]) | st.integers()
+    | st.sampled_from([0.0, -0.0, -1.5, float("nan"), float("inf"), float("-inf"), 1e308])
+    | st.floats() | st.booleans()
+    | st.lists(st.integers(-3, 300) | st.sampled_from([2 ** 63, 10 ** 400]), max_size=4)
+)
+# model-file sizes stay small: load_params allocates a template of the file's own size
+MODEL_FILE_FIELDS = {
+    **{key: st.integers(1, 64) for key in ("d_model", "n_heads", "n_inducing", "n_layers")},
+    **{key: BOUNDARY_VALUES for key in ("lambda_init", "rope_base", "l_max",
+                                        "legacy_single_abf")},
+}
+COMMAND_FLAGS = {
+    "predict": ["--members", "--expansion", "--seed"],
+    "explain": ["--background", "--seed"],
+    "bench": ["--lengths", "--members", "--threads"],
+}
+
+
+def flag_text(value):
+    return ",".join(map(str, value)) if type(value) is list else str(value)
+
+
+def read_as_typed(default, value):
+    """Whether a setting read as ``value`` has its field's type: a number field
+    holds a float, or an int that numpy holds as an int64."""
+    if type(default) is float and type(value) is int:
+        return abs(value) < 2 ** 63
+    return type(value) is type(default)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestBoundaryFuzz:
+    """Boundary values in every setting end in a result or one line, and no
+    draw reaches training: each run's data file does not exist."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_config_keys(self, fuzz_dir, data):
+        section = data.draw(st.sampled_from(sorted(DEFAULT_CONFIG)))
+        key = data.draw(st.sampled_from(sorted(DEFAULT_CONFIG[section])))
+        value = data.draw(BOUNDARY_VALUES)
+        path = fuzz_dir / "config.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        try:
+            merged = load_config(path)
+        except ContractError as err:
+            assert "\n" not in str(err)
+        else:
+            assert read_as_typed(DEFAULT_CONFIG[section][key], merged[section][key])
+        model = fuzz_dir / "m.json"
+        code, err = run_captured("train", "--data", fuzz_dir / "missing.csv", "--config", path,
+                                 "--model-out", model)
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert not model.exists()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_model_file_fields(self, small_model, fuzz_dir, data):
+        fields = {**{("model_config", key): values for key, values in MODEL_FILE_FIELDS.items()},
+                  **{("train_config", key): BOUNDARY_VALUES for key in asdict(TrainConfig())}}
+        section, key = data.draw(st.sampled_from(sorted(fields)))
+        doc = json.loads(small_model.read_text())
+        doc[section][key] = data.draw(fields[section, key])
+        path = fuzz_dir / "model.json"
+        path.write_text(json.dumps(doc))
+        try:
+            _, config, train_doc = load_params(path)
+            tc = build_config(TrainConfig, "model file", "train_config", train_doc)
+        except ContractError as err:
+            assert "\n" not in str(err)
+        else:
+            for built in (config, tc):
+                defaults = asdict(type(built)())
+                assert all(read_as_typed(defaults[key], value)
+                           for key, value in asdict(built).items())
+        code, err = run_captured("predict", "--model", path, "--data", fuzz_dir / "missing.csv",
+                                 "--out", fuzz_dir / "p.csv")
+        assert code == 1
+        assert len(err.splitlines()) == 1
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_flags(self, small_model, fuzz_dir, data):
+        command = data.draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+        flags = data.draw(st.dictionaries(st.sampled_from(COMMAND_FLAGS[command]),
+                                          BOUNDARY_VALUES.map(flag_text)))
+        out = fuzz_dir / "o.csv"
+        code, err = run_captured(command, "--model", small_model,
+                                 "--data", fuzz_dir / "missing.csv", "--out", out,
+                                 *(f"{flag}={text}" for flag, text in flags.items()))
+        assert code in (1, 2)
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+        if err.endswith(f"{fuzz_dir / 'missing.csv'}'\n"):
+            # only settings that their steps accept reach the data
+            assert int(flags.get("--members", 1)) >= 1
+            neighbor_budget(SMALL_CONFIG["model"]["l_max"], float(flags.get("--expansion", 1)))
+            lengths = [int(text) for text in flags.get("--lengths", "2").split(",")]
+            assert lengths == sorted(lengths) and lengths[0] >= 2

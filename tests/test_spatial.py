@@ -53,6 +53,12 @@ class TestKdTree:
         assert got[0][0] == 17
         assert got[0][1] == 0.0
 
+    def test_far_query_over_tiny_cells(self):
+        """A query 1e10 cells of 1e-300 away maps to the edge cell without overflow."""
+        rows, d2 = KdTree([[0, 0], [1e-300, 0]], [0, 1]).search([[1e10, 0.0]], 1)
+        assert rows.tolist() == [[0]]
+        assert d2.tolist() == [[1e20]]
+
     def test_k_larger_than_pool_is_clamped(self):
         rng = np.random.default_rng(2)
         coords = rng.random((6, 2))
