@@ -345,8 +345,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ContractError, CsvFormatError, SequenceLookupError, OSError) as exc:
-        print(f"geoagg: error: {exc}", file=sys.stderr)
+    except (ContractError, CsvFormatError, SequenceLookupError, OSError, MemoryError) as exc:
+        print(f"geoagg: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

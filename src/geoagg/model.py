@@ -45,6 +45,7 @@ from .datasets import read_json
 __all__ = [
     "ModelConfig",
     "ModelParams",
+    "param_shapes",
     "init_params",
     "bind_params",
     "param_grads",
@@ -165,52 +166,45 @@ class ModelParams:
         )
 
 
-def _identity_norm(p: int) -> dict[str, np.ndarray]:
-    return {
-        "x_mean": np.zeros((1, p)),
-        "x_std": np.ones((1, p)),
-        "y_mean": np.zeros((1, 1)),
-        "y_std": np.ones((1, 1)),
-    }
+def param_shapes(config: ModelConfig, p: int):
+    """``(arrays, constants)``: the layout of a model for ``p`` covariates.
 
-
-def init_params(config: ModelConfig, p: int, rng: np.random.Generator) -> ModelParams:
-    """Random initialisation for ``p`` covariates.
-
-    Projections use 1/sqrt(fan_in) scaling; the output projections of the
-    induced blocks and the tanh branch start at zero so the residual stream
-    begins as the identity.
+    ``arrays`` maps each trainable array's name, in initialisation order, to
+    its shape and the fan-in that sets its initial scale, 1/sqrt(fan_in);
+    a fan-in of 0 marks an array that starts at zero.  ``constants`` maps
+    each normalisation constant's name to its shape.
     """
     if p < 1:
         raise ContractError(f"need at least one covariate, got p={p}")
-    d = config.d_model
-    sd = 1.0 / np.sqrt(d)
-
-    arrays: dict[str, np.ndarray] = {
-        "embed_w": rng.normal(0.0, 1.0 / np.sqrt(p + 1), size=(p + 1, d)),
-        "embed_b": np.zeros((1, d)),
-        "y_mask": np.zeros((1, 1)),
-    }
+    d, m = config.d_model, config.n_inducing
+    arrays = {"embed_w": ((p + 1, d), p + 1), "embed_b": ((1, d), 0), "y_mask": ((1, 1), 0)}
     for layer in range(config.n_layers):
-        arrays[f"l{layer}.ind"] = rng.normal(0.0, 1.0, size=(config.n_inducing, d))
-        for blk in ("a", "b"):
-            arrays[f"l{layer}.{blk}.wq"] = rng.normal(0.0, sd, size=(d, d))
-            arrays[f"l{layer}.{blk}.wk"] = rng.normal(0.0, sd, size=(d, d))
-            arrays[f"l{layer}.{blk}.wv"] = rng.normal(0.0, sd, size=(d, d))
-            arrays[f"l{layer}.{blk}.wo"] = np.zeros((d, d))
-    arrays["agg.wq"] = rng.normal(0.0, sd, size=(d, d))
-    arrays["agg.wk"] = rng.normal(0.0, sd, size=(d, d))
-    arrays["agg.wv"] = rng.normal(0.0, sd, size=(d, d))
-    arrays["agg.wo"] = rng.normal(0.0, sd, size=(d, d))
-    lam_shape = (1, 1) if config.legacy_single_abf else (config.n_heads, 1)
-    arrays["agg.lam_raw"] = np.full(lam_shape, ad.softplus_inv(config.lambda_init))
-    arrays["head.w1"] = rng.normal(0.0, sd, size=(d, d))
-    arrays["head.b1"] = np.zeros((1, d))
-    arrays["head.w2"] = np.zeros((d, 1))
-    arrays["head.w_lin"] = rng.normal(0.0, sd, size=(d, 1))
-    arrays["head.b2"] = np.zeros((1, 1))
+        arrays[f"l{layer}.ind"] = ((m, d), 1)
+        arrays.update({f"l{layer}.{blk}.{w}": ((d, d), 0 if w == "wo" else d)
+                       for blk in ("a", "b") for w in ("wq", "wk", "wv", "wo")})
+    arrays.update({f"agg.{w}": ((d, d), d) for w in ("wq", "wk", "wv", "wo")})
+    arrays["agg.lam_raw"] = ((1 if config.legacy_single_abf else config.n_heads, 1), 0)
+    arrays.update({"head.w1": ((d, d), d), "head.b1": ((1, d), 0), "head.w2": ((d, 1), 0),
+                   "head.w_lin": ((d, 1), d), "head.b2": ((1, 1), 0)})
+    constants = {"x_mean": (1, p), "x_std": (1, p), "y_mean": (1, 1), "y_std": (1, 1)}
+    return arrays, constants
 
-    return ModelParams(arrays=arrays, norm=_identity_norm(p))
+
+def init_params(config: ModelConfig, p: int, rng: np.random.Generator) -> ModelParams:
+    """Random initialisation of :func:`param_shapes`'s layout for ``p`` covariates.
+
+    Projections draw from a normal of scale 1/sqrt(fan_in); the induced
+    blocks' and the tanh branch's output projections start at zero, so the
+    residual stream begins as the identity.  The distance factors start at
+    ``lambda_init``, the constants at the identity normalisation.
+    """
+    shapes, constants = param_shapes(config, p)
+    arrays = {name: rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape) if fan_in
+              else np.zeros(shape) for name, (shape, fan_in) in shapes.items()}
+    arrays["agg.lam_raw"][:] = ad.softplus_inv(config.lambda_init)
+    norm = {name: np.ones(shape) if name.endswith("std") else np.zeros(shape)
+            for name, shape in constants.items()}
+    return ModelParams(arrays=arrays, norm=norm)
 
 
 class BoundParams:
@@ -385,15 +379,15 @@ def save_params(path, params: ModelParams, config: ModelConfig,
 
 
 def _check_fits(kind: str, got: dict, want: dict) -> None:
-    """Same names and shapes in ``got`` as in ``want``, else a ContractError."""
+    """``got``'s arrays have ``want``'s names and shapes, else a ContractError."""
     for name in sorted(set(got) | set(want)):
         if name not in got:
             raise ContractError(f"parameter file lacks {kind} {name!r}")
         if name not in want:
             raise ContractError(f"parameter file has unknown {kind} {name!r}")
-        if got[name].shape != want[name].shape:
+        if got[name].shape != want[name]:
             raise ContractError(f"parameter file {kind} {name!r} has shape "
-                                f"{got[name].shape}, its config needs {want[name].shape}")
+                                f"{got[name].shape}, its config needs {want[name]}")
 
 
 def _check_finite(owner: str, kind: str, named: dict) -> None:
@@ -407,9 +401,10 @@ def load_params(path):
     """Inverse of :func:`save_params`: ``(params, config, train_config_dict)``.
 
     The file must fit its own ``model_config``: exactly the arrays and
-    constants :func:`init_params` makes for that config, with the same
-    shapes, the covariate count being read from ``embed_w``, and every value
-    finite.  A file that does not fit raises a one-line :class:`ContractError`.
+    constants of :func:`param_shapes` for that config, the covariate count
+    being read from ``embed_w``, and every value finite.  Checking allocates
+    nothing beyond the file's own arrays.  A file that does not fit raises a
+    one-line :class:`ContractError`.
     """
     doc = read_json(path, ContractError)
     found = doc.get("format") if isinstance(doc, dict) else None
@@ -426,9 +421,12 @@ def load_params(path):
     embed_w = arrays.get("embed_w")
     if embed_w is None or embed_w.ndim != 2:
         raise ContractError("parameter file lacks a matrix 'embed_w'")
-    fitting = init_params(config, embed_w.shape[0] - 1, np.random.default_rng(0))
-    _check_fits("array", arrays, fitting.arrays)
-    _check_fits("constant", norm, fitting.norm)
+    if config.n_layers > len(arrays):  # each layer has arrays: bound the table by the file
+        raise ContractError(f"parameter file holds {len(arrays)} arrays, "
+                            f"too few for n_layers={config.n_layers}")
+    shapes, constants = param_shapes(config, embed_w.shape[0] - 1)
+    _check_fits("array", arrays, {name: shape for name, (shape, _) in shapes.items()})
+    _check_fits("constant", norm, constants)
     _check_finite("parameter file", "array", arrays)
     _check_finite("parameter file", "constant", norm)
     return ModelParams(arrays=arrays, norm=norm), config, doc.get("train_config")

@@ -10,7 +10,7 @@ one set of weights and differ only in the context rows they draw, so the
 standard deviation measures how sensitive a prediction is to the context
 draw; it is not a calibrated predictive spread.  Context rows are drawn a
 batch at a time, one :func:`~geoagg.spatial.subset_indices` call per training
-minibatch and per chunk of queries at inference, in :func:`member_outputs`.
+minibatch and per block of inference sequences, in :func:`member_outputs`.
 
 Everything is a pure function of (data, config, seeds): fixed split, fixed
 parameter initialisation, fixed per-epoch shuffles.  The benchmark harness
@@ -199,26 +199,23 @@ def member_outputs(params: ModelParams, config: ModelConfig, context: ContextPoo
     rows, nearest first, ``targets`` its own context row (-1 if none),
     ``ids`` its point id, ``x`` and ``coords`` its target row.  Rows that
     share a point may share its ``entries`` and ``targets`` row instead:
-    then ``index`` ``(n,)`` gives each row's position in them, and each
-    chunk gathers its own.  Each chunk of rows takes one
-    :func:`context_keys` block, one :func:`subset_indices` call and one
-    :func:`forward_batch` of at most ``_CHUNK_ROWS`` sequences.  The member
-    axis is the contiguous one, so a mean over members adds a row's outputs
-    in one order whatever rows share the call.
+    then ``index`` ``(n,)`` gives each row's position in them.  Each block
+    of ``_CHUNK_ROWS`` flat (row, member) pairs of the ``(n, members)``
+    output takes one :func:`context_keys`, :func:`subset_indices` and
+    :func:`forward_batch` call.  The member axis is the contiguous one, so a
+    row's mean over members adds in one order whatever rows share the call.
     """
     l_max, k = config.l_max, entries.shape[-1]
     entries = np.broadcast_to(entries, (members,) + entries.shape[-2:])
     out = np.empty((len(ids), members))
-    step = max(1, _CHUNK_ROWS // members)
-    for start in range(0, len(ids), step):
-        chunk = slice(start, start + step)
-        at = chunk if index is None else index[chunk]
-        keys = context_keys(seed, members, ids[chunk], k) if k > l_max else None
-        picks = subset_indices(entries[:, at], targets[at], l_max, keys)
-        feats, seq_coords = sequences(context, x[chunk], coords[chunk], picks)
-        out[chunk] = forward_batch(feats.reshape(-1, l_max, feats.shape[-1]),
-                                   seq_coords.reshape(-1, l_max, 2),
-                                   params, config).reshape(members, -1).T
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _CHUNK_ROWS):
+        row, member = np.divmod(np.arange(start, min(start + _CHUNK_ROWS, flat.size)), members)
+        at = row if index is None else index[row]
+        keys = context_keys(seed, member, ids[row], k) if k > l_max else None
+        picks = subset_indices(entries[member, at], targets[at], l_max, keys)
+        flat[start:start + _CHUNK_ROWS] = forward_batch(
+            *sequences(context, x[row], coords[row], picks), params, config)
     return out.T
 
 
@@ -231,6 +228,7 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
     ``precomputed`` mode searches the tree once for all query points up
     front; ``on_the_fly`` searches it again for every member and query.  Both
     feed identical rows to the engine, so their predictions match exactly.
+    Member counts past what numpy can address are refused in one line.
     """
     if members < 1:
         raise ContractError("need at least one ensemble member")
@@ -238,6 +236,9 @@ def _member_predictions(params: ModelParams, config: ModelConfig,
         raise ContractError(f"unknown cache mode {cache_mode!r}")
     l_max = config.l_max
     k = neighbor_budget(l_max, expansion)
+    if members * max(len(queries), 1) * min(k, len(context)) >= 2 ** 60:
+        raise ContractError(f"{members} ensemble members over {len(queries)} queries "
+                            "need more memory than can be addressed")
     if len(queries) and queries.x.shape[1] != context.x.shape[1]:
         raise ContractError(f"query points carry {queries.x.shape[1]} covariates, "
                             f"context points carry {context.x.shape[1]}")

@@ -201,21 +201,21 @@ _GOLDEN, _MIX1, _MIX2 = (np.uint64(c) for c in (
     0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 
 
-def context_keys(seed: int, members: int, ids, k: int) -> np.ndarray:
-    """``(members, len(ids), k)`` uniform keys in [0, 1), one per (seed, member, id, slot).
+def context_keys(seed: int, members, ids, k: int) -> np.ndarray:
+    """``(..., k)`` uniform keys in [0, 1), one per (seed, member, id, slot).
 
+    ``members``, each sequence's member index, broadcasts against ``ids``.
     A key hashes its own four words, a counter-based draw (Salmon et al.,
-    SC'11), so a query's keys are the same whatever queries share the call.
-    Each word is absorbed through SplitMix64's finaliser; ids are read as
-    int64 bits, so negative ids hash too.  The arithmetic stays on arrays,
-    where uint64 products wrap without a warning.
+    SC'11), so it is the same in any batch.  Each word is absorbed through
+    SplitMix64's finaliser; ids are read as int64 bits, so negative ids hash
+    too.  The arithmetic stays on arrays, where uint64 products wrap silently.
     """
     if not -2 ** 63 <= seed < 2 ** 63:
         raise ContractError(f"seed must lie in [-2**63, 2**63), got {seed}")
     state = np.zeros(1, dtype=np.uint64)
     for word in (np.array([seed], dtype=np.int64).view(np.uint64),
-                 np.arange(members, dtype=np.uint64)[:, None, None],
-                 np.asarray(ids, dtype=np.int64).view(np.uint64)[:, None],
+                 np.asarray(members, dtype=np.uint64)[..., None],
+                 np.asarray(ids, dtype=np.int64).view(np.uint64)[..., None],
                  np.arange(k, dtype=np.uint64)):
         state = (state ^ word) + _GOLDEN
         state ^= state >> 30

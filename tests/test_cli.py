@@ -570,14 +570,59 @@ class TestLeanProcess:
             "    assert main(argv) == 0, argv\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(__file__).resolve().parents[1] / "src")]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=600)
+        proc = run_child(script, tmp_path)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def run_child(script, cwd):
+    """``script`` run by a fresh interpreter that imports this checkout's geoagg."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+@pytest.fixture(scope="module")
+def trained_once(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("trained_once")
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    assert run("gen", "--dataset", "gwr-r", "--n", 144, "--seed", 5, "--out", data) == 0
+    assert run("train", "--data", data, "--config", write_config(tmp_path),
+               "--model-out", model) == 0
+    return data, model, tmp_path
+
+
+class TestResourceBounds:
+    """Member counts whose outputs cannot be allocated, or not even
+    addressed, end in one line with exit code 1.  Each run is a child
+    process whose address space is capped at 1 GiB, so none really
+    allocates more."""
+
+    @pytest.mark.parametrize("members", [10 ** 10, 2 ** 60, 10 ** 20])
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_huge_member_count(self, trained_once, command, members):
+        data, model, tmp_path = trained_once
+        argv = [command, "--model", str(model), "--data", str(data), "--members", str(members),
+                *(["--lengths", "4,8"] if command == "bench" else []),
+                "--out", str(tmp_path / f"{command}.csv")]
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from geoagg.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        proc = run_child(script, tmp_path)
+        assert proc.returncode == 1, proc.stderr[-2000:]
+        assert proc.stderr.startswith("geoagg: error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        if members < 2 ** 60:
+            assert proc.stderr.startswith("geoagg: error: Unable to allocate ")
+        else:
+            assert proc.stderr == (f"geoagg: error: {members} ensemble members over 43 "
+                                   "queries need more memory than can be addressed\n")
 
 
 class TestSeedPrecedence:
@@ -946,12 +991,6 @@ BOUNDARY_VALUES = (
     | st.floats() | st.booleans()
     | st.lists(st.integers(-3, 300) | st.sampled_from([2 ** 63, 10 ** 400]), max_size=4)
 )
-# model-file sizes stay small: load_params allocates a template of the file's own size
-MODEL_FILE_FIELDS = {
-    **{key: st.integers(1, 64) for key in ("d_model", "n_heads", "n_inducing", "n_layers")},
-    **{key: BOUNDARY_VALUES for key in ("lambda_init", "rope_base", "l_max",
-                                        "legacy_single_abf")},
-}
 COMMAND_FLAGS = {
     "predict": ["--members", "--expansion", "--seed"],
     "explain": ["--background", "--seed"],
@@ -1004,11 +1043,12 @@ class TestBoundaryFuzz:
     @settings(max_examples=300, deadline=None, database=None)
     @given(data=st.data())
     def test_model_file_fields(self, small_model, fuzz_dir, data):
-        fields = {**{("model_config", key): values for key, values in MODEL_FILE_FIELDS.items()},
-                  **{("train_config", key): BOUNDARY_VALUES for key in asdict(TrainConfig())}}
+        fields = [(section, key) for section, cls in (("model_config", ModelConfig),
+                                                      ("train_config", TrainConfig))
+                  for key in asdict(cls())]
         section, key = data.draw(st.sampled_from(sorted(fields)))
         doc = json.loads(small_model.read_text())
-        doc[section][key] = data.draw(fields[section, key])
+        doc[section][key] = data.draw(BOUNDARY_VALUES)
         path = fuzz_dir / "model.json"
         path.write_text(json.dumps(doc))
         try:

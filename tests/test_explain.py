@@ -414,8 +414,8 @@ def per_instance_reference(predictor, instances, background):
 
 @pytest.fixture()
 def drawn(monkeypatch):
-    """The context rows the inference engine picks, one ``(members, rows,
-    l_max - 1)`` array per draw."""
+    """The context rows the inference engine picks, one ``(sequences, l_max - 1)``
+    array per draw, its sequences the (row, member) pairs in row-major order."""
     draws = []
 
     def recording(*args, _draw=pipeline.subset_indices):
@@ -502,11 +502,13 @@ class TestShapPredictorWrapper:
         got = predictor(batch.ids, batch.coords, x)
         order = np.random.default_rng(0).permutation(n)
         shuffled = predictor(batch.ids[order], batch.coords[order], x[order])
-        assert len(drawn) == 2 and np.array_equal(drawn[1], drawn[0][:, order])
+        assert len(drawn) == 2
+        first, again = (draw.reshape(n, members, -1) for draw in drawn)
+        assert np.array_equal(again, first[order])
 
         # every sequence gathered afresh from its member's context ids, each
         # among its own id's nearest neighbours
-        picked = ctx.ids[drawn[0]]
+        picked = ctx.ids[first]
         by_id = {r.id: r for r in ctx.records}
         k = neighbor_budget(config.l_max, expansion)
         want = np.zeros(n)
@@ -517,8 +519,8 @@ class TestShapPredictorWrapper:
             coords[:, 0] = batch.coords
             for i, pid in enumerate(batch.ids):
                 near = {c for c, _ in ctx.tree.knn(batch.coords[i], k)} - {pid}
-                assert set(picked[member, i]) <= near
-                recs = [by_id[c] for c in picked[member, i]]
+                assert set(picked[i, member]) <= near
+                recs = [by_id[c] for c in picked[i, member]]
                 feats[i, 1:] = [[*r.x, r.y] for r in recs]
                 coords[i, 1:] = [[r.u, r.v] for r in recs]
             want += forward_batch(feats, coords, params, config)

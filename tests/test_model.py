@@ -4,6 +4,7 @@ and the composed forward pass on recording and non-recording tapes."""
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from geoagg.model import (
     init_params,
     load_params,
     param_grads,
+    param_shapes,
     save_params,
 )
 from geoagg.spatial import PointRecord
@@ -572,13 +574,13 @@ def saved_models(draw):
         rope_base=draw(st.floats(1.0, 1e4)),
         legacy_single_abf=draw(st.booleans()),
     )
-    shapes = init_params(config, draw(st.integers(1, 3)), np.random.default_rng(0))
+    shapes, constants = param_shapes(config, draw(st.integers(1, 3)))
     doubles = st.floats(allow_nan=False, allow_infinity=False, width=64)
     params = model_module.ModelParams(
-        arrays={k: draw(arrays(np.float64, v.shape, elements=doubles))
-                for k, v in shapes.arrays.items()},
-        norm={k: draw(arrays(np.float64, v.shape, elements=doubles))
-              for k, v in shapes.norm.items()},
+        arrays={k: draw(arrays(np.float64, shape, elements=doubles))
+                for k, (shape, _) in shapes.items()},
+        norm={k: draw(arrays(np.float64, shape, elements=doubles))
+              for k, shape in constants.items()},
     )
     train = draw(st.none() | st.fixed_dictionaries(
         {}, optional={"epochs": st.integers(0, 99), "lr": st.floats(1e-6, 1.0),
@@ -679,6 +681,56 @@ class TestSerialization:
         path = self._edited(tmp_path, poison)
         with pytest.raises(ContractError,
                            match=f"^parameter file {kind} '{name}' holds non-finite"):
+            load_params(path)
+
+    def test_claimed_sizes_allocate_nothing(self, tmp_path, monkeypatch):
+        """A file whose config claims a model of 7 TiB fails on its first
+        misfit shape, without drawing or allocating that model: loading it
+        peaks no higher than loading the file as saved (the claim's own few
+        bytes of text aside)."""
+        config = ModelConfig()
+        path = tmp_path / "model.json"
+        save_params(path, init_params(config, 2, np.random.default_rng(0)), config)
+        claimed = tmp_path / "claimed.json"
+        doc = json.loads(path.read_text())
+        doc["model_config"]["d_model"] = 10 ** 6
+        claimed.write_text(json.dumps(doc))
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("load_params builds or draws a model")
+
+        monkeypatch.setattr(model_module, "init_params", drawn)
+        monkeypatch.setattr(np.random, "default_rng", drawn)
+        load_params(path)  # warm the import and allocator caches
+
+        def peak(path):
+            """Traced peak bytes of loading ``path``, and its one-line error."""
+            tracemalloc.start()
+            try:
+                load_params(path)
+            except ContractError as exc:
+                return tracemalloc.get_traced_memory()[1], str(exc)
+            else:
+                return tracemalloc.get_traced_memory()[1], None
+            finally:
+                tracemalloc.stop()
+
+        saved, error = peak(path)
+        assert error is None
+        refused, error = peak(claimed)
+        assert error == ("parameter file array 'agg.wk' has shape (32, 32), "
+                         "its config needs (1000000, 1000000)")
+        assert refused <= saved + 1024
+
+    def test_layer_count_past_the_arrays_rejected(self, tmp_path):
+        """A claimed layer count is bounded by the file's arrays before any
+        parameter name is listed, so a billion layers fail at once."""
+        path = self._edited(tmp_path, lambda doc: doc["model_config"].update(n_layers=10 ** 9))
+        with pytest.raises(ContractError) as exc:
+            load_params(path)
+        assert str(exc.value) == "parameter file holds 22 arrays, too few for n_layers=1000000000"
+        path = self._edited(tmp_path, lambda doc: doc["model_config"].update(n_layers=2))
+        with pytest.raises(ContractError, match="^parameter file lacks array 'l1.a.wk'$"):
             load_params(path)
 
     def test_unknown_model_config_key_rejected(self, tmp_path):

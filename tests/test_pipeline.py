@@ -296,16 +296,17 @@ class TestEvaluate:
             avg_mse = ((members - truth) ** 2).mean(axis=1).mean()
             assert ens_mse <= avg_mse + 1e-12
 
-    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("members", [1, 3, 300])
     def test_chunked_members_equal_per_query_passes(self, members):
-        """Many queries per forward pass give the bytes of one pass per query."""
+        """Blocks of (query, member) sequences, which split queries and, past
+        ``_CHUNK_ROWS`` members, their members too, give the bytes of one
+        pass per query."""
         ds = tiny_dataset(1000, seed=4)
         config = tiny_config()
         params, _ = train(ds, config, TrainConfig(epochs=0, seed=4))
         tr, te = split_dataset(ds, 0.7, 4)
         ctx, q = ContextPool(tr), QueryPool(te)
-        per_chunk = _CHUNK_ROWS // members
-        assert len(q) > per_chunk and len(q) % per_chunk
+        assert members * len(q) > _CHUNK_ROWS and members * len(q) % _CHUNK_ROWS
         got = _member_predictions(params, config, q, ctx, members, 1.25, 5)
         want = per_query_reference(params, config, q, ctx, members, 1.25, 5)
         assert np.array_equal(got, want)
@@ -319,7 +320,7 @@ def per_query_reference(params, config, queries, context, members, expansion, se
     for qi, qid in enumerate(queries.ids.tolist()):
         rows = cache.entries([qid])[0]
         target = context.row_of.get(qid, -1)
-        keys = context_keys(seed, members, [qid], len(rows))
+        keys = context_keys(seed, np.arange(members), qid, len(rows))
         feats = np.empty((members, l_max, context.feats.shape[1]))
         coords = np.empty((members, l_max, 2))
         feats[:, 0, :-1] = queries.x[qi]
@@ -382,7 +383,8 @@ class TestBenchmark:
 
 class TestDrawCounts:
     """Context rows are drawn a batch at a time: one ``subset_indices`` call
-    per training minibatch and per chunk of queries, for all members."""
+    per training minibatch, and at inference one per block of at most
+    ``_CHUNK_ROWS`` (query, member) sequences, each block one forward pass."""
 
     @pytest.fixture()
     def draws(self, monkeypatch):
@@ -400,21 +402,40 @@ class TestDrawCounts:
         assert draws == [(16,), (16,), (16,), (16,), (6,)] * 2
 
     @pytest.mark.parametrize("mode", ["precomputed", "on_the_fly"])
-    def test_one_draw_per_chunk(self, draws, mode):
+    def test_one_draw_per_chunk(self, draws, mode, monkeypatch):
+        """Every draw and forward pass holds at most ``_CHUNK_ROWS`` sequences,
+        and together they cover each (query, member) sequence once, with
+        fewer members than a block holds and with more."""
         ds = tiny_dataset(400, seed=6)
         config = tiny_config()
         params, _ = train(ds, config, TrainConfig(epochs=0, seed=6))
         tr, te = split_dataset(ds, 0.7, 6)
         ctx, q = ContextPool(tr), QueryPool(te)
-        members = 3
-        per_chunk = _CHUNK_ROWS // members
-        ctx.tree.reset_query_count()
-        _member_predictions(params, config, q, ctx, members, 1.25, 0, cache_mode=mode)
-        assert len(draws) == math.ceil(len(q) / per_chunk) == 2
-        assert [shape[0] for shape in draws] == [members] * 2
-        assert sum(shape[1] for shape in draws) == len(q)
-        # the naive mode still searches the tree once per (member, query)
-        assert ctx.tree.query_count == (members * len(q) if mode == "on_the_fly" else len(q))
+        passes, keyed = [], []
+
+        def forward(feats, *args, _forward=pipeline.forward_batch):
+            passes.append(len(feats))
+            return _forward(feats, *args)
+
+        def keys(seed, member, ids, k, _keys=pipeline.context_keys):
+            keyed.extend(zip(np.broadcast_to(member, ids.shape).tolist(), ids.tolist()))
+            return _keys(seed, member, ids, k)
+
+        monkeypatch.setattr(pipeline, "forward_batch", forward)
+        monkeypatch.setattr(pipeline, "context_keys", keys)
+        for members in (3, 300):
+            del draws[:], passes[:], keyed[:]
+            ctx.tree.reset_query_count()
+            _member_predictions(params, config, q, ctx, members, 1.25, 0, cache_mode=mode)
+            blocks = math.ceil(members * len(q) / _CHUNK_ROWS)
+            assert len(draws) == len(passes) == blocks > 1
+            assert [shape[0] for shape in draws] == passes
+            assert max(passes) == _CHUNK_ROWS and sum(passes) == members * len(q)
+            assert sorted(keyed) == sorted((m, qid) for qid in q.ids.tolist()
+                                           for m in range(members))
+            # the naive mode still searches the tree once per (member, query)
+            assert ctx.tree.query_count == (members * len(q) if mode == "on_the_fly"
+                                            else len(q))
 
 
 class TestConfigChecks:

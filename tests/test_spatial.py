@@ -611,23 +611,29 @@ class TestSubsetIndices:
 class TestContextKeys:
     def test_a_key_depends_on_its_own_words_alone(self):
         """Each (member, id) row of keys is the same computed in any batch,
-        alone or in any order, and is unit-interval floats."""
+        alone, in any order or flattened, and is unit-interval floats."""
         ids = np.array([5, -3, 2**62, 0, 5, -(2**63)])
-        keys = context_keys(11, 4, ids, 9)
+        members = np.arange(4)[:, None]
+        keys = context_keys(11, members, ids, 9)
         assert keys.shape == (4, 6, 9)
         assert ((keys >= 0.0) & (keys < 1.0)).all()
         np.testing.assert_array_equal(keys[:, 0], keys[:, 4])
         order = np.random.default_rng(0).permutation(len(ids))
-        np.testing.assert_array_equal(context_keys(11, 4, ids[order], 9), keys[:, order])
+        np.testing.assert_array_equal(context_keys(11, members, ids[order], 9), keys[:, order])
         for i, pid in enumerate(ids):
-            np.testing.assert_array_equal(context_keys(11, 4, [pid], 9)[:, 0], keys[:, i])
-        assert context_keys(11, 4, np.array([], dtype=np.int64), 9).shape == (4, 0, 9)
+            for m in range(4):
+                np.testing.assert_array_equal(context_keys(11, m, pid, 9), keys[m, i])
+        # one flat batch of (member, id) pairs, shuffled, as the engine's blocks hold them
+        pairs = np.random.default_rng(1).permutation(keys.shape[0] * keys.shape[1])
+        np.testing.assert_array_equal(context_keys(11, pairs // 6, ids[pairs % 6], 9),
+                                      keys.reshape(-1, 9)[pairs])
+        assert context_keys(11, members, np.array([], dtype=np.int64), 9).shape == (4, 0, 9)
 
     def test_every_word_moves_the_keys(self):
-        keys = context_keys(11, 2, [5, 6], 9)
+        keys = context_keys(11, np.arange(2)[:, None], [5, 6], 9)
         assert len({row.tobytes() for row in keys.reshape(-1, 9)}) == 4
         # neighbouring seeds do not share members' streams
-        assert not np.array_equal(context_keys(100, 2, [5], 9)[1], context_keys(101, 1, [5], 9)[0])
+        assert not np.array_equal(context_keys(100, 1, 5, 9), context_keys(101, 0, 5, 9))
         assert len(np.unique(keys)) == keys.size
 
     @pytest.mark.parametrize("target_slot", [-1, 5])
@@ -637,7 +643,7 @@ class TestContextKeys:
         binomial standard deviations of 63/79, and the dropped slot's is 0."""
         members, n, k, l_max = 2, 2000, 80, 64
         rows = np.broadcast_to(np.arange(k), (members, n, k))
-        keys = context_keys(3, members, np.arange(n) * 7 - 5000, k)
+        keys = context_keys(3, np.arange(members)[:, None], np.arange(n) * 7 - 5000, k)
         picks = subset_indices(rows, np.full(n, target_slot), l_max, keys)
         draws = members * n
         rate = np.bincount(picks.ravel(), minlength=k) / draws
