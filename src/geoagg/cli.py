@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -33,7 +34,8 @@ from .explain import (
     make_shap_predictor,
     write_explanations_csv,
 )
-from .model import ModelConfig, build_config, check_config_value, load_params, save_params
+from .model import (ModelConfig, build_config, check_config_value, load_params, param_shapes,
+                    save_params)
 from .pipeline import (
     TrainConfig,
     benchmark_inference,
@@ -126,6 +128,11 @@ def _check_settings(cfg: dict, model_cfg: ModelConfig) -> None:
         raise ContractError("lengths must be ascending")
     for length in lengths:
         replace(model_cfg, l_max=length)
+    # one layer suffices: every layer repeats its shapes, and a huge layer count is not walked
+    shapes, _ = param_shapes(replace(model_cfg, n_layers=1), 1)
+    for name, (shape, _) in shapes.items():
+        if math.prod(shape) >= 2 ** 60:
+            raise ContractError(f"model array {name!r} of shape {shape} cannot be addressed")
 
 
 def _load_run(model, data, cfg):

@@ -155,10 +155,17 @@ def gwr_beta2(u, v):
     return 1.0 + 2.0 * np.exp(-r2 / 0.1)
 
 
-def generate_gwr(n: int, seed: int) -> GeoDataset:
-    """Grid dataset whose target mixes x1, x2 with spatially varying slopes."""
+def _check_n(n: int) -> None:
+    """At least 100 points, and an ``(n, 9)`` neighbour table numpy can address."""
     if n < 100:
         raise ContractError(f"need n >= 100, got {n}")
+    if n * (SL_N_NEIGHBORS + 1) >= 2 ** 60:
+        raise ContractError(f"n={n} points need more memory than can be addressed")
+
+
+def generate_gwr(n: int, seed: int) -> GeoDataset:
+    """Grid dataset whose target mixes x1, x2 with spatially varying slopes."""
+    _check_n(n)
     side = math.isqrt(n)
     if side * side != n:
         raise ContractError(f"n must be a perfect square for the grid layout, got {n}")
@@ -227,8 +234,7 @@ def generate_sl(n: int, seed: int, rho: float = 0.6) -> GeoDataset:
     3,000 (0.1-0.17 s) at 0.99 and 24,000-28,000 (1-1.4 s) at 0.999, on one
     core of a shared 2-vCPU host.
     """
-    if n < 100:
-        raise ContractError(f"need n >= 100, got {n}")
+    _check_n(n)
     if not abs(rho) < 1:
         raise ContractError(f"need |rho| < 1, got {rho}")
 

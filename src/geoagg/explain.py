@@ -36,9 +36,9 @@ value table, with no interpreter loop per coalition, player or instance:
 coalition evaluation is bounded by one block and its deduplication at any
 ``n`` and ``p``; the predictor's memory for a block comes on top.
 
-For attention models whose input sequences come from neighbour lookups, the
-:func:`make_shap_predictor` wrapper keys every row by its original point id
-(see :class:`ShapPredictor`).
+For the attention model, :func:`make_shap_predictor` keys every row by its
+point id and predicts through :class:`~geoagg.pipeline.Ensemble`, the
+front end of ensemble prediction (see :class:`ShapPredictor`).
 """
 
 from __future__ import annotations
@@ -50,17 +50,10 @@ import numpy as np
 
 from .autodiff import ContractError
 from .datasets import GeoDataset, write_csv
-# forward_batch and subset_indices stay bound, unused, for perfbench/tracer.py to wrap
+# perfbench/tracer.py wraps these unused names: forward_batch, precompute_neighbors, subset_indices
 from .model import ModelConfig, ModelParams, forward_batch  # noqa: F401
-from .pipeline import member_outputs
-from .spatial import (  # noqa: F401
-    ContextPool,
-    SequenceLookupError,
-    neighbor_budget,
-    precompute_neighbors,
-    QueryPool,
-    subset_indices,
-)
+from .pipeline import Ensemble
+from .spatial import ContextPool, QueryPool, precompute_neighbors, subset_indices  # noqa: F401
 
 __all__ = [
     "GEO_PLAYER",
@@ -244,7 +237,8 @@ def _values(predictor, instances: RowBatch, background: RowBatch,
 
 
 class ShapPredictor:
-    """Batched row predictor for the attention model, keyed by point id.
+    """Batched row predictor for the attention model, keyed by point id: the
+    member mean of a :class:`~geoagg.pipeline.Ensemble`'s outputs.
 
     Context sequences are always rebuilt from the true neighbours of each
     row's id; the row's possibly perturbed coordinates and covariates feed
@@ -254,50 +248,20 @@ class ShapPredictor:
     deterministic member is used so Shapley identities are exact; set
     ``members > 1`` for ensemble-mean explanations.
 
-    The predictor is immutable after construction, which searches the
-    neighbours of every id in ``queries``.  Each call searches the ids
-    outside ``queries`` (background rows from the context pool) in one
-    batched tree search, then returns the member mean of the engine of
-    :func:`~geoagg.pipeline.predict_ensemble`.  So an unperturbed query row
-    gets the bytes of that ensemble's mean, a row's output does not depend
-    on the order or grouping of the rows, and concurrent calls are safe.
+    The ensemble holds every check and the neighbours of every id in
+    ``queries``, so an unperturbed query row gets the bytes of
+    :func:`~geoagg.pipeline.predict_ensemble`'s mean, a row's output does
+    not depend on the order or grouping of the rows, and concurrent calls
+    are safe.
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig,
                  context: ContextPool, queries: QueryPool, members: int = 1,
                  expansion: float = 1.0, seed: int = 0):
-        if members < 1:
-            raise ContractError("need at least one ensemble member")
-        if len(context) < config.l_max:
-            raise ContractError(
-                f"only {len(context)} context points available, need {config.l_max}")
-        self.params = params
-        self.config = config
-        self.context = context
-        self.members = members
-        self.seed = seed
-        self._cache = precompute_neighbors(
-            queries, context, neighbor_budget(config.l_max, expansion)
-        )
+        self.ensemble = Ensemble(params, config, context, queries, members, expansion, seed)
 
     def __call__(self, ids, coords, x) -> np.ndarray:
-        context, cache = self.context, self._cache
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        coords = np.asarray(coords, dtype=np.float64).reshape(len(ids), 2)
-        x = np.asarray(x, dtype=np.float64).reshape(len(ids), -1)
-        distinct, slot = np.unique(ids, return_inverse=True)
-        id_list = distinct.tolist()
-        cached = np.array([pid in cache for pid in id_list], dtype=bool)
-        targets = np.array([context.row_of.get(pid, -1) for pid in id_list], np.intp)
-        unknown = ~cached & (targets < 0)
-        if unknown.any():
-            raise SequenceLookupError(f"unknown point id {distinct[unknown.argmax()]}")
-        entries = np.empty((len(distinct), cache.rows.shape[1]), dtype=np.intp)
-        entries[cached] = cache.entries(distinct[cached].tolist())
-        # rows substituted from the background carry context-pool ids
-        entries[~cached] = context.tree.search(context.coords[targets[~cached]], cache.k)[0]
-        return member_outputs(self.params, self.config, context, entries, targets, ids, x,
-                              coords, self.members, self.seed, index=slot).mean(axis=0)
+        return self.ensemble.outputs(ids, coords, x).mean(axis=0)
 
 
 def make_shap_predictor(params: ModelParams, config: ModelConfig,

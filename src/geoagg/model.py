@@ -69,11 +69,6 @@ PARAMS_FORMAT = "geoagg-params-v1"
 # tried; 32-64 rows still faulted in some.
 _ROW_BLOCK = 16
 
-# Sequences that an inference caller (ensemble prediction, the explainer's
-# predictor) assembles and hands to forward_batch at a time, in whole row
-# blocks, so that no caller holds a whole prediction's sequences at once.
-_CHUNK_ROWS = 16 * _ROW_BLOCK
-
 
 @dataclass
 class ModelConfig:

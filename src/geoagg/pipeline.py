@@ -10,13 +10,14 @@ one set of weights and differ only in the context rows they draw, so the
 standard deviation measures how sensitive a prediction is to the context
 draw; it is not a calibrated predictive spread.  Context rows are drawn a
 batch at a time, one :func:`~geoagg.spatial.subset_indices` call per training
-minibatch and per block of inference sequences, in :func:`member_outputs`.
+minibatch and per block of inference sequences, in :class:`Ensemble`, the one
+front end of prediction, the benchmark and the explainer's predictor.
 
 Everything is a pure function of (data, config, seeds): fixed split, fixed
 parameter initialisation, fixed per-epoch shuffles.  The benchmark harness
-runs the same inference engine in two modes, either reusing the precomputed
-cache or re-querying the k-d tree for every member and query, and reports
-wall-clock seconds plus the tree's query counter; it is single-threaded so
+builds the ensemble in two modes, either searching the grid index once per
+query point or searching it again for every member and query, and reports
+wall-clock seconds plus the index's query counter; it is single-threaded so
 the timing curves are free of scheduling noise.
 """
 
@@ -32,7 +33,7 @@ from .autodiff import AdamState, ContractError, Tape, adam_step, backward
 from . import autodiff as ad
 from .datasets import GeoDataset, write_csv
 from .model import (
-    _CHUNK_ROWS,
+    _ROW_BLOCK,
     ModelConfig,
     ModelParams,
     bind_params,
@@ -44,6 +45,7 @@ from .model import (
 from .spatial import (
     ContextPool,
     QueryPool,
+    SequenceLookupError,
     assemble_sequence,
     context_keys,
     neighbor_budget,
@@ -54,6 +56,7 @@ from .spatial import (
 
 __all__ = [
     "TrainConfig",
+    "Ensemble",
     "EnsemblePrediction",
     "Metrics",
     "UndefinedMetricError",
@@ -72,6 +75,10 @@ __all__ = [
 _SEED_SPLIT = 1
 _SEED_INIT = 2
 _SEED_EPOCH = 3
+
+# Sequences that inference assembles and hands to forward_batch at a time, in
+# whole row blocks, so that no call holds a whole prediction's sequences at once.
+_CHUNK_ROWS = 16 * _ROW_BLOCK
 
 
 @dataclass
@@ -189,74 +196,83 @@ def _minibatch_step(params: ModelParams, config: ModelConfig, batch, targets,
     return float(loss.value[0, 0])
 
 
-def member_outputs(params: ModelParams, config: ModelConfig, context: ContextPool,
-                   entries: np.ndarray, targets, ids, x, coords,
-                   members: int, seed: int, index=None) -> np.ndarray:
-    """``(members, n)`` outputs for n target rows: the inference engine of
-    :func:`predict_ensemble` and the explainer's predictor.
+class Ensemble:
+    """The one inference front end of :func:`predict_ensemble`,
+    :func:`benchmark_inference` and the explainer's predictor.
 
-    Per row: ``entries`` ``(n, k)`` (or ``(members, n, k)``) its neighbour
-    rows, nearest first, ``targets`` its own context row (-1 if none),
-    ``ids`` its point id, ``x`` and ``coords`` its target row.  Rows that
-    share a point may share its ``entries`` and ``targets`` row instead:
-    then ``index`` ``(n,)`` gives each row's position in them.  Each block
-    of ``_CHUNK_ROWS`` flat (row, member) pairs of the ``(n, members)``
-    output takes one :func:`context_keys`, :func:`subset_indices` and
-    :func:`forward_batch` call.  The member axis is the contiguous one, so a
-    row's mean over members adds in one order whatever rows share the call.
+    Construction runs every check once, then searches the grid index for the
+    neighbours of every query point; ``live`` searches again for every member
+    and query, as the naive pipeline being modelled does, with identical
+    results.  The ensemble is immutable, so concurrent calls are safe.
     """
-    l_max, k = config.l_max, entries.shape[-1]
-    entries = np.broadcast_to(entries, (members,) + entries.shape[-2:])
-    out = np.empty((len(ids), members))
-    flat = out.reshape(-1)
-    for start in range(0, flat.size, _CHUNK_ROWS):
-        row, member = np.divmod(np.arange(start, min(start + _CHUNK_ROWS, flat.size)), members)
-        at = row if index is None else index[row]
-        keys = context_keys(seed, member, ids[row], k) if k > l_max else None
-        picks = subset_indices(entries[member, at], targets[at], l_max, keys)
-        flat[start:start + _CHUNK_ROWS] = forward_batch(
-            *sequences(context, x[row], coords[row], picks), params, config)
-    return out.T
 
+    def __init__(self, params: ModelParams, config: ModelConfig, context: ContextPool,
+                 queries: QueryPool, members: int, expansion: float, seed: int,
+                 live: bool = False):
+        if members < 1:
+            raise ContractError("need at least one ensemble member")
+        k = neighbor_budget(config.l_max, expansion)
+        width = min(k, len(context))
+        if members * max(len(queries), 1) * width >= 2 ** 60:
+            raise ContractError(f"{members} ensemble members over {len(queries)} queries "
+                                "need more memory than can be addressed")
+        self.params, self.config, self.context = params, config, context
+        self.members, self.seed, self.k, self.row_of = members, seed, k, queries.row_of
+        self.p = context.x.shape[1]
+        self._check_covariates(queries.x)
+        if len(context) < config.l_max:
+            raise ContractError(f"only {len(context)} context points available, "
+                                f"need {config.l_max}")
+        if live:  # allocated whole first, so a member count too big to hold fails before any search
+            self.rows = np.empty((members, len(queries), width), dtype=np.intp)
+            for member in range(members):
+                for i, point in enumerate(queries.coords):
+                    self.rows[member, i] = context.tree.search(point, k)[0]
+        else:
+            self.rows = precompute_neighbors(queries, context, k).rows
 
-def _member_predictions(params: ModelParams, config: ModelConfig,
-                        queries: QueryPool, context: ContextPool,
-                        members: int, expansion: float, seed: int,
-                        cache_mode: str = "precomputed") -> np.ndarray:
-    """(members, n_queries) raw member outputs of :func:`member_outputs`.
+    def _check_covariates(self, x) -> None:
+        if x.shape[1] != self.p:
+            raise ContractError(f"query points carry {x.shape[1]} covariates, "
+                                f"context points carry {self.p}")
 
-    ``precomputed`` mode searches the tree once for all query points up
-    front; ``on_the_fly`` searches it again for every member and query.  Both
-    feed identical rows to the engine, so their predictions match exactly.
-    Member counts past what numpy can address are refused in one line.
-    """
-    if members < 1:
-        raise ContractError("need at least one ensemble member")
-    if cache_mode not in ("precomputed", "on_the_fly"):
-        raise ContractError(f"unknown cache mode {cache_mode!r}")
-    l_max = config.l_max
-    k = neighbor_budget(l_max, expansion)
-    if members * max(len(queries), 1) * min(k, len(context)) >= 2 ** 60:
-        raise ContractError(f"{members} ensemble members over {len(queries)} queries "
-                            "need more memory than can be addressed")
-    if len(queries) and queries.x.shape[1] != context.x.shape[1]:
-        raise ContractError(f"query points carry {queries.x.shape[1]} covariates, "
-                            f"context points carry {context.x.shape[1]}")
-    if len(context) < l_max:
-        raise ContractError(f"only {len(context)} context points available, need {l_max}")
+    def outputs(self, ids, coords, x) -> np.ndarray:
+        """``(members, n)`` outputs for n rows of point ``ids``, ``coords`` and ``x``.
 
-    if cache_mode == "precomputed":
-        entries = precompute_neighbors(queries, context, k).rows
-    else:
-        # the naive pipeline being modelled searches again for every member
-        # and query; the repeated results are identical
-        entries = np.empty((members, len(queries), min(k, len(context))), dtype=np.intp)
-        for member in range(members):
-            for i, point in enumerate(queries.coords):
-                entries[member, i] = context.tree.search(point, k)[0]
-    targets = np.array([context.row_of.get(qid, -1) for qid in queries.ids.tolist()], np.intp)
-    return member_outputs(params, config, context, entries, targets, queries.ids,
-                          queries.x, queries.coords, members, seed)
+        A query id reads the construction's search, another context id
+        (a background row) is searched in one batch with the others, and any
+        other id raises :class:`SequenceLookupError`.  Each block of
+        ``_CHUNK_ROWS`` flat (row, member) pairs of the ``(n, members)``
+        output takes one :func:`context_keys`, :func:`subset_indices` and
+        :func:`forward_batch` call; the member axis is the contiguous one, so
+        a row's mean over members adds in one order whatever rows share the call.
+        """
+        context, l_max, members = self.context, self.config.l_max, self.members
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        coords = np.asarray(coords, dtype=np.float64).reshape(len(ids), 2)
+        x = np.asarray(x, dtype=np.float64).reshape(len(ids), -1 if len(ids) else self.p)
+        self._check_covariates(x)
+        distinct, index = np.unique(ids, return_inverse=True)
+        cached = np.array([self.row_of.get(pid, -1) for pid in distinct.tolist()], np.intp)
+        targets = np.array([context.row_of.get(pid, -1) for pid in distinct.tolist()], np.intp)
+        found, unknown = cached >= 0, (cached < 0) & (targets < 0)
+        if unknown.any():
+            raise SequenceLookupError(f"unknown point id {distinct[unknown.argmax()]}")
+        entries = np.empty(self.rows.shape[:-2] + (len(distinct), self.rows.shape[-1]), np.intp)
+        entries[..., found, :] = self.rows[..., cached[found], :]
+        entries[..., ~found, :] = context.tree.search(context.coords[targets[~found]], self.k)[0]
+        k = entries.shape[-1]
+        entries = np.broadcast_to(entries, (members,) + entries.shape[-2:])
+        out = np.empty((len(ids), members))
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _CHUNK_ROWS):
+            row, member = np.divmod(np.arange(start, min(start + _CHUNK_ROWS, flat.size)), members)
+            at = index[row]
+            keys = context_keys(self.seed, member, ids[row], k) if k > l_max else None
+            picks = subset_indices(entries[member, at], targets[at], l_max, keys)
+            flat[start:start + _CHUNK_ROWS] = forward_batch(
+                *sequences(context, x[row], coords[row], picks), self.params, self.config)
+        return out.T
 
 
 def predict_ensemble(params: ModelParams, config: ModelConfig,
@@ -268,8 +284,8 @@ def predict_ensemble(params: ModelParams, config: ModelConfig,
     not depend on the other queries.  With an expansion factor of 1.0 every
     member sees identical sequences and the reported std is exactly zero.
     """
-    preds = _member_predictions(params, config, queries, context,
-                                members, expansion, seed)
+    preds = Ensemble(params, config, context, queries, members, expansion, seed).outputs(
+        queries.ids, queries.coords, queries.x)
     mean = preds.mean(axis=0)
     if members > 1:
         std = preds.std(axis=0, ddof=1)
@@ -327,12 +343,12 @@ def benchmark_inference(params: ModelParams, config: ModelConfig,
         raise ContractError(f"only {len(context)} context points available, need {lengths[-1]}")
     records = []
     for length in lengths:
-        for mode in ("on_the_fly", "precomputed"):
+        for mode, live in (("on_the_fly", True), ("precomputed", False)):
             context.tree.reset_query_count()
             t0 = time.perf_counter()
             # the sweep runs lengths past the training-time bound
-            _member_predictions(params, replace(config, l_max=length), queries, context,
-                                members, expansion, seed, cache_mode=mode)
+            Ensemble(params, replace(config, l_max=length), context, queries, members, expansion,
+                     seed, live).outputs(queries.ids, queries.coords, queries.x)
             elapsed = time.perf_counter() - t0
             records.append(BenchRecord(length=length, mode=mode, seconds=elapsed,
                                        tree_queries=context.tree.query_count))

@@ -1,7 +1,7 @@
 """Context/query pools, precomputed neighbour caches, and sequence assembly.
 
 The data-loading side of the regressor keeps two pools of points: a context
-pool of observed points (which owns a k-d tree over their coordinates) and a
+pool of observed points (which owns a grid index over their coordinates) and a
 query pool of points to be predicted.  Both read the columns of a
 :class:`~geoagg.datasets.GeoDataset`: they check every row once, at
 construction, and add an id -> row index, so a bad row fails there with one
@@ -99,7 +99,7 @@ class QueryPool:
 
 
 class ContextPool(QueryPool):
-    """Immutable pool of observed points plus a k-d tree over their coords.
+    """Immutable pool of observed points plus a grid index over their coords.
 
     The rows are checked as a query pool's are, and each must also carry a
     target.  ``feats`` ``(n, p + 1)`` holds the covariates, then the
@@ -135,7 +135,6 @@ class NeighborCache:
     d2: np.ndarray
     row_of: dict
     ids: np.ndarray
-    k: int
 
     def entries(self, qids) -> np.ndarray:
         """``(len(qids), k)`` context rows of query ids' neighbours, nearest first."""
@@ -148,9 +147,6 @@ class NeighborCache:
         """The neighbours of a query id as ``(id, squared distance)`` pairs."""
         rows = self.entries([qid])[0]
         return list(zip(self.ids[rows].tolist(), self.d2[self.row_of[qid]].tolist()))
-
-    def __contains__(self, qid: int) -> bool:
-        return qid in self.row_of
 
     def __len__(self):
         return len(self.row_of)
@@ -170,7 +166,7 @@ def neighbor_budget(l_max: int, expansion: float) -> int:
 def precompute_neighbors(queries: QueryPool, context: ContextPool, k: int) -> NeighborCache:
     """Search the context tree once, for every query point, and cache the results."""
     rows, d2 = context.tree.search(queries.coords, k)
-    return NeighborCache(rows, d2, queries.row_of, context.ids, k)
+    return NeighborCache(rows, d2, queries.row_of, context.ids)
 
 
 def subset_indices(rows: np.ndarray, targets, l_max: int, keys=None) -> np.ndarray:

@@ -599,7 +599,26 @@ class TestResourceBounds:
     """Member counts whose outputs cannot be allocated, or not even
     addressed, end in one line with exit code 1.  Each run is a child
     process whose address space is capped at 1 GiB, so none really
-    allocates more."""
+    allocates more.  Model and dataset sizes that numpy cannot address are
+    refused, in one line, before anything is allocated."""
+
+    @pytest.mark.parametrize("d_model", [2 ** 62, 10 ** 20])
+    def test_unaddressable_model_arrays(self, tmp_path, d_model):
+        cfg = write_config(tmp_path, {"model": {"d_model": d_model, "n_heads": 4}})
+        code, err = run_captured("train", "--data", tmp_path / "missing.csv", "--config", cfg,
+                                 "--model-out", tmp_path / "m.json")
+        assert code == 1
+        assert err == (f"geoagg: error: model array 'embed_w' of shape (2, {d_model}) "
+                       "cannot be addressed\n")
+
+    @pytest.mark.parametrize("n", [2 ** 62, 10 ** 20])
+    @pytest.mark.parametrize("dataset", ["gwr-r", "sl-r"])
+    def test_unaddressable_dataset_size(self, tmp_path, dataset, n):
+        out = tmp_path / "data.csv"
+        code, err = run_captured("gen", "--dataset", dataset, "--n", n, "--out", out)
+        assert code == 1
+        assert err == f"geoagg: error: n={n} points need more memory than can be addressed\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("members", [10 ** 10, 2 ** 60, 10 ** 20])
     @pytest.mark.parametrize("command", ["predict", "bench"])
@@ -892,7 +911,8 @@ class TestReproduce:
     @pytest.mark.parametrize("n, message", [
         (401, "n must be a perfect square for the grid layout, got 401"),
         (-5, "need n >= 100, got -5"),
-    ], ids=["not-square", "negative"])
+        (2 ** 62, f"n={2 ** 62} points need more memory than can be addressed"),
+    ], ids=["not-square", "negative", "unaddressable"])
     def test_bad_data_size_fails_with_the_generator_message(self, tmp_path, capsys, n,
                                                            message):
         cfg = write_config(tmp_path, {"data": {**SMALL_CONFIG["data"], "n": n}})

@@ -56,3 +56,32 @@ def test_benchmark_reads_work_on_a_small_dataset(tmp_path):
     config = model.ModelConfig(d_model=8, n_heads=2, n_inducing=2, l_max=8, n_layers=2)
     params = model.init_params(config, train_ds.p, np.random.default_rng(0))
     assert checks.gradient(params, config, train_ds, 1.25, 0) == []
+
+
+def test_each_inference_layer_records_its_calls():
+    """A small train, prediction and explanation, traced as the benchmark
+    traces them: each layer below records calls, and the explainer's
+    neighbour search nests under ``make_shap_predictor``."""
+    train_ds, test_ds = pipeline.split_dataset(datasets.generate_gwr(400, 2), 0.7, 0)
+    config = model.ModelConfig(d_model=8, n_heads=2, n_inducing=2, l_max=8, n_layers=1)
+    trace = tracer.Tracer()
+    with trace.root("round"):
+        params, _ = pipeline.train(train_ds, config, pipeline.TrainConfig(epochs=1, seed=0))
+        context = spatial.ContextPool(train_ds)
+        queries = spatial.QueryPool(test_ds.take(np.arange(10)))
+        pipeline.predict_ensemble(params, config, queries, context, 2, 1.25, 0)
+        predictor = explain.make_shap_predictor(params, config, context, queries)
+        explain.geoshapley_explain(predictor, explain.RowBatch.from_dataset(test_ds.take([0, 1])),
+                                   explain.RowBatch.from_dataset(train_ds.take(np.arange(5))))
+    table = tracer.layer_table(trace.spans, "round")
+    for layer in ("spatial.precompute", "spatial.subset", "model.forward_batch",
+                  "explain.make_predictor", "explain.predictor"):
+        assert table.get(layer, {}).get("calls", 0) >= 1, layer
+
+    def ancestors(span):
+        while span[3] >= 0:
+            span = trace.spans[span[3]]
+            yield span[0]
+
+    assert any("explain.make_predictor" in ancestors(span)
+               for span in trace.spans if span[0] == "spatial.precompute")

@@ -10,15 +10,16 @@ import pytest
 from geoagg import pipeline, spatial
 from geoagg.autodiff import AdamState, ContractError
 from geoagg.datasets import generate_gwr, generate_sl
+from geoagg.explain import make_shap_predictor
 from geoagg.model import ModelConfig, forward_batch, init_params
 from geoagg.pipeline import (
+    Ensemble,
     EnsemblePrediction,
     TrainConfig,
     UndefinedMetricError,
     _CHUNK_ROWS,
     _SEED_EPOCH,
     _SEED_INIT,
-    _member_predictions,
     _minibatch_step,
     benchmark_inference,
     evaluate,
@@ -58,6 +59,12 @@ def tiny_config(**overrides):
     base = dict(d_model=8, n_heads=2, n_inducing=2, l_max=8, n_layers=1)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def member_outputs(params, config, queries, context, members, expansion, seed, live=False):
+    """(members, n_queries) outputs of an :class:`Ensemble` over the query pool."""
+    ensemble = Ensemble(params, config, context, queries, members, expansion, seed, live)
+    return ensemble.outputs(queries.ids, queries.coords, queries.x)
 
 
 class TestSplit:
@@ -193,7 +200,7 @@ class TestPredictEnsemble:
 
     def test_mean_is_arithmetic_mean_of_members(self):
         params, config, ctx, q = self._fitted()
-        preds = _member_predictions(params, config, q, ctx, 8, 1.25, 0)
+        preds = member_outputs(params, config, q, ctx, 8, 1.25, 0)
         ens = predict_ensemble(params, config, q, ctx, 8, 1.25, 0)
         np.testing.assert_allclose(ens.mean, preds.mean(axis=0), atol=1e-12, rtol=0)
         np.testing.assert_allclose(ens.std, preds.std(axis=0, ddof=1), atol=1e-12, rtol=0)
@@ -231,8 +238,8 @@ class TestPredictEnsemble:
     def test_member_streams_differ_across_neighbouring_seeds(self):
         """Member 1 at seed s and member 0 at seed s + 1 draw distinct contexts."""
         params, config, ctx, q = self._fitted()
-        at_100 = _member_predictions(params, config, q, ctx, 2, 1.5, 100)
-        at_101 = _member_predictions(params, config, q, ctx, 2, 1.5, 101)
+        at_100 = member_outputs(params, config, q, ctx, 2, 1.5, 100)
+        at_101 = member_outputs(params, config, q, ctx, 2, 1.5, 101)
         assert not np.array_equal(at_100[1], at_101[0])
 
     def test_covariate_counts_must_agree(self):
@@ -255,7 +262,7 @@ class TestPredictEnsemble:
 
     def test_statistics_invariant_to_member_relabeling(self):
         params, config, ctx, q = self._fitted()
-        preds = _member_predictions(params, config, q, ctx, 5, 1.5, 3)
+        preds = member_outputs(params, config, q, ctx, 5, 1.5, 3)
         shuffled = preds[np.random.default_rng(0).permutation(5)]
         np.testing.assert_allclose(preds.mean(axis=0), shuffled.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(preds.std(axis=0, ddof=1),
@@ -307,7 +314,7 @@ class TestEvaluate:
         tr, te = split_dataset(ds, 0.7, 4)
         ctx, q = ContextPool(tr), QueryPool(te)
         assert members * len(q) > _CHUNK_ROWS and members * len(q) % _CHUNK_ROWS
-        got = _member_predictions(params, config, q, ctx, members, 1.25, 5)
+        got = member_outputs(params, config, q, ctx, members, 1.25, 5)
         want = per_query_reference(params, config, q, ctx, members, 1.25, 5)
         assert np.array_equal(got, want)
 
@@ -354,11 +361,16 @@ class TestBenchmark:
 
     def test_modes_agree_on_predictions(self):
         params, config, ctx, q = self._setup()
-        pre = _member_predictions(params, config, q, ctx, 4, 1.25, 9,
-                                  cache_mode="precomputed")
-        fly = _member_predictions(params, config, q, ctx, 4, 1.25, 9,
-                                  cache_mode="on_the_fly")
+        pre = member_outputs(params, config, q, ctx, 4, 1.25, 9)
+        fly = member_outputs(params, config, q, ctx, 4, 1.25, 9, live=True)
         np.testing.assert_array_equal(pre, fly)
+
+    def test_empty_query_pool_makes_no_search(self):
+        params, config, ctx, q = self._setup()
+        empty = QueryPool(q.data.take(np.arange(0)))
+        rows = benchmark_inference(params, config, empty, ctx, [4, 8], 3)
+        assert [(r.mode, r.tree_queries) for r in rows] == [
+            ("on_the_fly", 0), ("precomputed", 0)] * 2
 
     def test_lengths_must_ascend(self):
         params, config, ctx, q = self._setup()
@@ -368,17 +380,11 @@ class TestBenchmark:
     def test_every_length_is_checked_before_any_is_timed(self, monkeypatch):
         params, config, ctx, q = self._setup()
         timed = []
-        monkeypatch.setattr(pipeline, "_member_predictions",
-                            lambda *args, **kwargs: timed.append(kwargs["l_max"]))
+        monkeypatch.setattr(pipeline, "Ensemble", lambda *args: timed.append(args[1].l_max))
         with pytest.raises(ContractError) as exc:
             benchmark_inference(params, config, q, ctx, [4, 8, len(ctx) + 1], 1)
         assert str(exc.value) == f"only {len(ctx)} context points available, need {len(ctx) + 1}"
         assert timed == []
-
-    def test_unknown_mode_rejected(self):
-        params, config, ctx, q = self._setup()
-        with pytest.raises(ContractError, match="mode"):
-            _member_predictions(params, config, q, ctx, 1, 1.25, 0, cache_mode="nope")
 
 
 class TestDrawCounts:
@@ -426,7 +432,7 @@ class TestDrawCounts:
         for members in (3, 300):
             del draws[:], passes[:], keyed[:]
             ctx.tree.reset_query_count()
-            _member_predictions(params, config, q, ctx, members, 1.25, 0, cache_mode=mode)
+            member_outputs(params, config, q, ctx, members, 1.25, 0, live=mode == "on_the_fly")
             blocks = math.ceil(members * len(q) / _CHUNK_ROWS)
             assert len(draws) == len(passes) == blocks > 1
             assert [shape[0] for shape in draws] == passes
@@ -436,6 +442,65 @@ class TestDrawCounts:
             # the naive mode still searches the tree once per (member, query)
             assert ctx.tree.query_count == (members * len(q) if mode == "on_the_fly"
                                             else len(q))
+
+
+def _predict_front(params, config, ctx, queries, rows, members):
+    # predict_ensemble's rows are its query pool
+    return predict_ensemble(params, config, rows, ctx, members, 1.25, 0).mean
+
+
+def _explain_front(params, config, ctx, queries, rows, members):
+    predictor = make_shap_predictor(params, config, ctx, queries, members=members, expansion=1.25)
+    return predictor(rows.ids, rows.coords, rows.x)
+
+
+def _widened(pool):
+    """The pool's rows with one more covariate, all zero."""
+    return type(pool)([PointRecord(r.id, r.u, r.v, np.append(r.x, 0.0), r.y)
+                       for r in pool.records])
+
+
+@pytest.mark.parametrize("front", [_predict_front, _explain_front],
+                         ids=["predict_ensemble", "make_shap_predictor"])
+class TestFrontEnds:
+    """Ensemble prediction and the explainer's predictor share one front
+    end, :class:`Ensemble`: they refuse the same inputs with the same line,
+    and both take empty inputs."""
+
+    def _fitted(self):
+        ds = tiny_dataset(60)
+        config = tiny_config()
+        params, _ = train(ds, config, TrainConfig(epochs=0, seed=1))
+        tr, te = split_dataset(ds, 0.7, 1)
+        return params, config, ContextPool(tr), QueryPool(te)
+
+    @pytest.mark.parametrize("case", ["no members", "negative members", "small context",
+                                      "wide queries", "wide rows"])
+    def test_bad_input_is_refused_in_one_line(self, front, case):
+        params, config, ctx, q = self._fitted()
+        rows, members = q, 1
+        if case.endswith("members"):
+            members = 0 if case == "no members" else -2
+            message = "need at least one ensemble member"
+        elif case == "small context":
+            ctx = ContextPool(ctx.records[:config.l_max - 1])
+            message = "only 7 context points available, need 8"
+        else:
+            rows = _widened(q)
+            q = rows if case == "wide queries" else q
+            message = "query points carry 3 covariates, context points carry 2"
+        with pytest.raises(ContractError) as exc:
+            front(params, config, ctx, q, rows, members)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_empty_rows_predict_empty(self, front, members):
+        """An empty query pool, or a zero-row predictor call: ids ``(0,)``
+        int64, coordinates and covariates ``(0, 2)`` float64."""
+        params, config, ctx, q = self._fitted()
+        empty = QueryPool(q.data.take(np.arange(0)))
+        got = front(params, config, ctx, q, empty, members)
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 class TestConfigChecks:
