@@ -4,8 +4,12 @@ Every value flowing through a :class:`Tape` is a ``float64`` array of shape
 ``(..., rows, cols)``: a matrix, optionally behind leading batch axes.
 Operands broadcast over those axes as in numpy, so a 2-D parameter meets a
 ``(B, L, d)`` batch of sequences directly, and its gradient is summed back
-over the batch.  Each primitive records which slots it read and which slot it
-wrote; :func:`backward` replays the records in exact reverse execution order.
+over the batch.  The ten primitives are ``matmul``, ``add``, ``sub``, ``mul``,
+``slice_rows``, ``softplus``, ``tanh``, ``mean_all``, ``rope2d`` and
+``multihead_attention``; a numpy operand of the first four becomes a leaf slot
+whose gradient nothing reads.  Each primitive records which slots it read and
+which slot it wrote; :func:`backward` replays the records in exact reverse
+execution order.
 No two slots ever hold one gradient buffer.  A slot's gradient exists only
 while it is live: its first contribution becomes the gradient, later ones
 are added into it in place, and an op output's gradient is freed once its
@@ -45,8 +49,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "add_const",
-    "mul_const",
     "slice_rows",
     "softplus",
     "softplus_inv",
@@ -196,17 +198,6 @@ def mul(a: Var, b) -> Var:
     tape = a.tape
     b = _coerce(tape, b)
     return tape.record("mul", (a, b), a.value * b.value)
-
-
-def add_const(a: Var, c) -> Var:
-    """Add a non-differentiated constant to ``a``."""
-    return a.tape.record("add_const", (a,), a.value + as_matrix(c))
-
-
-def mul_const(a: Var, c) -> Var:
-    """Multiply ``a`` elementwise by a non-differentiated constant."""
-    c = as_matrix(c)
-    return a.tape.record("mul_const", (a,), a.value * c, c=c)
 
 
 def slice_rows(a: Var, start: int, stop: int) -> Var:
@@ -464,14 +455,6 @@ def _bwd_mul(tape, op):
     _contribute(tape, b_idx, g * a)
 
 
-def _bwd_add_const(tape, op):
-    _contribute(tape, op.inputs[0], tape.grads[op.output])
-
-
-def _bwd_mul_const(tape, op):
-    _contribute(tape, op.inputs[0], tape.grads[op.output] * op.aux["c"])
-
-
 def _bwd_slice_rows(tape, op):
     idx = op.inputs[0]
     if tape.grads[idx] is None:
@@ -541,8 +524,6 @@ _BACKWARD = {
     "add": _bwd_add,
     "sub": _bwd_sub,
     "mul": _bwd_mul,
-    "add_const": _bwd_add_const,
-    "mul_const": _bwd_mul_const,
     "slice_rows": _bwd_slice_rows,
     "softplus": _bwd_softplus,
     "tanh": _bwd_tanh,

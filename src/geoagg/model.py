@@ -241,21 +241,24 @@ def embed(tape: Tape, bound: BoundParams, feats) -> Var:
 
     mask_selector = np.zeros(feats.shape[-2:])
     mask_selector[0, p] = 1.0
-    fvar = ad.add_const(ad.mul_const(bound["y_mask"], mask_selector), feats)
+    fvar = ad.add(ad.mul(bound["y_mask"], mask_selector), feats)
     return ad.add(ad.matmul(fvar, bound["embed_w"]), bound["embed_b"])
 
 
-def induced_block(tokens: Var, inducing: Var, wq_a: Var, wk_a: Var, wv_a: Var,
-                  wo_a: Var, wq_b: Var, wk_b: Var, wv_b: Var, wo_b: Var,
-                  n_heads: int):
-    """Induced-point attention block: summarise, then refresh.
+def induced_block(tokens: Var, bound: BoundParams, prefix: str, n_heads: int):
+    """Induced-point attention block: ``(summary, refreshed)``.
 
+    Its weights are ``bound``'s arrays under ``prefix`` (such as ``"l0."``):
+    the inducing points ``ind`` and the projections ``a.wq`` ... ``b.wo``.
     The inducing points attend to the tokens (m x L, plain attention since
     inducing points carry no coordinates) giving an updated summary; the
     tokens then attend back to the summary (L x m).  Both halves carry
     residual connections.  Cost is O(L * m) per sequence.  ``tokens`` may
     carry batch axes; the unbatched inducing points serve every sequence.
     """
+    inducing = bound[prefix + "ind"]
+    wq_a, wk_a, wv_a, wo_a, wq_b, wk_b, wv_b, wo_b = (
+        bound[f"{prefix}{half}.{w}"] for half in "ab" for w in ("wq", "wk", "wv", "wo"))
     # projections and attention weights are not kept in locals: on a tape
     # that does not record, each is then freed as soon as it is consumed
     pooled = ad.multihead_attention(ad.matmul(inducing, wq_a), ad.matmul(tokens, wk_a),
@@ -290,15 +293,7 @@ def forward_on_tape(tape: Tape, bound: BoundParams, sequence, config: ModelConfi
 
     tokens = embed(tape, bound, feats)
     for layer in range(config.n_layers):
-        pref = f"l{layer}."
-        _, tokens = induced_block(
-            tokens, bound[pref + "ind"],
-            bound[pref + "a.wq"], bound[pref + "a.wk"], bound[pref + "a.wv"],
-            bound[pref + "a.wo"],
-            bound[pref + "b.wq"], bound[pref + "b.wk"], bound[pref + "b.wv"],
-            bound[pref + "b.wo"],
-            config.n_heads,
-        )
+        _, tokens = induced_block(tokens, bound, f"l{layer}.", config.n_heads)
 
     target = ad.slice_rows(tokens, 0, 1)
     q = ad.matmul(target, bound["agg.wq"])
@@ -316,7 +311,7 @@ def forward_on_tape(tape: Tape, bound: BoundParams, sequence, config: ModelConfi
         ad.add(ad.matmul(agg, bound["head.w_lin"]), ad.matmul(hidden, bound["head.w2"])),
         bound["head.b2"],
     )
-    y_hat = ad.add_const(ad.mul_const(y_norm, bound.norm["y_std"]), bound.norm["y_mean"])
+    y_hat = ad.add(ad.mul(y_norm, bound.norm["y_std"]), bound.norm["y_mean"])
     return y_hat, alpha
 
 
@@ -333,11 +328,6 @@ def forward_batch(feats, coords, params: ModelParams, config: ModelConfig) -> np
     if feats.ndim != 3 or coords.shape != feats.shape[:2] + (2,):
         raise ContractError(
             f"forward_batch: feats {feats.shape} and coords {coords.shape} disagree"
-        )
-    p = params.norm["x_mean"].shape[1]
-    if feats.shape[2] != p + 1:
-        raise ContractError(
-            f"forward_batch: {feats.shape[2] - 1} covariate channels, model expects {p}"
         )
     tape = Tape(record=False)
     bound = bind_params(tape, params)

@@ -220,6 +220,9 @@ class Ensemble:
         self.members, self.seed, self.k, self.row_of = members, seed, k, queries.row_of
         self.p = context.x.shape[1]
         self._check_covariates(queries.x)
+        if (expects := params.norm["x_mean"].shape[1]) != self.p:
+            raise ContractError(f"context points carry {self.p} covariate channels, "
+                                f"model expects {expects}")
         if len(context) < config.l_max:
             raise ContractError(f"only {len(context)} context points available, "
                                 f"need {config.l_max}")
@@ -237,7 +240,8 @@ class Ensemble:
                                 f"context points carry {self.p}")
 
     def outputs(self, ids, coords, x) -> np.ndarray:
-        """``(members, n)`` outputs for n rows of point ``ids``, ``coords`` and ``x``.
+        """``(members, n)`` outputs for rows of point ``ids`` ``(n,)``, ``coords``
+        ``(n, 2)`` and ``x`` ``(n, p)``; other shapes raise a one-line ContractError.
 
         A query id reads the construction's search, another context id
         (a background row) is searched in one batch with the others, and any
@@ -248,9 +252,11 @@ class Ensemble:
         a row's mean over members adds in one order whatever rows share the call.
         """
         context, l_max, members = self.context, self.config.l_max, self.members
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        coords = np.asarray(coords, dtype=np.float64).reshape(len(ids), 2)
-        x = np.asarray(x, dtype=np.float64).reshape(len(ids), -1 if len(ids) else self.p)
+        ids = np.asarray(ids, dtype=np.int64)
+        coords, x = (np.asarray(a, dtype=np.float64) for a in (coords, x))
+        if ids.ndim != 1 or coords.shape != ids.shape + (2,) or x.ndim != 2 or len(x) != len(ids):
+            raise ContractError(f"rows need ids (n,), coords (n, 2) and x (n, p), got "
+                                f"{ids.shape}, {coords.shape} and {x.shape}")
         self._check_covariates(x)
         distinct, index = np.unique(ids, return_inverse=True)
         cached = np.array([self.row_of.get(pid, -1) for pid in distinct.tolist()], np.intp)

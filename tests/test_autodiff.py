@@ -198,7 +198,7 @@ class TestBackward:
     def test_constant_loss_gives_zero_grads(self):
         t = Tape()
         x = t.slot(np.arange(6.0).reshape(2, 3))
-        loss = ad.mean_all(ad.mul_const(x, np.zeros((2, 3))))
+        loss = ad.mean_all(ad.mul(x, np.zeros((2, 3))))
         backward(t, loss)
         np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
 
@@ -403,8 +403,9 @@ def _broadcasts(x, y):
 
 @st.composite
 def shared_tapes(draw):
-    """``(tape, loss)`` for a random tape of add, sub, add_const, mul,
-    slice_rows and matmul over a few leaves.
+    """``(tape, loss)`` for a random tape of add, sub, mul, slice_rows and
+    matmul over a few leaves, and of add with a numpy operand of broadcast or
+    full shape.
 
     Operands are drawn from every value recorded so far, so one value feeds
     several ops and an op may read the same slot twice.  The loss sums a
@@ -418,7 +419,7 @@ def shared_tapes(draw):
     outputs = []
     for _ in range(draw(st.integers(1, 8))):
         a = draw(st.sampled_from(vals))
-        name = draw(st.sampled_from(["add", "sub", "add_const", "mul", "slice_rows", "matmul"]))
+        name = draw(st.sampled_from(["add", "sub", "add_numpy", "mul", "slice_rows", "matmul"]))
         shape = a.value.shape
         if name == "slice_rows" and shape[-2] > 1:
             stop = draw(st.integers(1, shape[-2]))
@@ -431,7 +432,7 @@ def shared_tapes(draw):
             b = draw(st.sampled_from([v for v in vals if _broadcasts(shape, v.value.shape)]))
             out = getattr(ad, name)(a, b)
         else:
-            out = ad.add_const(a, rng.normal(size=(1, 3)))
+            out = ad.add(a, rng.normal(size=draw(st.sampled_from([(1, 3), shape]))))
         vals.append(out)
         outputs.append(out)
     loss = None
@@ -470,7 +471,7 @@ class TestGradCheck:
         assert err < 1e-7
 
     def test_constant_function_is_exact(self):
-        err = grad_check(lambda v: ad.mean_all(ad.mul_const(v, np.zeros((2, 2)))),
+        err = grad_check(lambda v: ad.mean_all(ad.mul(v, np.zeros((2, 2)))),
                          np.ones((2, 2)))
         assert err == 0.0
 
@@ -544,8 +545,8 @@ def _op_cases(seed):
                                                            ad.add(x, s(x, row))))),
         ("sub", a34, lambda x: ad.mean_all(ad.mul(ad.sub(x, s(x, row)), x))),
         ("mul_broadcast", row, lambda x: ad.mean_all(ad.mul(s(x, a34), x))),
-        ("add_const", a34, lambda x: ad.mean_all(ad.mul(ad.add_const(x, row), x))),
-        ("mul_const", a34, lambda x: ad.mean_all(ad.mul(ad.mul_const(x, row), x))),
+        ("add_numpy_broadcast", a34, lambda x: ad.mean_all(ad.mul(ad.add(x, row), x))),
+        ("mul_numpy_broadcast", a34, lambda x: ad.mean_all(ad.mul(ad.mul(x, row), x))),
         ("slice_rows", a34, lambda x: ad.mean_all(ad.mul(ad.slice_rows(x, 1, 3),
                                                         ad.slice_rows(x, 0, 2)))),
         ("mha_self", a34,
@@ -627,6 +628,15 @@ class TestPrimitiveGradients:
             err = grad_check(f, x0)
             assert err < 1e-6, f"{name} seed {seed - 1}: max rel err {err:.3e}"
             tested += 1
+
+    def test_cases_cover_every_backward_rule(self):
+        """Every rule in the registry is run by some case above."""
+        recorded = set()
+        for _, x0, f in _op_cases(0):
+            tape = Tape()
+            f(tape.slot(x0))
+            recorded |= {op.name for op in tape.ops}
+        assert recorded == set(ad._BACKWARD)
 
 
 class TestAdam:

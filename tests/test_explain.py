@@ -485,6 +485,26 @@ class TestShapPredictorWrapper:
         with pytest.raises(ContractError, match="at least one ensemble member"):
             make_shap_predictor(params, config, ctx, QueryPool(te.points), members=members)
 
+    @pytest.mark.parametrize("case", ["covariates", "coordinates", "ids"])
+    def test_misshapen_rows_are_refused(self, case):
+        """Rows are ``(n,)`` ids, ``(n, 2)`` coordinates and ``(n, p)``
+        covariates: the transpose of four rows' covariates or coordinates, a
+        ``(2, 4)`` array, is not read as four rows of another shape."""
+        params, config, ctx, te = self._fitted()
+        predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points))
+        batch = RowBatch.from_records(te.points[:4])
+        ids, coords, x = batch.ids, batch.coords, batch.x
+        if case == "covariates":
+            x = x.T
+        elif case == "coordinates":
+            coords = coords.T
+        else:
+            ids = ids[:, None]
+        with pytest.raises(ContractError) as exc:
+            predictor(ids, coords, x)
+        assert str(exc.value) == (f"rows need ids (n,), coords (n, 2) and x (n, p), got "
+                                  f"{ids.shape}, {coords.shape} and {x.shape}")
+
     def test_unknown_id_raises_lookup_error(self):
         params, config, ctx, te = self._fitted()
         predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points))

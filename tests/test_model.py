@@ -247,15 +247,7 @@ class TestInducedBlock:
         tape = Tape()
         bound = bind_params(tape, params)
         tokens = tape.slot(tokens_value)
-        pref = f"l{layer}."
-        return induced_block(
-            tokens, bound[pref + "ind"],
-            bound[pref + "a.wq"], bound[pref + "a.wk"], bound[pref + "a.wv"],
-            bound[pref + "a.wo"],
-            bound[pref + "b.wq"], bound[pref + "b.wk"], bound[pref + "b.wv"],
-            bound[pref + "b.wo"],
-            config.n_heads,
-        )
+        return induced_block(tokens, bound, f"l{layer}.", config.n_heads)
 
     def test_summary_is_permutation_invariant(self):
         config = toy_config()

@@ -475,8 +475,10 @@ class TestFrontEnds:
         return params, config, ContextPool(tr), QueryPool(te)
 
     @pytest.mark.parametrize("case", ["no members", "negative members", "small context",
-                                      "wide queries", "wide rows"])
+                                      "wide queries", "wide rows", "wide context"])
     def test_bad_input_is_refused_in_one_line(self, front, case):
+        """Each refusal comes before any search, except that the predictor
+        searches at construction before a call refuses its rows."""
         params, config, ctx, q = self._fitted()
         rows, members = q, 1
         if case.endswith("members"):
@@ -485,6 +487,10 @@ class TestFrontEnds:
         elif case == "small context":
             ctx = ContextPool(ctx.records[:config.l_max - 1])
             message = "only 7 context points available, need 8"
+        elif case == "wide context":
+            ctx, q = _widened(ctx), _widened(q)
+            rows = q
+            message = "context points carry 3 covariate channels, model expects 2"
         else:
             rows = _widened(q)
             q = rows if case == "wide queries" else q
@@ -492,6 +498,8 @@ class TestFrontEnds:
         with pytest.raises(ContractError) as exc:
             front(params, config, ctx, q, rows, members)
         assert str(exc.value) == message
+        constructed = front is _explain_front and case == "wide rows"
+        assert ctx.tree.query_count == (len(q) if constructed else 0)
 
     @pytest.mark.parametrize("members", [1, 3])
     def test_empty_rows_predict_empty(self, front, members):
