@@ -47,6 +47,7 @@ from .spatial import (
     QueryPool,
     SequenceLookupError,
     assemble_sequence,
+    check_rows,
     context_keys,
     neighbor_budget,
     precompute_neighbors,
@@ -201,9 +202,9 @@ class Ensemble:
     :func:`benchmark_inference` and the explainer's predictor.
 
     Construction runs every check once, then searches the grid index for the
-    neighbours of every query point; ``live`` searches again for every member
-    and query, as the naive pipeline being modelled does, with identical
-    results.  The ensemble is immutable, so concurrent calls are safe.
+    neighbours of every query point, one ``(n, k')`` table; ``live`` leaves
+    the search to :meth:`outputs`, once per sequence, as the naive pipeline
+    being modelled does.  The ensemble is immutable, so concurrent calls are safe.
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig, context: ContextPool,
@@ -211,14 +212,12 @@ class Ensemble:
                  live: bool = False):
         if members < 1:
             raise ContractError("need at least one ensemble member")
-        k = neighbor_budget(config.l_max, expansion)
-        width = min(k, len(context))
-        if members * max(len(queries), 1) * width >= 2 ** 60:
+        self.k = min(neighbor_budget(config.l_max, expansion), len(context))
+        if members * max(len(queries), 1) * self.k >= 2 ** 60:
             raise ContractError(f"{members} ensemble members over {len(queries)} queries "
                                 "need more memory than can be addressed")
-        self.params, self.config, self.context = params, config, context
-        self.members, self.seed, self.k, self.row_of = members, seed, k, queries.row_of
-        self.p = context.x.shape[1]
+        self.params, self.config, self.context, self.queries = params, config, context, queries
+        self.members, self.seed, self.p = members, seed, context.x.shape[1]
         self._check_covariates(queries.x)
         if (expects := params.norm["x_mean"].shape[1]) != self.p:
             raise ContractError(f"context points carry {self.p} covariate channels, "
@@ -226,13 +225,7 @@ class Ensemble:
         if len(context) < config.l_max:
             raise ContractError(f"only {len(context)} context points available, "
                                 f"need {config.l_max}")
-        if live:  # allocated whole first, so a member count too big to hold fails before any search
-            self.rows = np.empty((members, len(queries), width), dtype=np.intp)
-            for member in range(members):
-                for i, point in enumerate(queries.coords):
-                    self.rows[member, i] = context.tree.search(point, k)[0]
-        else:
-            self.rows = precompute_neighbors(queries, context, k).rows
+        self.rows = None if live else precompute_neighbors(queries, context, self.k).rows
 
     def _check_covariates(self, x) -> None:
         if x.shape[1] != self.p:
@@ -240,42 +233,53 @@ class Ensemble:
                                 f"context points carry {self.p}")
 
     def outputs(self, ids, coords, x) -> np.ndarray:
-        """``(members, n)`` outputs for rows of point ``ids`` ``(n,)``, ``coords``
-        ``(n, 2)`` and ``x`` ``(n, p)``; other shapes raise a one-line ContractError.
+        """``(members, n)`` outputs for rows of integer point ``ids`` ``(n,)``,
+        finite ``coords`` ``(n, 2)`` and ``x`` ``(n, p)``; other rows raise a
+        one-line ContractError.
 
         A query id reads the construction's search, another context id
         (a background row) is searched in one batch with the others, and any
-        other id raises :class:`SequenceLookupError`.  Each block of
-        ``_CHUNK_ROWS`` flat (row, member) pairs of the ``(n, members)``
-        output takes one :func:`context_keys`, :func:`subset_indices` and
+        other id raises :class:`SequenceLookupError`; ``live``, each (row,
+        member) pair searches from its id's own coordinates instead.  Each
+        block of ``_CHUNK_ROWS`` flat pairs of the ``(n, members)`` output
+        takes one :func:`context_keys`, :func:`subset_indices` and
         :func:`forward_batch` call; the member axis is the contiguous one, so
         a row's mean over members adds in one order whatever rows share the call.
         """
-        context, l_max, members = self.context, self.config.l_max, self.members
-        ids = np.asarray(ids, dtype=np.int64)
+        context, l_max, members, k = self.context, self.config.l_max, self.members, self.k
+        ids = np.asarray(ids)
+        if ids.size and (ids.dtype.kind not in "iu" or not np.can_cast(ids.dtype, np.int64)):
+            raise ContractError(f"point ids must be integers, got {ids.dtype}")
+        ids = ids.astype(np.int64)
         coords, x = (np.asarray(a, dtype=np.float64) for a in (coords, x))
         if ids.ndim != 1 or coords.shape != ids.shape + (2,) or x.ndim != 2 or len(x) != len(ids):
             raise ContractError(f"rows need ids (n,), coords (n, 2) and x (n, p), got "
                                 f"{ids.shape}, {coords.shape} and {x.shape}")
         self._check_covariates(x)
+        check_rows(ids, coords, x)
         distinct, index = np.unique(ids, return_inverse=True)
-        cached = np.array([self.row_of.get(pid, -1) for pid in distinct.tolist()], np.intp)
-        targets = np.array([context.row_of.get(pid, -1) for pid in distinct.tolist()], np.intp)
+        cached, targets = (np.array([pool.row_of.get(pid, -1) for pid in distinct.tolist()],
+                                    np.intp) for pool in (self.queries, context))
         found, unknown = cached >= 0, (cached < 0) & (targets < 0)
         if unknown.any():
             raise SequenceLookupError(f"unknown point id {distinct[unknown.argmax()]}")
-        entries = np.empty(self.rows.shape[:-2] + (len(distinct), self.rows.shape[-1]), np.intp)
-        entries[..., found, :] = self.rows[..., cached[found], :]
-        entries[..., ~found, :] = context.tree.search(context.coords[targets[~found]], self.k)[0]
-        k = entries.shape[-1]
-        entries = np.broadcast_to(entries, (members,) + entries.shape[-2:])
+        # allocated before any search, so a member count too big to hold fails at once
         out = np.empty((len(ids), members))
+        if self.rows is None:
+            points = context.coords[targets]
+            points[found] = self.queries.coords[cached[found]]
+        else:
+            entries = np.empty((len(distinct), k), np.intp)
+            entries[found] = self.rows[cached[found]]
+            entries[~found] = context.tree.search(context.coords[targets[~found]], k)[0]
         flat = out.reshape(-1)
         for start in range(0, flat.size, _CHUNK_ROWS):
             row, member = np.divmod(np.arange(start, min(start + _CHUNK_ROWS, flat.size)), members)
             at = index[row]
+            rows = entries[at] if self.rows is not None else np.concatenate(
+                [context.tree.search(point, k)[0] for point in points[at]])
             keys = context_keys(self.seed, member, ids[row], k) if k > l_max else None
-            picks = subset_indices(entries[member, at], targets[at], l_max, keys)
+            picks = subset_indices(rows, targets[at], l_max, keys)
             flat[start:start + _CHUNK_ROWS] = forward_batch(
                 *sequences(context, x[row], coords[row], picks), self.params, self.config)
         return out.T
@@ -338,10 +342,10 @@ def benchmark_inference(params: ModelParams, config: ModelConfig,
     Each length is timed ``on_the_fly`` and then ``precomputed``, back to
     back, so a drift in machine speed during the sweep moves both modes of a
     length alike rather than their ratio.  The timed region covers neighbour
-    lookup (cached or live) plus all member forward passes; the tree's query
-    counter is captured alongside so the two modes' lookup behaviour is
-    verifiable (``n_queries`` versus ``members * n_queries``).  Every length
-    is checked against the context pool before the first one is timed.
+    lookup (cached, or live in each block) plus all member forward passes;
+    the tree's query counter is captured alongside so the two modes' lookup
+    behaviour is verifiable (``n_queries`` versus ``members * n_queries``).
+    Every length is checked against the context pool before the first one is timed.
     """
     if list(lengths) != sorted(lengths):
         raise ContractError("lengths must be ascending")

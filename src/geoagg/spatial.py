@@ -47,6 +47,7 @@ __all__ = [
     "NeighborCache",
     "SequenceLookupError",
     "build_tree",
+    "check_rows",
     "precompute_neighbors",
     "assemble_sequence",
     "sequences",
@@ -64,10 +65,10 @@ class QueryPool:
     """Immutable pool of points to be predicted, checked once and read as columns.
 
     ``rows`` is a :class:`GeoDataset` or a list of :class:`PointRecord` rows.
-    Every row is checked here, vectorised, and nowhere else: unique ids, then
-    finite coordinates, covariates and targets.  The pool reads the dataset's
-    ``ids`` ``(n,)``, ``coords`` ``(n, 2)`` and ``x`` ``(n, p)``, with
-    ``row_of`` the id -> row index.
+    Every row is checked here, vectorised, and nowhere else: unique ids,
+    then (by :func:`check_rows`) finite coordinates, covariates and targets.
+    The pool reads the dataset's ``ids`` ``(n,)``, ``coords`` ``(n, 2)`` and
+    ``x`` ``(n, p)``, with ``row_of`` the id -> row index.
     """
 
     need_targets = False
@@ -78,15 +79,12 @@ class QueryPool:
         self.coords, observed = data.coords(), data.observed
         repeated = np.ones(len(self.ids), dtype=bool)
         repeated[np.unique(self.ids, return_index=True)[1]] = False
-        for bad, message in (
-            (repeated, "duplicate point id {}"),
-            (~np.isfinite(self.coords).all(axis=1), "point id {} has non-finite coordinates"),
-            (~np.isfinite(self.x).all(axis=1), "point id {} has non-finite covariates"),
-            (~observed & self.need_targets, "context point id {} lacks a target value"),
-            (observed & ~np.isfinite(data.targets()), "point id {} has a non-finite target"),
-        ):
-            if bad.any():  # name the first failing row
-                raise ContractError(message.format(self.ids[bad.argmax()]))
+        if repeated.any():
+            raise ContractError(f"duplicate point id {self.ids[repeated.argmax()]}")
+        check_rows(self.ids, self.coords, self.x,
+                   (~observed & self.need_targets, "context point id {} lacks a target value"),
+                   (observed & ~np.isfinite(data.targets()),
+                    "point id {} has a non-finite target"))
         self.row_of = dict(zip(self.ids.tolist(), range(len(self.ids))))
 
     @property
@@ -96,6 +94,17 @@ class QueryPool:
 
     def __len__(self):
         return len(self.ids)
+
+
+def check_rows(ids, coords, x, *checks) -> None:
+    """Refuse, in one line naming its id, the first row of ``ids`` with
+    non-finite ``coords``, then with non-finite ``x``, then failing each
+    further ``(bad, message)`` check in turn, the id filling ``{}``."""
+    for bad, message in (
+            (~np.isfinite(coords).all(axis=1), "point id {} has non-finite coordinates"),
+            (~np.isfinite(x).all(axis=1), "point id {} has non-finite covariates"), *checks):
+        if bad.any():
+            raise ContractError(message.format(ids[bad.argmax()]))
 
 
 class ContextPool(QueryPool):

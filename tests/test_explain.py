@@ -505,6 +505,37 @@ class TestShapPredictorWrapper:
         assert str(exc.value) == (f"rows need ids (n,), coords (n, 2) and x (n, p), got "
                                   f"{ids.shape}, {coords.shape} and {x.shape}")
 
+    @pytest.mark.parametrize("case, value", [("covariates", np.nan), ("coordinates", np.inf)])
+    def test_non_finite_rows_are_refused(self, case, value):
+        """A row the pools would refuse is refused in the same line, before
+        any search, rather than predicting NaN."""
+        params, config, ctx, te = self._fitted()
+        predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points))
+        batch = RowBatch.from_records(te.points[:2])
+        ids, coords, x = batch.ids, batch.coords.copy(), batch.x.copy()
+        (x if case == "covariates" else coords)[1, 0] = value
+        searched = ctx.tree.query_count
+        with pytest.raises(ContractError) as exc:
+            predictor(ids, coords, x)
+        assert str(exc.value) == f"point id {ids[1]} has non-finite {case}"
+        assert ctx.tree.query_count == searched
+
+    def test_ids_that_are_not_integers_are_refused(self):
+        """Float ids are not truncated to another point's id; zero rows,
+        even an empty list, which numpy reads as float64, predict nothing."""
+        params, config, ctx, te = self._fitted()
+        predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points))
+        batch = RowBatch.from_records(te.points[:2])
+        with pytest.raises(ContractError) as exc:
+            predictor(batch.ids + 0.7, batch.coords, batch.x)
+        assert str(exc.value) == "point ids must be integers, got float64"
+        with pytest.raises(ContractError, match="^point ids must be integers, got uint64$"):
+            predictor(batch.ids.astype(np.uint64), batch.coords, batch.x)
+        assert predictor(batch.ids.astype(np.int32), batch.coords, batch.x).tobytes() == \
+            predictor(batch.ids, batch.coords, batch.x).tobytes()
+        empty = predictor([], np.zeros((0, 2)), np.zeros((0, 2)))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
     def test_unknown_id_raises_lookup_error(self):
         params, config, ctx, te = self._fitted()
         predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -364,6 +365,31 @@ class TestBenchmark:
         pre = member_outputs(params, config, q, ctx, 4, 1.25, 9)
         fly = member_outputs(params, config, q, ctx, 4, 1.25, 9, live=True)
         np.testing.assert_array_equal(pre, fly)
+
+    def test_modes_agree_on_background_rows(self):
+        """Context ids outside the query pool (the explainer's background
+        rows) search from their own coordinates in either mode."""
+        params, config, ctx, q = self._setup()
+        ids = np.concatenate([ctx.ids[:3], q.ids[:2], ctx.ids[:1]])
+        coords = np.concatenate([ctx.coords[:3], q.coords[:2], ctx.coords[:1]])
+        x = np.concatenate([ctx.x[:3], q.x[:2], ctx.x[:1]])
+        pre, fly = (Ensemble(params, config, ctx, q, 3, 1.25, 9, live).outputs(ids, coords, x)
+                    for live in (False, True))
+        np.testing.assert_array_equal(pre, fly)
+
+    def test_naive_mode_holds_no_member_axis(self):
+        """At 400 members the naive mode's peak allocation is the cached
+        mode's: it searches each block's sequences where they are used, not
+        into a whole (members, n, k) table."""
+        params, config, ctx, q = self._setup()
+        peaks = []
+        for live in (True, False):
+            tracemalloc.start()
+            member_outputs(params, config, q, ctx, 400, 1.25, 9, live)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        live_peak, cached_peak = peaks
+        assert live_peak <= 1.25 * cached_peak, peaks
 
     def test_empty_query_pool_makes_no_search(self):
         params, config, ctx, q = self._setup()
