@@ -4,16 +4,18 @@ Every value flowing through a :class:`Tape` is a ``float64`` array of shape
 ``(..., rows, cols)``: a matrix, optionally behind leading batch axes.
 Operands broadcast over those axes as in numpy, so a 2-D parameter meets a
 ``(B, L, d)`` batch of sequences directly, and its gradient is summed back
-over the batch.  The ten primitives are ``matmul``, ``add``, ``sub``, ``mul``,
-``slice_rows``, ``softplus``, ``tanh``, ``mean_all``, ``rope2d`` and
-``multihead_attention``; a numpy operand of the first four becomes a leaf slot
-whose gradient nothing reads.  Each primitive records which slots it read and
-which slot it wrote; :func:`backward` replays the records in exact reverse
-execution order.
+over the batch.  The nine primitives are ``matmul``, ``add``, ``sub``, ``mul``,
+``softplus``, ``tanh``, ``mean_all``, ``rope2d`` and ``multihead_attention``.
+The first operand of the first four must be a :class:`Var`; a numpy second
+operand becomes a leaf slot whose gradient nothing reads.  Each primitive
+records which slots it read and which slot it wrote; :func:`backward` replays
+the records in exact reverse execution order.
 No two slots ever hold one gradient buffer.  A slot's gradient exists only
 while it is live: its first contribution becomes the gradient, later ones
 are added into it in place, and an op output's gradient is freed once its
-producer's rule has read it.  Backward rules live in a flat registry keyed
+producer's rule has read it.  Every rule hands its contributions to
+:func:`_contribute`, the one writer of gradient buffers besides
+:func:`backward` itself.  Backward rules live in a flat registry keyed
 by op name rather than in per-op closures, so the whole engine stays easy
 to inspect and to port.
 
@@ -49,7 +51,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "slice_rows",
     "softplus",
     "softplus_inv",
     "tanh",
@@ -198,15 +199,6 @@ def mul(a: Var, b) -> Var:
     tape = a.tape
     b = _coerce(tape, b)
     return tape.record("mul", (a, b), a.value * b.value)
-
-
-def slice_rows(a: Var, start: int, stop: int) -> Var:
-    """Rows ``start:stop`` of every matrix in the batch."""
-    n = a.value.shape[-2]
-    if not (0 <= start < stop <= n):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {a.value.shape}")
-    return a.tape.record("slice_rows", (a,), a.value[..., start:stop, :].copy(),
-                         start=start, stop=stop)
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
@@ -455,13 +447,6 @@ def _bwd_mul(tape, op):
     _contribute(tape, b_idx, g * a)
 
 
-def _bwd_slice_rows(tape, op):
-    idx = op.inputs[0]
-    if tape.grads[idx] is None:
-        tape.grads[idx] = np.zeros_like(tape.values[idx])
-    tape.grads[idx][..., op.aux["start"]:op.aux["stop"], :] += tape.grads[op.output]
-
-
 def _bwd_softplus(tape, op):
     x = tape.values[op.inputs[0]]
     sig = np.exp(-np.logaddexp(0.0, -x))
@@ -524,7 +509,6 @@ _BACKWARD = {
     "add": _bwd_add,
     "sub": _bwd_sub,
     "mul": _bwd_mul,
-    "slice_rows": _bwd_slice_rows,
     "softplus": _bwd_softplus,
     "tanh": _bwd_tanh,
     "mean_all": _bwd_mean_all,

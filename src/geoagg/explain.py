@@ -36,9 +36,9 @@ value table, with no interpreter loop per coalition, player or instance:
 coalition evaluation is bounded by one block and its deduplication at any
 ``n`` and ``p``; the predictor's memory for a block comes on top.
 
-For the attention model, :func:`make_shap_predictor` keys every row by its
-point id and predicts through :class:`~geoagg.pipeline.Ensemble`, the
-front end of ensemble prediction (see :class:`ShapPredictor`).
+For the attention model, :class:`ShapPredictor` (also bound as
+``make_shap_predictor``) keys every row by its point id and predicts through
+:class:`~geoagg.pipeline.Ensemble`, the front end of ensemble prediction.
 """
 
 from __future__ import annotations
@@ -248,8 +248,10 @@ class ShapPredictor:
     deterministic member is used so Shapley identities are exact; set
     ``members > 1`` for ensemble-mean explanations.
 
-    The ensemble holds every check and the neighbours of every id in
-    ``queries``, so an unperturbed query row gets the bytes of
+    ``queries`` holds the true rows whose ids may later appear in perturbed
+    rows; their neighbourhoods are precomputed at construction.  The
+    ensemble holds every check and those neighbours, so an unperturbed
+    query row gets the bytes of
     :func:`~geoagg.pipeline.predict_ensemble`'s mean, a row's output does
     not depend on the order or grouping of the rows, and concurrent calls
     are safe.
@@ -264,17 +266,7 @@ class ShapPredictor:
         return self.ensemble.outputs(ids, coords, x).mean(axis=0)
 
 
-def make_shap_predictor(params: ModelParams, config: ModelConfig,
-                        context: ContextPool, queries: QueryPool,
-                        members: int = 1, expansion: float = 1.0,
-                        seed: int = 0) -> ShapPredictor:
-    """Predictor over (id, coords, covariates) rows for post-hoc explainers.
-
-    ``queries`` holds the true rows whose ids may later appear in perturbed
-    rows; their neighbourhoods are precomputed here.
-    """
-    return ShapPredictor(params, config, context, queries,
-                         members=members, expansion=expansion, seed=seed)
+make_shap_predictor = ShapPredictor
 
 
 def geoshapley_explain(predictor, instances: RowBatch,

@@ -213,8 +213,7 @@ class BoundParams:
         return self.vars[name]
 
 
-def bind_params(tape: Tape, params: ModelParams) -> BoundParams:
-    return BoundParams(tape, params)
+bind_params = BoundParams
 
 
 def param_grads(tape: Tape, bound: BoundParams) -> dict[str, np.ndarray]:
@@ -295,7 +294,8 @@ def forward_on_tape(tape: Tape, bound: BoundParams, sequence, config: ModelConfi
     for layer in range(config.n_layers):
         _, tokens = induced_block(tokens, bound, f"l{layer}.", config.n_heads)
 
-    target = ad.slice_rows(tokens, 0, 1)
+    # row 0 by a one-hot product; matmul makes only its second operand a leaf
+    target = ad.matmul(tape.slot(np.eye(1, length)), tokens)
     q = ad.matmul(target, bound["agg.wq"])
     k = ad.matmul(tokens, bound["agg.wk"])
     v = ad.matmul(tokens, bound["agg.wv"])

@@ -201,10 +201,10 @@ class Ensemble:
     """The one inference front end of :func:`predict_ensemble`,
     :func:`benchmark_inference` and the explainer's predictor.
 
-    Construction runs every check once, then searches the grid index for the
-    neighbours of every query point, one ``(n, k')`` table; ``live`` leaves
-    the search to :meth:`outputs`, once per sequence, as the naive pipeline
-    being modelled does.  The ensemble is immutable, so concurrent calls are safe.
+    Construction runs every check that needs no rows, then searches the grid
+    index for the neighbours of every query point, one ``(n, k')`` table;
+    ``live`` leaves the search to :meth:`outputs`, once per sequence, as the
+    naive pipeline being modelled does.  The ensemble is immutable, so concurrent calls are safe.
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig, context: ContextPool,
@@ -213,9 +213,6 @@ class Ensemble:
         if members < 1:
             raise ContractError("need at least one ensemble member")
         self.k = min(neighbor_budget(config.l_max, expansion), len(context))
-        if members * max(len(queries), 1) * self.k >= 2 ** 60:
-            raise ContractError(f"{members} ensemble members over {len(queries)} queries "
-                                "need more memory than can be addressed")
         self.params, self.config, self.context, self.queries = params, config, context, queries
         self.members, self.seed, self.p = members, seed, context.x.shape[1]
         self._check_covariates(queries.x)
@@ -263,6 +260,9 @@ class Ensemble:
         found, unknown = cached >= 0, (cached < 0) & (targets < 0)
         if unknown.any():
             raise SequenceLookupError(f"unknown point id {distinct[unknown.argmax()]}")
+        if len(ids) * members >= 2 ** 60:
+            raise ContractError(f"{members} ensemble members over {len(ids)} queries "
+                                "need more memory than can be addressed")
         # allocated before any search, so a member count too big to hold fails at once
         out = np.empty((len(ids), members))
         if self.rows is None:
@@ -297,13 +297,10 @@ def predict_ensemble(params: ModelParams, config: ModelConfig,
     preds = Ensemble(params, config, context, queries, members, expansion, seed).outputs(
         queries.ids, queries.coords, queries.x)
     mean = preds.mean(axis=0)
-    if members > 1:
-        std = preds.std(axis=0, ddof=1)
-        # identical member outputs have exactly zero spread; keep it exact
-        # rather than leaving float summation dust
-        std[np.ptp(preds, axis=0) == 0.0] = 0.0
-    else:
-        std = np.zeros(preds.shape[1])
+    std = preds.std(axis=0, ddof=int(members > 1))
+    # identical member outputs have exactly zero spread; keep it exact
+    # rather than leaving float summation dust
+    std[np.ptp(preds, axis=0) == 0.0] = 0.0
     return EnsemblePrediction(ids=queries.ids.copy(), mean=mean, std=std, members=members)
 
 

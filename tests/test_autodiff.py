@@ -1,6 +1,8 @@
 """Unit tests for the tape, primitive gradients, and the Adam optimiser."""
 
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,7 +324,8 @@ class TestLiveGradients:
         np.testing.assert_array_equal(a.grad, 0.25 * c.value)
         np.testing.assert_array_equal(b.grad, 0.25 * c.value)
 
-    def test_slice_of_a_value_that_also_feeds_a_matmul(self):
+    def test_one_hot_read_of_a_value_that_also_feeds_a_matmul(self):
+        """Row 1 of every matrix, read as the model reads its target row."""
         rng = np.random.default_rng(9)
         y = rng.normal(size=(2, 4, 3))
         w = rng.normal(size=(3, 3))
@@ -333,7 +336,7 @@ class TestLiveGradients:
             t = x.tape
             h = ad.add(x, t.slot(y))
             m = ad.matmul(h, t.slot(w))
-            s = ad.slice_rows(h, 1, 2)
+            s = ad.matmul(t.slot(np.eye(1, 4, 1)), h)
             # replayed first, so h's first gradient is r's, passed through
             r = ad.add(h, m)
             return ad.add(ad.mean_all(ad.mul(r, t.slot(c))), ad.mean_all(ad.mul(s, t.slot(e))))
@@ -403,9 +406,8 @@ def _broadcasts(x, y):
 
 @st.composite
 def shared_tapes(draw):
-    """``(tape, loss)`` for a random tape of add, sub, mul, slice_rows and
-    matmul over a few leaves, and of add with a numpy operand of broadcast or
-    full shape.
+    """``(tape, loss)`` for a random tape of add, sub, mul and matmul over a
+    few leaves, and of add with a numpy operand of broadcast or full shape.
 
     Operands are drawn from every value recorded so far, so one value feeds
     several ops and an op may read the same slot twice.  The loss sums a
@@ -419,12 +421,9 @@ def shared_tapes(draw):
     outputs = []
     for _ in range(draw(st.integers(1, 8))):
         a = draw(st.sampled_from(vals))
-        name = draw(st.sampled_from(["add", "sub", "add_numpy", "mul", "slice_rows", "matmul"]))
+        name = draw(st.sampled_from(["add", "sub", "add_numpy", "mul", "matmul"]))
         shape = a.value.shape
-        if name == "slice_rows" and shape[-2] > 1:
-            stop = draw(st.integers(1, shape[-2]))
-            out = ad.slice_rows(a, draw(st.integers(0, stop - 1)), stop)
-        elif name == "matmul":
+        if name == "matmul":
             b = draw(st.sampled_from([v for v in vals if v.value.shape[-2] == shape[-1]
                                       and _broadcasts(shape[:-2], v.value.shape[:-2])]))
             out = ad.matmul(a, b)
@@ -547,8 +546,6 @@ def _op_cases(seed):
         ("mul_broadcast", row, lambda x: ad.mean_all(ad.mul(s(x, a34), x))),
         ("add_numpy_broadcast", a34, lambda x: ad.mean_all(ad.mul(ad.add(x, row), x))),
         ("mul_numpy_broadcast", a34, lambda x: ad.mean_all(ad.mul(ad.mul(x, row), x))),
-        ("slice_rows", a34, lambda x: ad.mean_all(ad.mul(ad.slice_rows(x, 1, 3),
-                                                        ad.slice_rows(x, 0, 2)))),
         ("mha_self", a34,
          lambda x: ad.mean_all(ad.mul(ad.multihead_attention(x, x, x, 2)[0], s(x, a34)))),
         ("softplus", a34, lambda x: ad.mean_all(ad.mul(ad.softplus(x), s(x, a34)))),
@@ -578,8 +575,8 @@ def _op_cases(seed):
          lambda x: ad.mean_all(ad.mul(ad.matmul(s(x, b34), x), ad.matmul(s(x, b34), x)))),
         ("add_batched_bias", row,
          lambda x: ad.mean_all(ad.mul(ad.add(s(x, b34), x), ad.add(s(x, b34), x)))),
-        ("slice_rows_batched", b34,
-         lambda x: ad.mean_all(ad.mul(ad.slice_rows(x, 1, 3), ad.slice_rows(x, 0, 2)))),
+        ("matmul_batched_right", b34,
+         lambda x: ad.mean_all(ad.mul(ad.matmul(s(x, a43), x), ad.matmul(s(x, a43), x)))),
         ("rope2d_batched", wb,
          lambda x: ad.mean_all(ad.mul(ad.rope2d(x, coords_b, 100.0, 4), s(x, wb)))),
         ("mha_batched_kv_q", q8,
@@ -637,6 +634,17 @@ class TestPrimitiveGradients:
             f(tape.slot(x0))
             recorded |= {op.name for op in tape.ops}
         assert recorded == set(ad._BACKWARD)
+
+    @pytest.mark.parametrize("where", ["README.md", "autodiff docstring"])
+    def test_docs_name_every_primitive(self, where):
+        """README and the module docstring count and name the registry's rules."""
+        text = ad.__doc__ if where == "autodiff docstring" else (
+            Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        found = re.search(r"(\w+) primitives(?: are|:)(.*?)\.\s", text, re.S)
+        assert found, f"{where} lists no primitives"
+        count = "zero one two three four five six seven eight nine ten eleven twelve".split()
+        assert found.group(1).lower() == count[len(ad._BACKWARD)]
+        assert sorted(re.findall(r"`+(\w+)`+", found.group(2))) == sorted(ad._BACKWARD)
 
 
 class TestAdam:

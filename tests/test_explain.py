@@ -536,6 +536,28 @@ class TestShapPredictorWrapper:
         empty = predictor([], np.zeros((0, 2)), np.zeros((0, 2)))
         assert empty.shape == (0,) and empty.dtype == np.float64
 
+    def test_member_count_is_judged_on_the_rows_of_a_call(self):
+        """2**56 - 1 members fit over two queries but not over the 40
+        background rows of one call: the call is refused in one line and
+        allocates nothing."""
+        tr, te = split_dataset(generate_gwr(400, 1), 0.7, 0)
+        config = ModelConfig(d_model=8, n_heads=2, n_inducing=2, l_max=8, n_layers=1)
+        params, _ = train(tr, config, TrainConfig(epochs=0, seed=0))
+        members = 2 ** 56 - 1
+        predictor = make_shap_predictor(params, config, ContextPool(tr),
+                                        QueryPool(te.take([0, 1])), members=members)
+        batch = RowBatch.from_dataset(tr.take(np.arange(40)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError) as exc:
+                predictor(batch.ids, batch.coords, batch.x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (f"{members} ensemble members over 40 queries "
+                                  "need more memory than can be addressed")
+        assert peak < 2 ** 20
+
     def test_unknown_id_raises_lookup_error(self):
         params, config, ctx, te = self._fitted()
         predictor = make_shap_predictor(params, config, ctx, QueryPool(te.points))
