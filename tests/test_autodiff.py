@@ -515,6 +515,10 @@ def _op_cases(seed):
     def s(x, arr):
         return x.tape.slot(arr)
 
+    def rows(x, start, stop):
+        """Rows start:stop of ``x``, read by a one-hot product as the model reads its target."""
+        return ad.matmul(s(x, np.eye(stop - start, x.value.shape[-2], start)), x)
+
     def long_q(wrt, k, v, w, d2):
         """Attention of q6 over three keys, differentiated in operand ``wrt``."""
         operands = {"q": q6, "k": k, "v": v, "lam": lam}
@@ -546,6 +550,7 @@ def _op_cases(seed):
         ("mul_broadcast", row, lambda x: ad.mean_all(ad.mul(s(x, a34), x))),
         ("add_numpy_broadcast", a34, lambda x: ad.mean_all(ad.mul(ad.add(x, row), x))),
         ("mul_numpy_broadcast", a34, lambda x: ad.mean_all(ad.mul(ad.mul(x, row), x))),
+        ("slice_rows", a34, lambda x: ad.mean_all(ad.mul(rows(x, 1, 3), rows(x, 0, 2)))),
         ("mha_self", a34,
          lambda x: ad.mean_all(ad.mul(ad.multihead_attention(x, x, x, 2)[0], s(x, a34)))),
         ("softplus", a34, lambda x: ad.mean_all(ad.mul(ad.softplus(x), s(x, a34)))),
@@ -575,6 +580,8 @@ def _op_cases(seed):
          lambda x: ad.mean_all(ad.mul(ad.matmul(s(x, b34), x), ad.matmul(s(x, b34), x)))),
         ("add_batched_bias", row,
          lambda x: ad.mean_all(ad.mul(ad.add(s(x, b34), x), ad.add(s(x, b34), x)))),
+        ("slice_rows_batched", b34,
+         lambda x: ad.mean_all(ad.mul(rows(x, 1, 3), rows(x, 0, 2)))),
         ("matmul_batched_right", b34,
          lambda x: ad.mean_all(ad.mul(ad.matmul(s(x, a43), x), ad.matmul(s(x, a43), x)))),
         ("rope2d_batched", wb,
